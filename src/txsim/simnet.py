@@ -9,6 +9,19 @@ Nodes model processing capacity: a handler returns the virtual time it spent,
 and messages arriving while the node is busy wait until it frees up.  That
 single mechanism produces queueing, saturation, and serial-validation
 bottlenecks without any extra machinery.
+
+Waiting is keyed exactly as if each event that comes up while its node is
+busy were pushed back onto the queue at the node's ``busy_until`` with a fresh
+seq, every time.  Such events are held in groups instead.  A group stands for
+the keys ``(busy_until, s), (busy_until, s+1), ..., (busy_until, s+n-1)`` and
+takes one queue entry; waiting events whose fresh keys continue the latest
+group's run join it.  No other event can own a key inside a group's run, so
+push-back would pop its members back to back, and one step does the same: it
+delivers (or drops) members while the node is free, drops members that can no
+longer be delivered, and re-keys the rest at the new ``busy_until`` with the
+next seqs, one each.  Seqs, the trace and every delivery time therefore match
+the per-event push-back, while the queue sees one entry per group instead of
+one per waiting event per busy period.
 """
 
 from __future__ import annotations
@@ -112,6 +125,8 @@ class Simulator:
         self.allow_byzantine = allow_byzantine
         self._queue: List[tuple] = []
         self._seq = 0
+        self._grouped = 0  # waiting events beyond the first of each group entry
+        self._tail: Optional[_Waiting] = None  # the queued group keyed last
         self.nodes: Dict[object, Node] = {}
         self._faults: Dict[object, NodeFault] = {}
         self._partition: Optional[Dict[object, int]] = None
@@ -201,12 +216,21 @@ class Simulator:
         return True
 
     def step(self) -> Optional[Event]:
-        """Fire the minimal (fire_time, seq) event; None when exhausted."""
+        """Fire the minimal (fire_time, seq) queue entry; None when exhausted.
+
+        An entry is one event (delivered, dropped, made to wait, or a fault
+        change) or one group waiting behind a busy node, whose members are
+        delivered or dropped while the node is free and re-keyed together
+        once it is busy again.  Returns the event, or the group's first member.
+        """
         if not self._queue:
             return None
         fire_time, _, ev = heapq.heappop(self._queue)
         assert fire_time >= self.now, "virtual clock would go backwards"
         self.now = fire_time
+
+        if ev.__class__ is _Waiting:
+            return self._fire_waiting(ev)
 
         if isinstance(ev.payload, _FaultChange):
             change = ev.payload
@@ -219,12 +243,57 @@ class Simulator:
             return ev
 
         if node.busy_until > self.now:
-            # node still processing an earlier message; retry when it frees up
-            self._seq += 1
-            ev.fire_time = node.busy_until
-            heapq.heappush(self._queue, (node.busy_until, self._seq, ev))
+            self._wait(node, [ev])
             return ev
 
+        self._deliver(node, ev)
+        return ev
+
+    def _wait(self, node: Node, events: List[Event]) -> None:
+        """Queue ``events`` behind ``node`` at its busy_until, one fresh seq each."""
+        until = node.busy_until
+        tail = self._tail
+        if (tail is not None and tail.last_seq == self._seq and tail.node is node
+                and tail.fire_time == until):
+            # the keys continue the tail group's run, so they join it; the
+            # tail is still queued, as until > now >= any fired group's time
+            tail.events.extend(events)
+            self._grouped += len(events)
+        else:
+            tail = self._tail = _Waiting(node, until, events)
+            heapq.heappush(self._queue, (until, self._seq + 1, tail))
+            self._grouped += len(events) - 1
+        self._seq += len(events)
+        tail.last_seq = self._seq
+
+    def _fire_waiting(self, group: "_Waiting") -> Event:
+        node = group.node
+        events = group.events
+        self._grouped -= len(events) - 1
+        fired = 0
+        while fired < len(events) and node.busy_until <= self.now:
+            ev = events[fired]
+            fired += 1
+            ev.fire_time = self.now
+            if self._deliverable(ev):
+                self._deliver(node, ev)
+            else:
+                self.dropped_count += 1
+        head = events[0]
+        del events[:fired]
+        if events:
+            # only a partition or a crashed node makes an event undeliverable
+            if self._partition is not None or any(
+                f.kind is FaultKind.CRASHED for f in self._faults.values()
+            ):
+                kept = [ev for ev in events if self._deliverable(ev)]
+                self.dropped_count += len(events) - len(kept)
+                events = kept
+            if events:
+                self._wait(node, events)
+        return head
+
+    def _deliver(self, node: Node, ev: Event) -> None:
         ev.delivered = True
         kind = payload_kind(ev.payload)
         self.delivered_counts[kind] = self.delivered_counts.get(kind, 0) + 1
@@ -244,10 +313,14 @@ class Simulator:
             else:
                 self._schedule_at(self.now + extra, node.node_id, dst, payload)
         node._outbox.clear()
-        return ev
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Drain the queue up to a virtual-time / event-count budget; returns events fired."""
+        """Drain the queue up to a virtual-time / step budget; returns steps taken.
+
+        A step is one queue entry (see ``step``), so ``max_events`` bounds
+        deliveries, drops, fault changes and waiting groups re-keyed together,
+        and one step can deliver several events.
+        """
         fired = 0
         while self._queue:
             if until is not None and self._queue[0][0] > until:
@@ -263,7 +336,8 @@ class Simulator:
         return fired
 
     def pending(self) -> int:
-        return len(self._queue)
+        """Events still queued, waiting ones included (not queue entries)."""
+        return len(self._queue) + self._grouped
 
     def dump_trace(self) -> str:
         """Tab-separated trace: one line per delivered event."""
@@ -280,3 +354,15 @@ class _FaultChange:
     node_id: object
     fault: FaultKind
     kind: str = field(default="__fault__", init=False)
+
+
+class _Waiting:
+    """Events waiting behind ``node``, keyed (fire_time, s), ..., (fire_time, last_seq)."""
+
+    __slots__ = ("node", "fire_time", "last_seq", "events")
+
+    def __init__(self, node: Node, fire_time: int, events: List[Event]):
+        self.node = node
+        self.fire_time = fire_time
+        self.last_seq = 0
+        self.events = events

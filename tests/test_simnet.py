@@ -1,9 +1,13 @@
 """Event queue semantics: ordering, faults, partitions, determinism."""
 
+import random
 from dataclasses import dataclass, field
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from simnet_reference import ReferenceSimulator
 from txsim.core import CostModel, seeded_rng
 from txsim.simnet import FaultKind, Node, SimError, Simulator
 
@@ -192,6 +196,25 @@ class TestBusyNodes:
         sim.run()
         assert b.seen == [(7, Ping(1))]
 
+    def test_pending_counts_events_waiting_behind_a_busy_node(self):
+        sim = Simulator()
+        sim.add_node(Recorder("a", cost=10))
+        for delay in (0, 1, 1, 2, 5):
+            sim.schedule("a", Ping(0), delay=delay)
+        assert sim.pending() == 5
+        sim.run(until=5)  # one delivered, four waiting in one group at t=10
+        assert sim.pending() == 4 and len(sim._queue) == 1
+        sim.schedule("a", Ping(0), delay=0)  # takes the seq after the group's
+        assert sim.pending() == 5
+        sim.step()  # so it waits in a second group of its own
+        assert sim.pending() == 5 and len(sim._queue) == 2
+        sim.step()  # first group: one delivered, three re-keyed to t=20
+        assert sim.pending() == 4 and len(sim._queue) == 2 and sim.now == 10
+        sim.step()  # second group follows their seqs at t=20 and joins them
+        assert sim.pending() == 4 and len(sim._queue) == 1
+        sim.run()
+        assert sim.pending() == 0 and sim.delivered_counts == {"ping": 6}
+
 
 def _ping_ring_trace(seed: int) -> str:
     sim = _sim(seed, trace=True)
@@ -202,6 +225,19 @@ def _ping_ring_trace(seed: int) -> str:
         sim.nodes[name].forward_to = nodes[(i + 1) % 3]
         sim.nodes[name].max_hops = 4
     sim.schedule("n0", Ping(0), delay=0)
+    sim.run()
+    return sim.dump_trace()
+
+
+def _contended_trace() -> str:
+    # zero latency: arrivals tie with busy_until; "z" handles at no cost and
+    # bounces every ping straight back into the busy "w"
+    sim = Simulator(trace=True)
+    sim.add_node(Recorder("w", forward_to="z", cost=10, max_hops=3))
+    sim.add_node(Recorder("z", forward_to="w", cost=0, max_hops=3))
+    for delay in (0, 0, 4, 10, 10, 20):
+        sim.schedule("w", Ping(0), delay=delay)
+    sim.schedule("z", Ping(1), delay=10)
     sim.run()
     return sim.dump_trace()
 
@@ -224,3 +260,154 @@ class TestDeterminism:
             "2015\t5\tn0\tn1\tping\n"
         )
         assert _ping_ring_trace(11) == expected
+
+    def test_golden_contended_trace(self):
+        # recorded with the per-event push-back loop; the seq column is each
+        # event's original seq, the order follows the seqs of its push-backs
+        expected = (
+            "0\t1\tNone\tw\tping\n"
+            "10\t4\tNone\tw\tping\n"
+            "10\t7\tNone\tz\tping\n"
+            "10\t8\tw\tz\tping\n"
+            "20\t6\tNone\tw\tping\n"
+            "20\t11\tw\tz\tping\n"
+            "30\t19\tw\tz\tping\n"
+            "30\t5\tNone\tw\tping\n"
+            "40\t28\tw\tz\tping\n"
+            "40\t2\tNone\tw\tping\n"
+            "50\t36\tw\tz\tping\n"
+            "50\t3\tNone\tw\tping\n"
+            "60\t44\tw\tz\tping\n"
+            "60\t13\tz\tw\tping\n"
+            "70\t52\tw\tz\tping\n"
+            "70\t14\tz\tw\tping\n"
+            "80\t59\tw\tz\tping\n"
+            "80\t20\tz\tw\tping\n"
+            "90\t65\tw\tz\tping\n"
+            "90\t27\tz\tw\tping\n"
+            "100\t70\tw\tz\tping\n"
+            "100\t35\tz\tw\tping\n"
+            "110\t74\tw\tz\tping\n"
+            "110\t43\tz\tw\tping\n"
+            "120\t77\tw\tz\tping\n"
+            "120\t51\tz\tw\tping\n"
+            "130\t79\tw\tz\tping\n"
+        )
+        assert _contended_trace() == expected
+
+
+# -- the grouped wait queue against the per-event push-back reference --------
+
+COSTS = (0, 0, 1, 3, 5)
+DELAYS = (0, 0, 1, 3, 5)  # shared with COSTS so timers tie with busy_until
+
+
+@dataclass
+class Job:
+    kind: str
+
+
+class Scripted(Node):
+    """Replays a seeded script: cost, sends, local handoffs, timers, faults.
+
+    Its choices depend only on the order of its own deliveries, so two
+    simulators that deliver identically run identical scripts.
+    """
+
+    def __init__(self, node_id, seed, peers, budget):
+        super().__init__(node_id)
+        self.rng = random.Random(seed * 8 + node_id)
+        self.peers = peers
+        self.budget = budget  # one-item list shared by every node of a run
+
+    def on_message(self, msg):
+        rng, sim = self.rng, self.sim
+        cost = rng.choice(COSTS)
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            if self.budget[0] <= 0:
+                break
+            self.budget[0] -= 1
+            dst = rng.randrange(self.peers)
+            delay = rng.choice((0, cost, cost, 2))
+            how = rng.random()
+            if how < 0.5:
+                self.send(dst, Job("a"), extra_delay=delay)
+            elif how < 0.75:
+                self.local(dst, Job("b"), delay=delay)
+            else:
+                self.set_timer(delay, Job("timer"))
+        roll = rng.random()
+        target = rng.randrange(self.peers)
+        if roll < 0.1:
+            # a pause like sharding's reconfiguration, on any node
+            node = sim.nodes[target]
+            node.busy_until = max(node.busy_until, sim.now + rng.choice((1, 5, 9)))
+        elif roll < 0.14:
+            sim.inject_fault(target, FaultKind.CRASHED, at_time=sim.now + rng.choice(DELAYS))
+        elif roll < 0.2:
+            sim.heal(target, at_time=sim.now + rng.choice(DELAYS))
+        elif roll < 0.23:
+            sim.set_partition([{target}, set(range(self.peers)) - {target}])
+        elif roll < 0.26:
+            sim.clear_partition()
+        return cost
+
+
+node_ids = st.integers(0, 4)
+scenarios = st.fixed_dictionaries({
+    "nodes": st.integers(1, 5),
+    "seed": st.integers(0, 2**16),
+    "budget": st.integers(0, 150),
+    "slices": st.lists(st.fixed_dictionaries({
+        # (target, src or None, delay) injected from outside the loop
+        "inject": st.lists(st.tuples(node_ids, st.none() | node_ids, st.sampled_from(DELAYS)),
+                           max_size=8),
+        "faults": st.lists(st.tuples(node_ids, st.booleans(), st.sampled_from(DELAYS)),
+                           max_size=2),
+        "partition": st.none() | st.just("clear") | st.lists(st.integers(0, 1), min_size=5,
+                                                            max_size=5),
+        "span": st.integers(0, 40),
+    }), min_size=1, max_size=5),
+})
+
+
+def _play(sim_cls, scenario):
+    """Run one scenario in slices; returns everything observable after each."""
+    n = scenario["nodes"]
+    sim = sim_cls(rng=random.Random(scenario["seed"]),
+                  latency_fn=lambda r: r.choice((0, 0, 1, 4)), trace=True)
+    budget = [scenario["budget"]]
+    for i in range(n):
+        sim.add_node(Scripted(i, scenario["seed"], n, budget))
+    seen = []
+    for piece in scenario["slices"]:
+        if piece["partition"] == "clear":
+            sim.clear_partition()
+        elif piece["partition"] is not None:
+            groups = piece["partition"][:n]
+            sim.set_partition([{i for i in range(n) if groups[i] == g} for g in (0, 1)])
+        for node, crash, delay in piece["faults"]:
+            if crash:
+                sim.inject_fault(node % n, FaultKind.CRASHED, at_time=sim.now + delay)
+            else:
+                sim.heal(node % n, at_time=sim.now + delay)
+        seqs = []
+        for target, src, delay in piece["inject"]:
+            if src is None:
+                seqs.append(sim.schedule(target % n, Job("a"), delay=delay))
+            else:
+                seqs.append(sim.send(src % n, target % n, Job("a"), extra_delay=delay))
+        sim.run(until=sim.now + piece["span"])
+        seen.append((seqs, sim.now, sim.pending(), sim.dropped_count,
+                     dict(sim.delivered_counts), sim.dump_trace()))
+    sim.run()
+    seen.append((sim.now, sim.pending(), sim.dropped_count, dict(sim.delivered_counts),
+                 sim.dump_trace()))
+    return seen
+
+
+class TestWaitQueueMatchesPushBack:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(scenarios)
+    def test_same_trace_seqs_counts_and_clock(self, scenario):
+        assert _play(Simulator, scenario) == _play(ReferenceSimulator, scenario)
