@@ -53,9 +53,3 @@ class LedgerStore:
         if self.blocks and parent != self.tip_digest:
             return self.blocks[-1].height  # the tip itself was tampered with
         return None
-
-    def replay_writes(self):
-        """All committed write sets in chain order (txns already filtered upstream)."""
-        for block in self.blocks:
-            for txn in block.txn_list:
-                yield txn

@@ -1,9 +1,14 @@
 """Merkle Patricia Trie: nibble-keyed authenticated index.
 
-Three node kinds (branch, extension, leaf) over 4-bit key steps; every node
-is stored content-addressed under the digest of its canonical encoding, so
-the root digest is determined solely by the key-value set.  The access path
-from root to leaf doubles as the membership proof.
+Three node kinds (branch, extension, leaf) over 4-bit key steps.  Nodes are
+immutable, and the store keeps each one decoded, keyed by the digest of its
+canonical encoding, so the root digest is determined solely by the key-value
+set.  A node is encoded once when it is stored, to digest it and to meter the
+hash work; lookups and inserts then read the decoded node directly.  Proofs
+and size accounting rebuild the encodings of the nodes they visit; since the
+encoding is canonical, the rebuilt bytes are the ones that were digested.
+The access path from root to leaf doubles as the membership proof, and
+``verify`` checks it from the encoded bytes alone.
 
 The node encoding is this package's own (branch children are stored sparse,
 prefixed by a presence bitmap); it is canonical and injective but not wire
@@ -12,81 +17,74 @@ compatible with any production system.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import compress
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from ..core.encoding import DIGEST_SIZE, Reader, Writer, digest
+from ..core.encoding import DIGEST_SIZE, Reader, digest
 from .meter import HashMeter
 
 EMPTY_ROOT = digest(b"")  # documented constant for the empty trie
 
 _LEAF, _EXTENSION, _BRANCH = 0, 1, 2
 
+# the hex digits of a key are its nibbles, high nibble first
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
 
 def key_nibbles(key: bytes) -> Tuple[int, ...]:
-    out = []
-    for byte in key:
-        out.append(byte >> 4)
-        out.append(byte & 0x0F)
-    return tuple(out)
-
-
-def _encode_nibbles(w: Writer, nibbles) -> None:
-    w.u32(len(nibbles))
-    w.raw(bytes(nibbles))
+    return tuple(key.hex().encode().translate(_HEX_TO_NIBBLE))
 
 
 def _decode_nibbles(r: Reader) -> Tuple[int, ...]:
     return tuple(r.raw(r.u32()))
 
 
-@dataclass
-class Leaf:
+class Leaf(NamedTuple):
     suffix: Tuple[int, ...]
     value: bytes
 
 
-@dataclass
-class Extension:
+class Extension(NamedTuple):
     path: Tuple[int, ...]  # at least one nibble
     child: bytes
 
 
-@dataclass
-class Branch:
-    children: List[Optional[bytes]]  # 16 slots of child digests
+class Branch(NamedTuple):
+    children: Tuple[Optional[bytes], ...]  # 16 slots of child digests
     value: Optional[bytes]
 
 
-def encode_node(node) -> bytes:
-    w = Writer()
+Node = Union[Leaf, Extension, Branch]
+
+_pack = struct.pack
+_NO_VALUE = _pack(">B", 0)
+_SLOT_BITS = tuple(1 << i for i in range(16))  # presence-bitmap bit of each branch slot
+
+
+def encode_node(node: Node) -> bytes:
+    """Canonical encoding: a tag byte, then the fields in declared order.
+
+    Nibble paths and values are length-prefixed; branch children are sparse,
+    behind a 16-bit presence bitmap stored as a u32.
+    """
     if isinstance(node, Leaf):
-        w.u8(_LEAF)
-        _encode_nibbles(w, node.suffix)
-        w.bytes(node.value)
-    elif isinstance(node, Extension):
-        w.u8(_EXTENSION)
-        _encode_nibbles(w, node.path)
-        w.raw(node.child)
-    else:
-        w.u8(_BRANCH)
-        mask = 0
-        for i, child in enumerate(node.children):
-            if child is not None:
-                mask |= 1 << i
-        w.u32(mask)
-        for child in node.children:
-            if child is not None:
-                w.raw(child)
-        if node.value is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            w.bytes(node.value)
-    return w.getvalue()
+        suffix, value = node
+        return b"".join(
+            (_pack(">BI", _LEAF, len(suffix)), bytes(suffix), _pack(">I", len(value)), value)
+        )
+    if isinstance(node, Extension):
+        path, child = node
+        return b"".join((_pack(">BI", _EXTENSION, len(path)), bytes(path), child))
+    children = node.children  # child digests are non-empty, so only None is falsy
+    value = node.value
+    tail = _NO_VALUE if value is None else _pack(">BI", 1, len(value)) + value
+    head = _pack(">BI", _BRANCH, sum(compress(_SLOT_BITS, children)))
+    return b"".join((head, *filter(None, children), tail))
 
 
-def decode_node(data: bytes):
+def decode_node(data: bytes) -> Node:
     r = Reader(data)
     tag = r.u8()
     if tag == _LEAF:
@@ -102,7 +100,7 @@ def decode_node(data: bytes):
             if mask & (1 << i):
                 children[i] = r.raw(DIGEST_SIZE)
         value = r.bytes() if r.u8() else None
-        return Branch(children, value)
+        return Branch(tuple(children), value)
     raise ValueError(f"unknown node tag {tag}")
 
 
@@ -128,21 +126,19 @@ def _common_prefix(a, b) -> int:
 
 class MerklePatriciaTrie:
     def __init__(self, meter: Optional[HashMeter] = None):
-        self._nodes: Dict[bytes, bytes] = {}  # digest -> encoding
+        self._nodes: Dict[bytes, Node] = {}  # digest of the encoding -> node
         self.root = EMPTY_ROOT
         self.meter = meter or HashMeter()
 
     # -- node store ------------------------------------------------------------
 
-    def _store(self, node) -> bytes:
+    def _store(self, node: Node) -> bytes:
+        # the encoding is needed only for the digest and the metered length
         enc = encode_node(node)
         d = digest(enc)
-        self._nodes[d] = enc
+        self._nodes[d] = node
         self.meter.count(len(enc))
         return d
-
-    def _load(self, d: bytes):
-        return decode_node(self._nodes[d])
 
     # -- queries ---------------------------------------------------------------
 
@@ -152,7 +148,7 @@ class MerklePatriciaTrie:
         node_digest = self.root
         nibbles = key_nibbles(key)
         while True:
-            node = self._load(node_digest)
+            node = self._nodes[node_digest]
             if isinstance(node, Leaf):
                 return node.value if node.suffix == nibbles else None
             if isinstance(node, Extension):
@@ -185,7 +181,7 @@ class MerklePatriciaTrie:
     # -- insertion ---------------------------------------------------------------
 
     def _insert(self, node_digest: bytes, nibbles: Tuple[int, ...], value: bytes) -> bytes:
-        node = self._load(node_digest)
+        node = self._nodes[node_digest]
         if isinstance(node, Leaf):
             return self._insert_at_leaf(node, nibbles, value)
         if isinstance(node, Extension):
@@ -196,13 +192,14 @@ class MerklePatriciaTrie:
         if node.suffix == nibbles:
             return self._store(Leaf(nibbles, value))
         common = _common_prefix(node.suffix, nibbles)
-        branch = Branch([None] * 16, None)
+        children: List[Optional[bytes]] = [None] * 16
+        branch_value = None
         for suffix, val in ((node.suffix[common:], node.value), (nibbles[common:], value)):
             if suffix:
-                branch.children[suffix[0]] = self._store(Leaf(suffix[1:], val))
+                children[suffix[0]] = self._store(Leaf(suffix[1:], val))
             else:
-                branch.value = val
-        out = self._store(branch)
+                branch_value = val
+        out = self._store(Branch(tuple(children), branch_value))
         if common:
             out = self._store(Extension(nibbles[:common], out))
         return out
@@ -213,32 +210,33 @@ class MerklePatriciaTrie:
             child = self._insert(node.child, nibbles[common:], value)
             return self._store(Extension(node.path, child))
         # the extension splits at `common`
-        branch = Branch([None] * 16, None)
+        children: List[Optional[bytes]] = [None] * 16
+        branch_value = None
         ext_rest = node.path[common:]
         if len(ext_rest) == 1:
-            branch.children[ext_rest[0]] = node.child
+            children[ext_rest[0]] = node.child
         else:
-            branch.children[ext_rest[0]] = self._store(Extension(ext_rest[1:], node.child))
+            children[ext_rest[0]] = self._store(Extension(ext_rest[1:], node.child))
         new_rest = nibbles[common:]
         if new_rest:
-            branch.children[new_rest[0]] = self._store(Leaf(new_rest[1:], value))
+            children[new_rest[0]] = self._store(Leaf(new_rest[1:], value))
         else:
-            branch.value = value
-        out = self._store(branch)
+            branch_value = value
+        out = self._store(Branch(tuple(children), branch_value))
         if common:
             out = self._store(Extension(nibbles[:common], out))
         return out
 
     def _insert_at_branch(self, node: Branch, nibbles, value: bytes) -> bytes:
-        children = list(node.children)
         if not nibbles:
-            return self._store(Branch(children, value))
+            return self._store(Branch(node.children, value))
+        children = list(node.children)
         head, rest = nibbles[0], nibbles[1:]
         if children[head] is None:
             children[head] = self._store(Leaf(rest, value))
         else:
             children[head] = self._insert(children[head], rest, value)
-        return self._store(Branch(children, node.value))
+        return self._store(Branch(tuple(children), node.value))
 
     # -- proofs --------------------------------------------------------------------
 
@@ -249,9 +247,8 @@ class MerklePatriciaTrie:
         node_digest = self.root
         nibbles = key_nibbles(key)
         while True:
-            enc = self._nodes[node_digest]
-            path.append(enc)
-            node = decode_node(enc)
+            node = self._nodes[node_digest]
+            path.append(encode_node(node))
             if isinstance(node, Leaf):
                 return MptProof(tuple(path))
             if isinstance(node, Extension):
@@ -272,9 +269,8 @@ class MerklePatriciaTrie:
         total = 0
         stack = [self.root]
         while stack:
-            enc = self._nodes[stack.pop()]
-            total += len(enc)
-            node = decode_node(enc)
+            node = self._nodes[stack.pop()]
+            total += len(encode_node(node))
             if isinstance(node, Extension):
                 stack.append(node.child)
             elif isinstance(node, Branch):
@@ -289,7 +285,7 @@ class MerklePatriciaTrie:
         stack = [(self.root, 0)]
         while stack:
             d, depth = stack.pop()
-            node = self._load(d)
+            node = self._nodes[d]
             if isinstance(node, Leaf):
                 best = max(best, depth + len(node.suffix))
             elif isinstance(node, Extension):

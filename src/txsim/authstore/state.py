@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.types import CostModel, IndexKind
+from ..core.types import IndexKind
 from .kv import VersionedKV
 from .ledger import LedgerStore
 from .mbt import MerkleBucketTree
@@ -57,9 +57,6 @@ class StateStore:
         if self.index is None:
             raise ValueError("index_root requires an authenticated index (mpt or mbt)")
         return self.index.root
-
-    def hash_cost_of(self, cm: CostModel, ops: int, nbytes: int) -> int:
-        return ops * cm.hash_time_base + int(nbytes * cm.hash_time_per_byte)
 
     def storage_breakdown(self) -> dict:
         records = len(self.kv)

@@ -1,0 +1,44 @@
+"""Reference MPT node encoder for the property tests in ``test_authstore.py``."""
+
+from __future__ import annotations
+
+from txsim.authstore.mpt import Extension, Leaf
+from txsim.core.encoding import Writer
+
+
+def _encode_nibbles(w: Writer, nibbles) -> None:
+    w.u32(len(nibbles))
+    w.raw(bytes(nibbles))
+
+
+def reference_encode_node(node) -> bytes:
+    """The node encoder as it was before it packed its bytes in one pass.
+
+    One ``Writer`` call per field, kept verbatim as the model that
+    ``txsim.authstore.mpt.encode_node`` must match byte for byte.
+    """
+    w = Writer()
+    if isinstance(node, Leaf):
+        w.u8(0)
+        _encode_nibbles(w, node.suffix)
+        w.bytes(node.value)
+    elif isinstance(node, Extension):
+        w.u8(1)
+        _encode_nibbles(w, node.path)
+        w.raw(node.child)
+    else:
+        w.u8(2)
+        mask = 0
+        for i, child in enumerate(node.children):
+            if child is not None:
+                mask |= 1 << i
+        w.u32(mask)
+        for child in node.children:
+            if child is not None:
+                w.raw(child)
+        if node.value is None:
+            w.u8(0)
+        else:
+            w.u8(1)
+            w.bytes(node.value)
+    return w.getvalue()

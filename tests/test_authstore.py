@@ -6,7 +6,10 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mpt_reference import reference_encode_node
 from txsim.authstore import (
     EMPTY_ROOT,
     GENESIS_PARENT,
@@ -141,6 +144,125 @@ class TestMpt:
         r2 = trie.put(b"k", b"v2")
         r3 = trie.put(b"k", b"v1")
         assert r1 != r2 and r1 == r3
+
+    def test_golden_root_meter_sizes_and_proofs(self):
+        # Each put below takes one insert path; the hash-meter totals are what
+        # pipelines charge as virtual hash time, so they are pinned exactly.
+        trie = MerklePatriciaTrie()
+        for key, value in [
+            (b"\x12\x34", b"v1"),  # empty trie: a lone leaf
+            (b"\x12\x34", b"v2"),  # leaf overwritten in place
+            (b"\x12\x56", b"v3"),  # leaf split under a common prefix
+            (b"\x12", b"v4"),  # prefix key: the branch carries a value
+            (b"\x1f\x00", b"v5"),  # extension split, 1-nibble rest
+            (b"\xab\xcd\xef\x01", b"v6"),  # extension split with no common prefix
+            (b"\xab\xcd\xef\x02", b"v7"),
+            (b"\xab\xc0\x00\x00", b"v8"),  # extension split, longer rest
+            (b"\x1f\x10", b"v9"),  # leaf split with no common prefix
+            (b"\xab\xcd\xef\x01\x23", b"v10"),  # leaf split, old leaf becomes the value
+            (b"\xab", b"v11"),  # extension split ending on the new key
+            (b"\x12\x56", b"v12"),  # deep leaf overwritten
+        ]:
+            trie.put(key, value)
+        rng = random.Random(41)
+        batch = []
+        for _ in range(30):
+            key = b"\x7e" + bytes(rng.choice(b"\x00\x01\x10\xff") for _ in range(rng.randint(0, 3)))
+            batch.append((key, bytes(rng.getrandbits(8) for _ in range(rng.randint(0, 6)))))
+        trie.put_batch(batch)
+
+        assert trie.root.hex() == "d5b4d41b5e86dc79486c11b63db60f47ec8cc936e83807a76dacca1336631975"
+        assert (trie.meter.ops, trie.meter.bytes) == (173, 10356)
+        assert trie.reachable_bytes() == 1542
+        assert trie.max_path_nibbles() == 10
+        root_node = (
+            "0200000482091e7e3a125154c4a4f47df836c711bbec3629894f702d76f5bfcc29df60a4"
+            "7a224448abe20b8c04dd0717b431e0f1294ebc02dace95d9050096f9f17f64f18c6137"
+            "8575d7374036b93f457b2673b15b7278e728b3db417d11eca205412a57b800"
+        )
+        branch_1 = (
+            "0200008004de716c53efd477b285933c7f50aec555ec6cb4ab5b1b92d64e5063232c0ed2"
+            "44250c6d945f4a8c7b4964ed09ac67421bc6ef4c2d199d8fe4cc26b94adcb9885700"
+        )
+        expected = {
+            b"\x12": (
+                root_node,
+                branch_1,
+                "02000000287bafefa5d647c8f34c504282687a41dab950dcab2b3531f2265c1f69d85b7e"
+                "2d01ce89448bb6f9b762e8eb2e328be316bfa11c1960b4c4d8a46dde2138ddde4101"
+                "000000027634",
+            ),
+            b"\xab": (
+                root_node,
+                "01000000010b8cae77d6e84742ec25aaa5458143d7bbbd2cdbc209fdc6894517da243da675a0",
+                "0200001000eb53bc5167b57946f2d8496a5990d3060fb18429c14ccb562272599e6014cbad"
+                "0100000003763131",
+            ),
+            b"\x1f\x10": (
+                root_node,
+                branch_1,
+                "020000000322d4dac628efb0ed02e1217af4b8aa0d8931ee0bfef162fc051b88686c3c2535"
+                "4fcfdf5b647fcfe925e88372ed3c95f7052672dd2974308db3fc5d10270584f300",
+                "000000000100000000027639",
+            ),
+        }
+        for key, nodes in expected.items():
+            assert tuple(n.hex() for n in trie.prove(key).nodes) == nodes
+
+
+# Few distinct bytes, so keys share prefixes, are prefixes of each other
+# (including the empty key) and split nodes at every nibble position.
+_mpt_keys = st.lists(st.sampled_from([0x00, 0x01, 0x10, 0x11, 0xF0, 0xFF]), max_size=4).map(bytes)
+_mpt_writes = st.tuples(_mpt_keys, st.binary(max_size=8))
+# a tuple is one put, a list one put_batch
+_mpt_ops = st.lists(st.one_of(_mpt_writes, st.lists(_mpt_writes, max_size=6)), max_size=20)
+_digests = st.binary(min_size=32, max_size=32)
+_nibble_paths = st.lists(st.integers(0, 15), max_size=40).map(tuple)
+_mpt_nodes = st.one_of(
+    st.builds(mpt_mod.Leaf, _nibble_paths, st.binary(max_size=64)),
+    st.builds(mpt_mod.Extension, _nibble_paths.filter(len), _digests),
+    st.builds(
+        mpt_mod.Branch,
+        st.lists(st.none() | _digests, min_size=16, max_size=16).map(tuple),
+        st.none() | st.binary(max_size=64),
+    ),
+)
+
+
+def _assert_round_trip(node):
+    enc = mpt_mod.encode_node(node)
+    assert enc == reference_encode_node(node)
+    decoded = mpt_mod.decode_node(enc)
+    assert type(decoded) is type(node) and decoded == node
+    return enc
+
+
+class TestMptProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_mpt_ops)
+    def test_store_roots_and_proofs_match_a_fresh_trie(self, ops):
+        trie = MerklePatriciaTrie()
+        final = {}
+        for op in ops:
+            if isinstance(op, list):
+                trie.put_batch(op)
+                final.update(op)
+            else:
+                trie.put(*op)
+                final[op[0]] = op[1]
+        for d, node in trie._nodes.items():
+            assert digest(_assert_round_trip(node)) == d
+        fresh = MerklePatriciaTrie()
+        fresh.put_batch(sorted(final.items()))
+        assert trie.root == fresh.root
+        for key, value in final.items():
+            assert trie.get(key) == value
+            assert mpt_mod.verify(trie.root, key, value, trie.prove(key))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_mpt_nodes)
+    def test_encoder_matches_the_reference_on_any_node(self, node):
+        _assert_round_trip(node)
 
 
 class TestMbt:
