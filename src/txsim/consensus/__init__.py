@@ -4,7 +4,7 @@ from .quorum import QuorumSpec, QuorumError, quorum_size, bft_f_for
 from .base import Component, ProtocolHost, ReplicaState, messages_per_commit
 from .raft import RaftComponent, RaftTiming
 from .pbft import PbftComponent, PbftTiming
-from .sharedlog import SharedLogService, SharedLogClient
+from .sharedlog import SharedLogService
 from .primarybackup import ChainReplica, chain_cluster
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "RaftComponent",
     "RaftTiming",
     "ReplicaState",
-    "SharedLogClient",
     "SharedLogService",
     "bft_f_for",
     "chain_cluster",

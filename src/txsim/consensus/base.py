@@ -18,6 +18,7 @@ class ProtocolHost(Node):
     def __init__(self, node_id):
         super().__init__(node_id)
         self._handlers = {}
+        self._routes = {}  # message kind -> the handler registered for its prefix
 
     def register(self, prefix: str, handler) -> None:
         if prefix in self._handlers:
@@ -26,10 +27,12 @@ class ProtocolHost(Node):
 
     def on_message(self, msg) -> int:
         kind = payload_kind(msg)
-        prefix = kind.split(":", 1)[0]
-        handler = self._handlers.get(prefix)
+        handler = self._routes.get(kind)
         if handler is None:
-            raise ValueError(f"node {self.node_id!r} has no handler for {kind!r}")
+            handler = self._handlers.get(kind.split(":", 1)[0])
+            if handler is None:
+                raise ValueError(f"node {self.node_id!r} has no handler for {kind!r}")
+            self._routes[kind] = handler
         return handler(msg) or 0
 
 

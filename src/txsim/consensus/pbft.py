@@ -104,6 +104,9 @@ class PbftComponent(Component):
     ):
         super().__init__()
         self.replicas = list(replicas)
+        self.n = len(self.replicas)
+        self.quorum = self.n - bft_f_for(self.n)
+        self._others: tuple = ()  # every replica but this one, set on attach
         self.timing = timing
         self.on_commit = on_commit
         self.msg_cost = msg_cost
@@ -112,6 +115,7 @@ class PbftComponent(Component):
         self.view = 0
         self.next_seq = 1
         self.accepted: Dict[int, tuple] = {}  # seq -> (view, digest)
+        self._top_accepted = 0  # the highest key of ``accepted``, 0 while it is empty
         self.payloads: Dict[bytes, bytes] = {}
         self.prep_votes: Dict[tuple, set] = {}
         self.commit_votes: Dict[tuple, set] = {}
@@ -129,13 +133,10 @@ class PbftComponent(Component):
 
     # -- structure -------------------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return len(self.replicas)
-
-    @property
-    def quorum(self) -> int:
-        return self.n - bft_f_for(self.n)
+    def attach(self, host) -> "PbftComponent":
+        super().attach(host)
+        self._others = tuple(r for r in self.replicas if r != self.node_id)
+        return self
 
     def primary_of(self, view: int):
         return self.replicas[view % self.n]
@@ -143,8 +144,8 @@ class PbftComponent(Component):
     def is_primary(self) -> bool:
         return self.primary_of(self.view) == self.node_id
 
-    def others(self):
-        return [r for r in self.replicas if r != self.node_id]
+    def others(self) -> tuple:
+        return self._others
 
     def is_leader(self) -> bool:
         return self.is_primary()
@@ -243,6 +244,8 @@ class PbftComponent(Component):
         if prev is not None and prev[0] >= view:
             return  # first pre-prepare per (view, seq) wins
         self.accepted[seq] = (view, d)
+        if seq > self._top_accepted:
+            self._top_accepted = seq
         self.payloads[d] = payload
         self._record_vote(self.prep_votes, (view, seq, d), self.primary_of(view))
         self._record_vote(self.prep_votes, (view, seq, d), self.node_id)
@@ -318,9 +321,9 @@ class PbftComponent(Component):
     # -- progress timer and view change ------------------------------------------
 
     def _unexecuted_work(self) -> bool:
-        if self.pending:
-            return True
-        return any(s > self.exec_cursor for s in self.accepted)
+        # keys of ``accepted`` are never removed, so some accepted seq is
+        # above the cursor exactly when the highest one is
+        return bool(self.pending) or self._top_accepted > self.exec_cursor
 
     def _arm_timer(self) -> None:
         if self._timer_armed or self.timing is None:

@@ -74,17 +74,3 @@ class SharedLogService(Node):
             self.send(msg.reply_to, LogEntries(msg.from_seq, slice_))
             return 0
         raise ValueError(f"shared log cannot handle {msg!r}")
-
-
-class SharedLogClient:
-    """Convenience caller for nodes that append to / read from the log."""
-
-    def __init__(self, host, log_id="shared_log"):
-        self.host = host
-        self.log_id = log_id
-
-    def append(self, entry: bytes) -> None:
-        self.host.send(self.log_id, LogAppend(entry, self.host.node_id))
-
-    def read(self, from_seq: int) -> None:
-        self.host.send(self.log_id, LogRead(from_seq, self.host.node_id))

@@ -17,7 +17,7 @@ class PhaseTimings:
 
 @dataclass
 class TxnRecord:
-    """Mutable in-flight state; the immutable Transaction is finalized at the end."""
+    """Mutable in-flight state of one transaction."""
 
     txn: Transaction
     submit_time: Optional[int] = None
@@ -29,7 +29,6 @@ class TxnRecord:
     validate_us: int = 0
     executions: int = 0
     read_versions: Dict[bytes, int] = field(default_factory=dict)
-    abort_detail: str = ""
 
     def settle(self, outcome: TxnOutcome, at: int) -> None:
         if self.outcome is not TxnOutcome.PENDING:
@@ -37,18 +36,6 @@ class TxnRecord:
         self.outcome = outcome
         if outcome is TxnOutcome.COMMITTED:
             self.commit_time = at
-
-    def finalize(self) -> Transaction:
-        read_set = tuple(
-            (k, self.read_versions.get(k, v)) for k, v in self.txn.read_set
-        )
-        return self.txn.evolve(
-            read_set=read_set,
-            submit_time=self.submit_time,
-            order_time=self.order_time,
-            commit_time=self.commit_time if self.outcome is TxnOutcome.COMMITTED else None,
-            outcome=self.outcome,
-        )
 
     @property
     def latency(self) -> Optional[int]:

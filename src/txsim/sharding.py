@@ -571,7 +571,3 @@ class ShardedResult:
                 if owner in aborted_ids:
                     out.append((owner, shard.shard_id, "aborted value visible"))
         return out
-
-
-def cross_shard_ratio(result: ShardedResult) -> float:
-    return result.cross_shard_ratio

@@ -22,6 +22,13 @@ longer be delivered, and re-keys the rest at the new ``busy_until`` with the
 next seqs, one each.  Seqs, the trace and every delivery time therefore match
 the per-event push-back, while the queue sees one entry per group instead of
 one per waiting event per busy period.
+
+Fault checks run only after a fault change (a crash, a byzantine fault or a
+heal) has fired, or while a partition is set.  Before that every node is
+healthy and every message deliverable, so ``send``, delivery and the waiting
+groups skip the fault table and the partition map.  A heal leaves a
+``HEALTHY`` entry in the fault table, so the checks stay on after it: from the
+first fault change on, every check runs as it would without the shortcut.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ class SimError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     fire_time: int
     seq: int
@@ -130,6 +137,7 @@ class Simulator:
         self.nodes: Dict[object, Node] = {}
         self._faults: Dict[object, NodeFault] = {}
         self._partition: Optional[Dict[object, int]] = None
+        self._lossy = False  # a fault change has fired or a partition is set
         self.trace: Optional[List[tuple]] = [] if trace else None
         self.delivered_counts: Dict[str, int] = {}
         self.dropped_count = 0
@@ -176,9 +184,11 @@ class Simulator:
                     raise SimError(f"node {node_id!r} appears in two partition groups")
                 mapping[node_id] = gid
         self._partition = mapping
+        self._lossy = True
 
     def clear_partition(self) -> None:
         self._partition = None
+        self._lossy = bool(self._faults)
 
     # -- scheduling --------------------------------------------------------
 
@@ -195,7 +205,7 @@ class Simulator:
 
     def send(self, src, dst, payload, extra_delay: int = 0) -> Optional[int]:
         """Message send with a fresh latency draw; silent senders emit nothing."""
-        if self.fault_of(src) in (FaultKind.BYZANTINE_SILENT, FaultKind.CRASHED):
+        if self._lossy and self.fault_of(src) in (FaultKind.BYZANTINE_SILENT, FaultKind.CRASHED):
             return None
         delay = extra_delay + self._latency_fn(self.rng)
         return self._schedule_at(self.now + delay, src, dst, payload)
@@ -203,6 +213,8 @@ class Simulator:
     # -- the event loop ----------------------------------------------------
 
     def _deliverable(self, ev: Event) -> bool:
+        if not self._lossy:
+            return True
         if self.fault_of(ev.target) is FaultKind.CRASHED:
             return False
         if ev.src is not None and ev.src != ev.target:
@@ -235,6 +247,7 @@ class Simulator:
         if isinstance(ev.payload, _FaultChange):
             change = ev.payload
             self._faults[change.node_id] = NodeFault(change.node_id, change.fault, self.now)
+            self._lossy = True
             return ev
 
         node = self.nodes.get(ev.target)
@@ -283,9 +296,9 @@ class Simulator:
         del events[:fired]
         if events:
             # only a partition or a crashed node makes an event undeliverable
-            if self._partition is not None or any(
+            if self._lossy and (self._partition is not None or any(
                 f.kind is FaultKind.CRASHED for f in self._faults.values()
-            ):
+            )):
                 kept = [ev for ev in events if self._deliverable(ev)]
                 self.dropped_count += len(events) - len(kept)
                 events = kept

@@ -12,6 +12,7 @@ from txsim.consensus import (
     messages_per_commit,
     quorum_size,
 )
+from txsim.consensus.pbft import Request
 from txsim.consensus.primarybackup import ChainAck, ChainOp
 from txsim.consensus.sharedlog import (
     LogAppend,
@@ -180,6 +181,28 @@ class TestPbft:
             h.sim.inject_fault(0, FaultKind.BYZANTINE_EQUIVOCATE, at_time=0)
             h.drive([b"a", b"b", b"c"], duration=300_000)
             assert_agreement([h.comps[i].replica_state() for i in (1, 2, 3)])
+
+    def test_unexecuted_work_matches_a_full_scan_through_a_view_change(self):
+        h = PbftHarness(4, seed=304)
+        payloads = [b"a", b"b", b"c", b"d"]
+        for k, payload in enumerate(payloads):
+            # backups first hear of b"b" through the primary's pre-prepare
+            for i in (0,) if payload == b"b" else h.comps:
+                h.sim.schedule(i, Request(payload), delay=3_000 * k, src="client")
+        h.sim.inject_fault(0, FaultKind.CRASHED, at_time=4_000)  # primary of view 0
+        steps = accepted_only = 0
+        while h.sim.step() is not None and steps < 100_000:
+            steps += 1
+            for c in h.comps.values():
+                above = any(s > c.exec_cursor for s in c.accepted)
+                assert c._unexecuted_work() == (bool(c.pending) or above), (steps, c.node_id)
+                accepted_only += above and not c.pending
+        live = (1, 2, 3)
+        assert accepted_only > 0  # the accepted-seq half of the test was exercised
+        assert all(h.comps[i].view > 0 for i in live)
+        assert all([p for _, p in h.commits[i]] == payloads for i in live)
+        assert not any(h.comps[i]._unexecuted_work() for i in live)
+        assert_agreement([h.comps[i].replica_state() for i in live])
 
     def test_deterministic_given_seed(self):
         def run(seed):

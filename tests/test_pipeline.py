@@ -11,6 +11,7 @@ from txsim.core import (
     ReplicationApproach,
     ReplicationModel,
     TxnOutcome,
+    validate_config,
 )
 from txsim.pipeline import (
     Arrival,
@@ -136,6 +137,12 @@ class TestOrderExecute:
 
 
 class TestExecuteOrderValidate:
+    def test_primary_backup_ordering_rejected(self):
+        cfg = eov_config(replication_approach=ReplicationApproach.PRIMARY_BACKUP)
+        assert any("consensus or shared_log" in v for v in validate_config(cfg))
+        with pytest.raises(ValueError, match="consensus or shared_log"):
+            run_execute_order_validate(cfg, update_spec(txn_count=10), Arrival.open_loop(500), seed=1)
+
     def test_stale_read_aborts_rw(self):
         res = run_execute_order_validate(
             eov_config(), update_spec(theta=1.0), Arrival.open_loop(2500), seed=6

@@ -178,6 +178,107 @@ class TestPartitions:
         assert len(b.seen) == 1
 
 
+class TestFaultFlag:
+    """Fault checks are skipped until a fault change fires or a partition is set.
+
+    Each scenario runs on ``Simulator`` and on ``ReferenceSimulator``, which
+    checks every send and delivery, and must give the same trace, drops and
+    returned seqs.
+    """
+
+    @staticmethod
+    def _both(scenario, **kwargs):
+        out = []
+        for sim_cls in (Simulator, ReferenceSimulator):
+            cm = CostModel()
+            sim = sim_cls(rng=seeded_rng(5, "net"), latency_fn=cm.net_delay, trace=True, **kwargs)
+            nodes, seqs = scenario(sim)
+            seen = {n.node_id: [(t, m.hop) for t, m in n.seen] for n in nodes}
+            out.append((sim.dump_trace(), sim.dropped_count, seqs, seen))
+        assert out[0] == out[1]
+        return out[0]
+
+    def test_future_crash_delivers_before_and_drops_after(self):
+        def scenario(sim):
+            a = sim.add_node(Recorder("a"))
+            b = sim.add_node(Recorder("b", forward_to="a", cost=300, max_hops=1))
+            sim.inject_fault("b", FaultKind.CRASHED, at_time=1_000)
+            seqs = [sim.send("a", "b", Ping(0), extra_delay=d) for d in (0, 0, 100, 2_000, 3_000)]
+            sim.run(until=1_500)
+            seqs.append(sim.send("a", "b", Ping(0)))
+            seqs.append(sim.send("b", "a", Ping(0)))  # a crashed sender emits nothing
+            sim.run()
+            return (a, b), seqs
+
+        trace, dropped, seqs, seen = self._both(scenario)
+        assert seqs[-1] is None and None not in seqs[:-1]
+        assert seen["b"] and all(t < 1_000 for t, _ in seen["b"])
+        assert dropped >= 3
+
+    def test_cleared_partition_keeps_dropping_to_a_crashed_node(self):
+        def scenario(sim):
+            nodes = [sim.add_node(Recorder(n)) for n in "abc"]
+            sim.inject_fault("c", FaultKind.CRASHED, at_time=0)
+            sim.run(until=0)
+            sim.set_partition([{"a"}, {"b", "c"}])
+            seqs = [sim.send("a", "b", Ping(0)), sim.send("b", "c", Ping(0))]
+            sim.run()
+            sim.clear_partition()
+            seqs += [sim.send("a", "b", Ping(1)), sim.send("a", "c", Ping(1)),
+                     sim.send("c", "a", Ping(1))]
+            sim.run()
+            return nodes, seqs
+
+        trace, dropped, seqs, seen = self._both(scenario)
+        assert seen == {"a": [], "b": [(seen["b"][0][0], 1)], "c": []}
+        assert dropped == 3 and seqs[-1] is None
+
+    def test_partition_cleared_before_a_scheduled_crash_fires(self):
+        def scenario(sim):
+            nodes = [sim.add_node(Recorder(n, cost=50)) for n in "ab"]
+            sim.inject_fault("b", FaultKind.CRASHED, at_time=2_000)
+            sim.set_partition([{"a"}, {"b"}])
+            sim.clear_partition()
+            seqs = [sim.send("a", "b", Ping(i), extra_delay=600 * i) for i in range(6)]
+            sim.run()
+            return nodes, seqs
+
+        trace, dropped, seqs, seen = self._both(scenario)
+        assert 0 < len(seen["b"]) < 6 and dropped == 6 - len(seen["b"])
+
+    def test_crash_then_heal(self):
+        def scenario(sim):
+            a = sim.add_node(Recorder("a"))
+            b = sim.add_node(Recorder("b", forward_to="a", cost=200, max_hops=9))
+            sim.inject_fault("b", FaultKind.CRASHED, at_time=1_000)
+            sim.heal("b", at_time=4_000)
+            seqs = [sim.send("a", "b", Ping(i), extra_delay=500 * i) for i in range(12)]
+            sim.run()
+            return (a, b), seqs
+
+        trace, dropped, seqs, seen = self._both(scenario)
+        times = [t for t, _ in seen["b"]]
+        assert any(t < 1_000 for t in times) and any(t >= 4_000 for t in times)
+        assert not any(1_000 <= t < 4_000 for t in times) and dropped > 0
+
+    def test_silent_byzantine_sender(self):
+        def scenario(sim):
+            a = sim.add_node(Recorder("a", forward_to="b", max_hops=9))
+            b = sim.add_node(Recorder("b", forward_to="a", max_hops=9))
+            sim.inject_fault("a", FaultKind.BYZANTINE_SILENT, at_time=3_000)
+            seqs = [sim.send("b", "a", Ping(0))]
+            sim.run(until=3_500)
+            seqs.append(sim.send("a", "b", Ping(0)))
+            sim.run()
+            return (a, b), seqs
+
+        trace, dropped, seqs, seen = self._both(scenario, allow_byzantine=True)
+        assert seqs[0] is not None and seqs[1] is None
+        assert any(t >= 3_000 for t, _ in seen["a"])
+        # a's last sends left before 3_000, and a latency draw is at most 800
+        assert not any(t >= 3_000 + 800 for t, _ in seen["b"])
+
+
 class TestBusyNodes:
     def test_messages_queue_behind_processing(self):
         sim = Simulator()
