@@ -73,6 +73,14 @@ CELLS = {
         DesignConfig(concurrency_mode=ConcurrencyMode.CONCURRENT_LOCKING, index=IndexKind.MPT,
                      replication_approach=ReplicationApproach.PRIMARY_BACKUP, **STORAGE, **CFT5),
         SKEWED, Arrival.closed_loop(16), 9),
+    "eov_sharedlog_plain": (
+        DesignConfig(concurrency_mode=ConcurrencyMode.EXECUTE_ORDER_VALIDATE,
+                     replication_approach=ReplicationApproach.SHARED_LOG, **CFT5),
+        SKEWED, Arrival.closed_loop(8), 12),
+    "occ_sharedlog_mbt": (
+        DesignConfig(concurrency_mode=ConcurrencyMode.CONCURRENT_OCC, index=IndexKind.MBT,
+                     replication_approach=ReplicationApproach.SHARED_LOG, **STORAGE, **CFT5),
+        SMALLBANK, Arrival.closed_loop(16), 13),
     "sharded_trusted2pc": (
         DesignConfig(sharding_mode=ShardingMode.TRUSTED_2PC, node_count=12, tolerated_failures=1),
         TWO_OPS, Arrival.open_loop(2000), 10),
@@ -91,6 +99,10 @@ GOLDEN = {
         "row": "be3039100f9a5bed90873dc951f6ac1783e0a48413ed51292b5370ea5a722466",
         "trace": "5564764ee39359be4c9dba891d8b390cdc588ddeb98b2167bd7a80fa719ed77a",
     },
+    "eov_sharedlog_plain": {
+        "row": "05266c159343b66b1ddf0707cb2834f0acfabe6fa146ad85c3d20a27cce18752",
+        "trace": "4a8d9f9eac54c0dc7dd53eeb59747831de6fa876f0a30bbbbdea9f5a13fd681b",
+    },
     "locking_pb_mpt": {
         "row": "cf45537cc8d4e00fa9d376814d0482d5cd4df951417cb0f9a156e35d17346266",
         "trace": "96d821482651f6ca3a6e167e4198a6fd884385476a277bb1422bd1a70633a6ba",
@@ -98,6 +110,10 @@ GOLDEN = {
     "occ_pbft_plain": {
         "row": "5203aa6757ece06ad508a57abdea72da3e7dc0ef00222854e7d7d26614d4dd06",
         "trace": "e187f0d1f8b4b3f72d2552985fafb3d8f5fe7250ad323767254a1b4b6afb37ef",
+    },
+    "occ_sharedlog_mbt": {
+        "row": "376101b7e2525c8334778900402990116e4a97c71ea773c17fdbe8de773eb973",
+        "trace": "ecf57b50fee5fa2d3840c339e9f4df550c42061cb8844973a3ba34a951432375",
     },
     "occ_raft_mbt": {
         "row": "3cc73b61c8ef5033080bd1eddf000e99747ea081171513eb5fab2f973d9cfabb",
