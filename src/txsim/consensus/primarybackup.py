@@ -56,3 +56,24 @@ def chain_cluster(sim, node_ids, apply_fn=None, apply_cost: int = 0):
         successor = node_ids[i + 1] if i + 1 < len(node_ids) else None
         replicas.append(sim.add_node(ChainReplica(node_id, successor, apply_fn, apply_cost)))
     return replicas
+
+
+class ChainHead:
+    """A chain replica's ordering handle, with the consensus components' API.
+
+    Only the head proposes, and it applies a proposal first; each replica
+    forwards an applied operation to its successor.
+    """
+
+    def __init__(self, node_id, head, on_commit):
+        self.node_id = node_id
+        self.head = head
+        self.on_commit = on_commit
+        self.proposed = 0
+
+    def is_leader(self) -> bool:
+        return self.node_id == self.head
+
+    def propose(self, payload: bytes) -> None:
+        self.proposed += 1
+        self.on_commit(self.proposed, payload)

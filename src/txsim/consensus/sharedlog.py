@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from ..simnet import Node
+from .base import Component
 
 
 @dataclass
@@ -74,3 +75,31 @@ class SharedLogService(Node):
             self.send(msg.reply_to, LogEntries(msg.from_seq, slice_))
             return 0
         raise ValueError(f"shared log cannot handle {msg!r}")
+
+
+class LogHandle(Component):
+    """A subscriber's end of the log, with the consensus components' API.
+
+    Delivered entries reach ``on_commit(seq, entry)``.  ``leader`` is a fixed
+    subscriber that proposals are routed through, in place of an elected one.
+    """
+
+    prefix = "slog"
+
+    def __init__(self, log_id, leader, on_commit):
+        super().__init__()
+        self.log_id = log_id
+        self.leader = leader
+        self.on_commit = on_commit
+
+    def is_leader(self) -> bool:
+        return self.node_id == self.leader
+
+    def propose(self, payload: bytes) -> None:
+        self.send(self.log_id, LogAppend(payload, None))
+
+    def handle(self, msg) -> int:
+        if not isinstance(msg, LogDeliver):
+            raise ValueError(f"shared-log subscriber cannot handle {msg!r}")
+        self.on_commit(msg.seq, msg.entry)
+        return 0

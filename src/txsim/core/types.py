@@ -75,8 +75,9 @@ class CostModel:
     block_timeout: int = 5000
     reconfig_pause: int = 50_000
 
-    def hash_cost(self, nbytes: int) -> int:
-        return self.hash_time_base + int(nbytes * self.hash_time_per_byte)
+    def hash_cost(self, ops: int, nbytes: int) -> int:
+        """Virtual time to hash ``nbytes`` bytes in ``ops`` digest operations."""
+        return ops * self.hash_time_base + int(nbytes * self.hash_time_per_byte)
 
     def net_delay(self, rng) -> int:
         """One latency draw: uniform over [min, 2*mean - min].

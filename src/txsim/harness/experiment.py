@@ -61,7 +61,7 @@ def _sharded_metrics(result, cfg: DesignConfig, interval: int) -> Metrics:
         ),
         block_bytes=0,
         index_overhead_per_record=0.0,
-        stalled=False,
+        stalled=result.stalled,
         shard_count=result.shard_map.shard_count,
         cross_shard_ratio=result.cross_shard_ratio,
         blocked_count=result.blocked_count,
@@ -96,11 +96,8 @@ def run_experiment(
         return _sharded_metrics(result, cfg, cfg.reconfiguration_interval)
     res = run_pipeline(cfg, spec, arrival, seed, trace=trace_path is not None)
     if trace_path is not None:
-        lines = [
-            f"{t}\t{seq}\t{src}\t{dst}\t{kind}" for (t, seq, src, dst, kind) in res.trace
-        ]
         with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + ("\n" if lines else ""))
+            fh.write(res.trace)
     if txn_log_path is not None:
         with open(txn_log_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(txn_report(res))

@@ -1,24 +1,38 @@
-"""Shared pipeline plumbing: peers, ordering backends, clients, the drive loop.
+"""Shared pipeline plumbing: peers, the ordering layer, clients, the drive loop.
 
 A pipeline wires N peer nodes (each with its own StateStore) plus a client
 manager over one simulator.  Whole blocks (transaction-based lifecycles) or
-individual write operations (storage-based) flow through an ordering backend
-chosen by the replication approach: a consensus group across the peers, an
-external trusted shared log, or a primary-backup chain.
+individual write operations (storage-based) flow through one ordering
+interface, whatever the replication approach.  ``attach_ordering`` gives
+every peer a handle, ``peer.ordering``, with two calls:
+
+* ``propose(payload)`` submits a payload for ordering;
+* ``is_leader()`` says whether this peer is the one proposals go through.
+
+Each ordered payload reaches the pipeline's one commit callback at every peer.
+Behind the handle is one of three backends: a Raft or PBFT component across
+the peers; a subscription to an external trusted shared log, whose peer 0
+leads; or the head of a primary-backup chain, which applies a proposal at
+once and whose replicas forward it down the chain.  ``leader()`` finds the
+peer that proposes, serves reads and holds latches, and ``BlockFormer`` is the
+one batch-or-timeout block former.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..authstore import StateStore
 from ..consensus import PbftComponent, ProtocolHost, RaftComponent, RaftTiming
+from ..consensus.primarybackup import ChainHead
+from ..consensus.sharedlog import LogHandle
 from ..core.rng import seeded_rng
 from ..core.types import (
     CostModel,
     DesignConfig,
     FailureModel,
+    ReplicationApproach,
     Transaction,
     TxnOutcome,
 )
@@ -52,13 +66,58 @@ class SubmitTimer:
     kind: str = field(default="cl:submit", init=False)
 
 
+@dataclass
+class Retry:
+    """Try a transaction's next step again; no leader was elected yet."""
+
+    txn_id: int
+    kind: str = field(default="cl:retry", init=False)
+
+
+@dataclass
+class BlockTimer:
+    token: int
+    kind: str  # each block former keeps its owner's message kind
+
+
+class BlockFormer:
+    """Batch-or-timeout block formation.
+
+    Requests queue until ``take`` hands out a block of at most
+    ``block_size_limit`` of them: once the block is full, or when forced (its
+    timeout fired, or the owner flushes).  The first request queued arms the
+    block timeout, a ``BlockTimer`` of kind ``timer_kind``.
+    """
+
+    def __init__(self, host, timer_kind: str):
+        self.host = host
+        self.cm = host.pipeline.cm
+        self.timer_kind = timer_kind
+        self.pending: list = []
+        self.token = 0
+
+    def add(self, request) -> None:
+        self.pending.append(request)
+        if len(self.pending) == 1:
+            self.token += 1
+            self.host.set_timer(self.cm.block_timeout, BlockTimer(self.token, self.timer_kind))
+
+    def timed_out(self, timer: BlockTimer) -> bool:
+        """False for a stale timer, armed for a block that has closed."""
+        return timer.token == self.token
+
+    def take(self, force: bool = False) -> list:
+        """The next block; empty while it is neither full nor forced."""
+        limit = self.cm.block_size_limit
+        if len(self.pending) < limit and not force:
+            return []
+        block, self.pending = self.pending[:limit], self.pending[limit:]
+        return block
+
+
 class CostMixin:
     def charge(self, cost: int) -> None:
         self._pending_cost += cost
-
-    def hash_cost(self, ops: int, nbytes: int) -> int:
-        cm = self.pipeline.cm
-        return ops * cm.hash_time_base + int(nbytes * cm.hash_time_per_byte)
 
     def on_message(self, msg) -> int:
         cost = super().on_message(msg)
@@ -80,6 +139,7 @@ class PeerNode(CostMixin, ProtocolHost):
         self.pipeline = pipeline
         self.state = pipeline.new_state_store()
         self.worker = None  # twin execution node, set by build_peers
+        self.ordering = None  # propose/is_leader handle, set by attach_ordering
         self._pending_cost = 0
 
     def to_worker(self, payload) -> None:
@@ -163,36 +223,65 @@ class PipelineBase:
             self.peers.append(peer)
         self.sim.add_node(self.clients)
 
-    def attach_consensus(self, on_commit_factory) -> Dict[int, object]:
-        """Raft or PBFT across all peers, per the failure model."""
-        components = {}
+    def attach_ordering(self, on_commit_factory, log=None) -> None:
+        """Give every peer its ordering handle, ``peer.ordering``.
+
+        ``on_commit_factory(peer)`` returns the callback ``(index, payload)``
+        that each ordered payload reaches at ``peer``.  ``log`` is the
+        shared-log node the pipeline orders through under the shared-log
+        approach; it is ignored otherwise.
+        """
+        approach = self.cfg.replication_approach
         replicas = [p.node_id for p in self.peers]
-        if self.cfg.failure_model is FailureModel.CFT:
+        if approach is ReplicationApproach.SHARED_LOG:
+            self.sim.add_node(log)
+            for peer in self.peers:
+                log.subscribe(peer.node_id)
+                handle = LogHandle(log.node_id, replicas[0], on_commit_factory(peer))
+                peer.ordering = handle.attach(peer)
+        elif approach is ReplicationApproach.PRIMARY_BACKUP:
+            for peer in self.peers:
+                peer.ordering = ChainHead(peer.node_id, replicas[0], on_commit_factory(peer))
+        elif self.cfg.failure_model is FailureModel.CFT:
             timing = RaftTiming.from_mean_latency(self.cm.net_latency_mean)
             for peer in self.peers:
-                comp = RaftComponent(
+                peer.ordering = RaftComponent(
                     replicas,
                     timing,
                     seeded_rng(self.seed, f"timeout-{peer.node_id}"),
                     on_commit=on_commit_factory(peer),
                 )
-                comp.attach(peer)
+                peer.ordering.attach(peer)
                 # benchmark clusters run with leadership already settled
-                comp.start_bootstrapped(replicas[0])
-                components[peer.node_id] = comp
+                peer.ordering.start_bootstrapped(replicas[0])
         else:
             # pipeline runs never crash replicas, so the progress timer (and
             # with it view changes) stays off; the proposer is stable
             for peer in self.peers:
-                comp = PbftComponent(
+                peer.ordering = PbftComponent(
                     replicas,
                     timing=None,
                     on_commit=on_commit_factory(peer),
                     msg_cost=self.cm.sig_verify_time,
                 )
-                comp.attach(peer)
-                components[peer.node_id] = comp
-        return components
+                peer.ordering.attach(peer)
+
+    def leader(self) -> Optional[PeerNode]:
+        """The peer that proposes, serves reads and holds latches; None while none is elected."""
+        for peer in self.peers:
+            if peer.ordering.is_leader():
+                return peer
+        return None
+
+    def leader_or_retry(self, txn_id: int) -> Optional[PeerNode]:
+        """``leader()``; with none elected, ``txn_id`` gets a ``Retry`` shortly."""
+        leader = self.leader()
+        if leader is None:
+            self.clients.set_timer(2_000, Retry(txn_id))
+        return leader
+
+    def exec_cost(self, txn) -> int:
+        return self.cm.exec_time_per_op * max(1, txn.op_count)
 
     def preload(self) -> None:
         writes = initial_state(self.spec)

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+from ..consensus import ProtocolHost
 from ..core.encoding import Reader, Writer
 from ..core.types import Block, ReplicationApproach, TxnOutcome
-from .base import Arrival, PeerNode, PipelineBase, ProtocolHost, WorkerNode
+from .base import Arrival, BlockFormer, BlockTimer, PeerNode, PipelineBase, Retry, WorkerNode
 from .occ import occ_validate
 
 
@@ -61,12 +62,6 @@ class OrderRequest:
 
 
 @dataclass
-class OrderTimer:
-    token: int
-    kind: str = field(default="ord:timer", init=False)
-
-
-@dataclass
 class EovBlockMsg:
     payload: bytes
     kind: str = field(default="eov:block", init=False)
@@ -82,13 +77,6 @@ class ValidateTask:
 class EovDone:
     txn_id: int
     kind: str = field(default="cl:eov_done", init=False)
-
-
-@dataclass
-class RetryOrder:
-    txn_id: int
-    reads: tuple
-    kind: str = field(default="cl:retry_order", init=False)
 
 
 def encode_entries(entries) -> bytes:
@@ -120,38 +108,28 @@ class EovOrderer(ProtocolHost):
         super().__init__("orderer")
         self.pipeline = pipeline
         self.register("ord", self.handle)
-        self.pending = []
-        self.token = 0
+        self.blocks = BlockFormer(self, "ord:timer")
+        self.subscribers = []
+
+    def subscribe(self, node_id) -> None:
+        self.subscribers.append(node_id)
 
     def handle(self, msg) -> int:
         if isinstance(msg, OrderRequest):
-            self.pending.append((msg.txn_id, msg.reads))
-            if len(self.pending) == 1:
-                self.token += 1
-                self.set_timer(self.pipeline.cm.block_timeout, OrderTimer(self.token))
-            if len(self.pending) >= self.pipeline.cm.block_size_limit:
-                self.close_block()
-        elif isinstance(msg, OrderTimer):
-            if msg.token == self.token and self.pending:
-                self.close_block()
+            self.blocks.add((msg.txn_id, msg.reads))
+            self.deliver(self.blocks.take())
+        elif isinstance(msg, BlockTimer):
+            if self.blocks.timed_out(msg):
+                self.deliver(self.blocks.take(force=True))
         return 0
 
-    def close_block(self) -> None:
-        limit = self.pipeline.cm.block_size_limit
-        batch, self.pending = self.pending[:limit], self.pending[limit:]
-        for txn_id, _ in batch:
-            record = self.pipeline.records[txn_id]
-            record.order_time = self.now
-            record.order_us = max(0, self.now - record.submit_time - record.execute_us)
-        payload = encode_entries(batch)
+    def deliver(self, batch) -> None:
+        if not batch:
+            return
+        payload = self.pipeline.seal_block(batch, self.now)
         # the log's internal replication shows up as a fixed delivery delay
-        for peer in self.pipeline.peers:
-            self.send(
-                peer.node_id, EovBlockMsg(payload), extra_delay=self.pipeline.cm.net_latency_mean
-            )
-        if self.pending:
-            self.token += 1
-            self.set_timer(self.pipeline.cm.block_timeout, OrderTimer(self.token))
+        for sub in self.subscribers:
+            self.send(sub, EovBlockMsg(payload), extra_delay=self.pipeline.cm.net_latency_mean)
 
 
 class EovPeer(PeerNode):
@@ -159,9 +137,7 @@ class EovPeer(PeerNode):
         super().__init__(node_id, pipeline)
         self.register("eov", self.handle_eov)
         self.register("ord", self.handle_ordering)
-        self.consensus = None
-        self.pending = []  # consensus ordering mode only
-        self.timer_token = 0
+        self.blocks = BlockFormer(self, "ord:timer")  # used by the consensus leader
 
     def handle_eov(self, msg) -> int:
         if isinstance(msg, EndorseReq):
@@ -174,28 +150,19 @@ class EovPeer(PeerNode):
 
     def handle_ordering(self, msg) -> int:
         if isinstance(msg, OrderRequest):
-            self.pending.append((msg.txn_id, msg.reads))
-            if len(self.pending) == 1:
-                self.timer_token += 1
-                self.set_timer(self.pipeline.cm.block_timeout, OrderTimer(self.timer_token))
-            self.maybe_propose()
-        elif isinstance(msg, OrderTimer):
-            if msg.token == self.timer_token and self.pending:
-                self.maybe_propose(force=True)
+            self.blocks.add((msg.txn_id, msg.reads))
+            self.propose_block()
+        elif isinstance(msg, BlockTimer):
+            if self.blocks.timed_out(msg):
+                self.propose_block(force=True)
         return 0
 
-    def maybe_propose(self, force: bool = False) -> None:
-        if self.consensus is None or not self.consensus.is_leader():
+    def propose_block(self, force: bool = False) -> None:
+        if not self.ordering.is_leader():
             return
-        limit = self.pipeline.cm.block_size_limit
-        if len(self.pending) < limit and not force:
-            return
-        batch, self.pending = self.pending[:limit], self.pending[limit:]
-        for txn_id, _ in batch:
-            record = self.pipeline.records[txn_id]
-            record.order_time = self.now
-            record.order_us = max(0, self.now - record.submit_time - record.execute_us)
-        self.consensus.propose(encode_entries(batch))
+        batch = self.blocks.take(force)
+        if batch:
+            self.ordering.propose(self.pipeline.seal_block(batch, self.now))
 
 
 class EovWorker(WorkerNode):
@@ -236,7 +203,7 @@ class EovWorker(WorkerNode):
             if outcome is TxnOutcome.COMMITTED and txn.write_set:
                 _, hops, hbytes = self.state.apply_batch(txn.write_set)
                 cost += cm.exec_time_per_op * len(txn.write_set)
-                cost += self.hash_cost(hops, hbytes)
+                cost += cm.hash_cost(hops, hbytes)
             self.charge(cost)
             cumulative += cost
             block_log.append((txn_id, outcome))
@@ -257,7 +224,7 @@ class EovWorker(WorkerNode):
                 state_root=self.state.index_root() if self.state.index else None,
             )
             _, size = self.state.ledger.append(block)
-            self.charge(self.hash_cost(1, size))
+            self.charge(cm.hash_cost(1, size))
         if observer:
             self.pipeline.block_log.append(tuple(block_log))
 
@@ -280,25 +247,24 @@ class ExecuteOrderValidatePipeline(PipelineBase):
         self.sig_time_total = 0
         self.validate_time_total = 0
         self.block_log = []
-        self.orderer = None
         self.endorse_timeout = 200 * self.cm.net_latency_mean
         self._inflight: Dict[int, dict] = {}
-        if cfg.replication_approach is ReplicationApproach.CONSENSUS:
-            comps = self.attach_consensus(
-                lambda peer: (
-                    lambda idx, payload, p=peer: p.to_worker(ValidateTask(payload))
-                )
-            )
-            for peer in self.peers:
-                peer.consensus = comps[peer.node_id]
-        else:
+        # on the shared log, clients send to the block-forming orderer itself
+        self.orderer = None
+        if cfg.replication_approach is ReplicationApproach.SHARED_LOG:
             self.orderer = EovOrderer(self)
-            self.sim.add_node(self.orderer)
+        self.attach_ordering(
+            lambda peer: lambda idx, payload, p=peer: p.to_worker(ValidateTask(payload)),
+            log=self.orderer,
+        )
         self.preload()
         self.schedule_arrivals()
 
-    def exec_cost(self, txn) -> int:
-        return self.cm.exec_time_per_op * max(1, txn.op_count)
+    def seal_block(self, batch, at: int) -> bytes:
+        """Stamp each request's order time; returns the block payload."""
+        for txn_id, _ in batch:
+            self.records[txn_id].mark_ordered(at)
+        return encode_entries(batch)
 
     # -- the client side -----------------------------------------------------------
 
@@ -319,20 +285,14 @@ class ExecuteOrderValidatePipeline(PipelineBase):
                 self.mark_dropped(self.records[msg.txn_id])
         elif isinstance(msg, EovDone):
             self.txn_finished(self.records[msg.txn_id])
-        elif isinstance(msg, RetryOrder):
-            self._send_for_ordering(msg.txn_id, msg.reads)
+        elif isinstance(msg, Retry):
+            self._send_for_ordering(msg.txn_id)
 
-    def _send_for_ordering(self, txn_id: int, reads: tuple) -> None:
-        if self.orderer is not None:
-            self.clients.send("orderer", OrderRequest(txn_id, reads))
-            return
-        leader = next(
-            (p for p in self.peers if p.consensus and p.consensus.is_leader()), None
-        )
-        if leader is None:
-            self.clients.set_timer(2_000, RetryOrder(txn_id, reads))
-        else:
-            self.clients.send(leader.node_id, OrderRequest(txn_id, reads))
+    def _send_for_ordering(self, txn_id: int) -> None:
+        orderer = self.orderer or self.leader_or_retry(txn_id)
+        if orderer is not None:
+            reads = tuple(self.records[txn_id].read_versions.items())
+            self.clients.send(orderer.node_id, OrderRequest(txn_id, reads))
 
     def _on_endorse_resp(self, msg: EndorseResp) -> None:
         responses = self._inflight.get(msg.txn_id)
@@ -352,4 +312,4 @@ class ExecuteOrderValidatePipeline(PipelineBase):
         del self._inflight[msg.txn_id]
         record.execute_us = self.sim.now - record.submit_time
         record.read_versions = dict(first)
-        self._send_for_ordering(msg.txn_id, first)
+        self._send_for_ordering(msg.txn_id)

@@ -18,22 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..consensus.sharedlog import LogAppend, LogDeliver, SharedLogService
+from ..consensus.sharedlog import SharedLogService
 from ..core.encoding import decode_block, encode_block
-from ..core.types import Block, ReplicationApproach, TxnOutcome
-from .base import Arrival, PeerNode, PipelineBase, WorkerNode
+from ..core.types import Block, TxnOutcome
+from .base import Arrival, BlockFormer, BlockTimer, PeerNode, PipelineBase, Retry, WorkerNode
 
 
 @dataclass
 class OeSubmit:
     txn_id: int
     kind: str = field(default="oe:submit", init=False)
-
-
-@dataclass
-class OeBlockTimer:
-    token: int
-    kind: str = field(default="oe:block_timer", init=False)
 
 
 @dataclass
@@ -66,59 +60,36 @@ class OeDone:
     kind: str = field(default="cl:oe_done", init=False)
 
 
-@dataclass
-class RetrySubmit:
-    txn_id: int
-    kind: str = field(default="cl:retry", init=False)
-
-
 class OePeer(PeerNode):
     def __init__(self, node_id, pipeline):
         super().__init__(node_id, pipeline)
         self.register("oe", self.handle_oe)
-        self.register("slog", self.handle_oe)  # deliveries from the shared log
-        self.pending = []
+        self.blocks = BlockFormer(self, "oe:block_timer")
         self.in_flight = False
-        self.timer_token = 0
-        self.consensus = None  # set when the backend is consensus
-
-    def is_proposer(self) -> bool:
-        if self.consensus is not None:
-            return self.consensus.is_leader()
-        return self.node_id == 0  # static assembler in front of the shared log
 
     def handle_oe(self, msg) -> int:
         if isinstance(msg, OeSubmit):
-            self.pending.append(msg.txn_id)
-            if len(self.pending) == 1:
-                self.timer_token += 1
-                self.set_timer(self.pipeline.cm.block_timeout, OeBlockTimer(self.timer_token))
+            self.blocks.add(msg.txn_id)
             self.maybe_close_block()
-        elif isinstance(msg, OeBlockTimer):
-            if msg.token == self.timer_token and self.pending:
+        elif isinstance(msg, BlockTimer):
+            if self.blocks.timed_out(msg):
                 self.maybe_close_block(force=True)
         elif isinstance(msg, OeProposeReady):
-            if self.consensus is not None:
-                self.consensus.propose(msg.payload)
-            else:
-                self.send("orderer", LogAppend(msg.payload, None))
-        elif isinstance(msg, LogDeliver):
-            self.to_worker(ApplyTask(msg.entry, self.now))
+            self.ordering.propose(msg.payload)
         elif isinstance(msg, OeApplied):
-            if self.is_proposer():
+            if self.ordering.is_leader():
                 self.in_flight = False
-                self.maybe_close_block(force=bool(self.pending))
+                self.maybe_close_block(force=True)
         return 0
 
     def maybe_close_block(self, force: bool = False) -> None:
-        limit = self.pipeline.cm.block_size_limit
-        if self.in_flight or not self.is_proposer() or not self.pending:
+        # one block in flight: the next is pre-executed at the tip this one leaves
+        if self.in_flight or not self.ordering.is_leader():
             return
-        if len(self.pending) < limit and not force:
-            return
-        batch, self.pending = self.pending[:limit], self.pending[limit:]
-        self.in_flight = True
-        self.to_worker(PreExecTask(tuple(batch)))
+        batch = self.blocks.take(force)
+        if batch:
+            self.in_flight = True
+            self.to_worker(PreExecTask(tuple(batch)))
 
 
 class OeWorker(WorkerNode):
@@ -162,7 +133,7 @@ class OeWorker(WorkerNode):
         cumulative = 0
         if self.state.ledger is not None:
             _, size = self.state.ledger.append(block)
-            ledger_cost = self.hash_cost(1, size)
+            ledger_cost = self.pipeline.cm.hash_cost(1, size)
             self.charge(ledger_cost)
             cumulative += ledger_cost
         for txn in block.txn_list:
@@ -170,12 +141,11 @@ class OeWorker(WorkerNode):
             cost = self.pipeline.exec_cost(txn)
             if not txn.app_abort and txn.write_set:
                 _, hops, hbytes = self.state.apply_batch(txn.write_set)
-                cost += self.hash_cost(hops, hbytes)
+                cost += self.pipeline.cm.hash_cost(hops, hbytes)
             self.charge(cost)
             cumulative += cost
             if record.order_time is None:
-                record.order_time = ordered_at
-                record.order_us = max(0, ordered_at - record.submit_time - record.execute_us)
+                record.mark_ordered(ordered_at)
             if observer:
                 record.executions += 1
                 done_at = self.now + cumulative
@@ -193,43 +163,23 @@ class OrderExecutePipeline(PipelineBase):
         super().__init__(cfg, spec, arrival, seed, trace)
         self.next_height = 0
         self.build_peers(OePeer, OeWorker)
-        if cfg.replication_approach is ReplicationApproach.SHARED_LOG:
-            orderer = SharedLogService("orderer", ack_delay=self.cm.net_latency_mean)
-            self.sim.add_node(orderer)
-            for peer in self.peers:
-                orderer.subscribe(peer.node_id)
-        elif cfg.replication_approach is ReplicationApproach.CONSENSUS:
-            comps = self.attach_consensus(
-                lambda peer: (
-                    lambda idx, payload, p=peer: p.to_worker(ApplyTask(payload, p.now))
-                )
-            )
-            for peer in self.peers:
-                peer.consensus = comps[peer.node_id]
-        else:
-            raise ValueError(
-                "order-execute supports consensus or shared_log ordering, "
-                f"not {cfg.replication_approach.value}"
-            )
+        self.attach_ordering(
+            lambda peer: lambda idx, payload, p=peer: p.to_worker(ApplyTask(payload, p.now)),
+            log=SharedLogService("orderer", ack_delay=self.cm.net_latency_mean),
+        )
         self.preload()
         self.schedule_arrivals()
-
-    def exec_cost(self, txn) -> int:
-        return self.cm.exec_time_per_op * max(1, txn.op_count)
 
     def begin_txn(self, txn_id: int) -> None:
         record = self.records[txn_id]
         if record.submit_time is None:
             record.submit_time = self.sim.now
-        proposer = next((p for p in self.peers if p.is_proposer()), None)
-        if proposer is None:
-            # no elected leader yet; retry shortly
-            self.clients.set_timer(2_000, RetrySubmit(txn_id))
-            return
-        self.clients.send(proposer.node_id, OeSubmit(txn_id))
+        leader = self.leader_or_retry(txn_id)
+        if leader is not None:
+            self.clients.send(leader.node_id, OeSubmit(txn_id))
 
     def client_message(self, msg) -> None:
-        if isinstance(msg, RetrySubmit):
+        if isinstance(msg, Retry):
             self.begin_txn(msg.txn_id)
         elif isinstance(msg, OeDone):
             self.txn_finished(self.records[msg.txn_id])

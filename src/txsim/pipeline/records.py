@@ -30,6 +30,11 @@ class TxnRecord:
     executions: int = 0
     read_versions: Dict[bytes, int] = field(default_factory=dict)
 
+    def mark_ordered(self, at: int) -> None:
+        """The ordering layer handed the transaction on at ``at``."""
+        self.order_time = at
+        self.order_us = max(0, at - self.submit_time - self.execute_us)
+
     def settle(self, outcome: TxnOutcome, at: int) -> None:
         if self.outcome is not TxnOutcome.PENDING:
             return

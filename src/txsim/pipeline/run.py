@@ -27,7 +27,7 @@ class RunResult:
     block_log: list = field(default_factory=list)
     sig_time_total: int = 0
     validate_time_total: int = 0
-    trace: Optional[list] = None
+    trace: Optional[str] = None  # the simulator's trace TSV, when recorded
     final_state: Optional[dict] = None  # observer's committed kv map
 
     @property
@@ -112,7 +112,7 @@ def _collect(pipeline, stalled: bool) -> RunResult:
         block_log=list(getattr(pipeline, "block_log", [])),
         sig_time_total=getattr(pipeline, "sig_time_total", 0),
         validate_time_total=getattr(pipeline, "validate_time_total", 0),
-        trace=pipeline.sim.trace,
+        trace=pipeline.sim.dump_trace() if pipeline.sim.trace is not None else None,
         final_state=dict(pipeline.peers[pipeline.observer_id].state.kv.items()),
     )
 

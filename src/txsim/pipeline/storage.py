@@ -25,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..consensus.sharedlog import LogAppend, LogDeliver, SharedLogService
+from ..consensus.sharedlog import SharedLogService
 from ..core.encoding import Reader, Writer
 from ..core.types import ConcurrencyMode, ReplicationApproach, TxnOutcome
-from .base import Arrival, PeerNode, PipelineBase, WorkerNode
+from .base import Arrival, PeerNode, PipelineBase, Retry, WorkerNode
 from .occ import occ_validate
 
 
@@ -113,29 +113,19 @@ class ChainAck:
 @dataclass
 class ApplyOpTask:
     payload: bytes
-    chain: bool = False
     kind: str = field(default="dbx:apply", init=False)
 
 
 @dataclass
 class OpApplied:
     txn_id: int
-    chain: bool
     kind: str = field(default="db:op_applied", init=False)
-
-
-@dataclass
-class _Retry:
-    txn_id: int
-    kind: str = field(default="cl:retry", init=False)
 
 
 class StoragePeer(PeerNode):
     def __init__(self, node_id, pipeline):
         super().__init__(node_id, pipeline)
         self.register("db", self.handle_db)
-        self.register("slog", self.handle_db)  # deliveries from the shared log
-        self.consensus = None
         # serving-node coordination tables
         self.intents: Dict[bytes, int] = {}
         self.pending_writes: Dict[int, int] = {}
@@ -145,11 +135,8 @@ class StoragePeer(PeerNode):
 
     @property
     def chain_successor(self) -> Optional[int]:
-        if self.pipeline.cfg.replication_approach is not ReplicationApproach.PRIMARY_BACKUP:
-            return None
-        ids = [p.node_id for p in self.pipeline.peers]
-        i = ids.index(self.node_id)
-        return ids[i + 1] if i + 1 < len(ids) else None
+        successor = self.node_id + 1  # peers are numbered 0..N-1 down the chain
+        return successor if successor < len(self.pipeline.peers) else None
 
     def handle_db(self, msg) -> int:
         cm = self.pipeline.cm
@@ -166,11 +153,8 @@ class StoragePeer(PeerNode):
         if isinstance(msg, DbCancel):
             self.on_cancel(msg.txn_id, msg.reply)
             return 0
-        if isinstance(msg, LogDeliver):
-            self.to_worker(ApplyOpTask(msg.entry))
-            return 0
         if isinstance(msg, ChainOp):
-            self.to_worker(ApplyOpTask(msg.payload, chain=True))
+            self.to_worker(ApplyOpTask(msg.payload))
             return 0
         if isinstance(msg, ChainAck):
             self.finish_write(msg.txn_id)
@@ -203,15 +187,8 @@ class StoragePeer(PeerNode):
     def replicate_writes(self, txn_id: int) -> None:
         txn = self.pipeline.records[txn_id].txn
         self.pending_writes[txn_id] = len(txn.write_set)
-        approach = self.pipeline.cfg.replication_approach
         for key, value in txn.write_set:
-            payload = encode_op(txn_id, key, value)
-            if approach is ReplicationApproach.CONSENSUS:
-                self.consensus.propose(payload)
-            elif approach is ReplicationApproach.SHARED_LOG:
-                self.send("oplog", LogAppend(payload, None))
-            else:
-                self.to_worker(ApplyOpTask(payload, chain=True))
+            self.ordering.propose(encode_op(txn_id, key, value))
 
     # -- locking mode ----------------------------------------------------------------
 
@@ -253,8 +230,7 @@ class StoragePeer(PeerNode):
     # -- completion tracking ------------------------------------------------------------
 
     def on_op_applied(self, msg: OpApplied) -> None:
-        # chain-replicated ops complete via ChainAck from the tail instead
-        if not msg.chain and msg.txn_id in self.pending_writes:
+        if msg.txn_id in self.pending_writes:
             self.finish_write(msg.txn_id)
 
     def finish_write(self, txn_id: int) -> None:
@@ -280,19 +256,20 @@ class StorageWorker(WorkerNode):
         if isinstance(msg, ApplyOpTask):
             txn_id, key, value = decode_op(msg.payload)
             _, hops, hbytes = self.state.apply_batch([(key, value)])
-            self.charge(self.pipeline.cm.exec_time_per_op + self.hash_cost(hops, hbytes))
-            if msg.chain:
-                successor = self.peer.chain_successor
-                if successor is not None:
-                    self.send(successor, ChainOp(msg.payload))
-                else:
-                    head = self.pipeline.peers[0].node_id
-                    if self.peer.node_id == head:
-                        self.local(head, ChainAck(txn_id))
-                    else:
-                        self.send(head, ChainAck(txn_id))
+            cm = self.pipeline.cm
+            self.charge(cm.exec_time_per_op + cm.hash_cost(hops, hbytes))
+            successor = self.peer.chain_successor
+            if not self.pipeline.chained:
+                self.local(self.peer.node_id, OpApplied(txn_id))
+            elif successor is not None:
+                self.send(successor, ChainOp(msg.payload))
             else:
-                self.local(self.peer.node_id, OpApplied(txn_id, msg.chain))
+                # the tail acknowledges the op to the head, which settles it
+                head = self.pipeline.peers[0].node_id
+                if self.peer.node_id == head:
+                    self.local(head, ChainAck(txn_id))
+                else:
+                    self.send(head, ChainAck(txn_id))
         return 0
 
 
@@ -313,32 +290,17 @@ class StorageReplicatedPipeline(PipelineBase):
             raise ValueError(f"{self.cc.value} is not a storage-replicated mode")
         self.lock_timeout = lock_timeout or 40 * (2 * self.cm.net_latency_mean)
         self.build_peers(StoragePeer, StorageWorker)
-        approach = cfg.replication_approach
-        if approach is ReplicationApproach.CONSENSUS:
-            comps = self.attach_consensus(
-                lambda peer: (lambda idx, payload, p=peer: p.to_worker(ApplyOpTask(payload)))
-            )
-            for peer in self.peers:
-                peer.consensus = comps[peer.node_id]
-        elif approach is ReplicationApproach.SHARED_LOG:
-            oplog = SharedLogService("oplog", ack_delay=self.cm.net_latency_mean)
-            self.sim.add_node(oplog)
-            for peer in self.peers:
-                oplog.subscribe(peer.node_id)
+        # a primary-backup op is applied down the chain and acknowledged by the tail
+        self.chained = cfg.replication_approach is ReplicationApproach.PRIMARY_BACKUP
+        self.attach_ordering(
+            lambda peer: lambda idx, payload, p=peer: p.to_worker(ApplyOpTask(payload)),
+            log=SharedLogService("oplog", ack_delay=self.cm.net_latency_mean),
+        )
         self.preload()
         self._fsm: Dict[int, dict] = {}
         self._serial_queue: List[int] = []
         self._serial_active: Optional[int] = None
         self.schedule_arrivals()
-
-    def serving_peer(self) -> Optional[StoragePeer]:
-        """The node that serves reads, validation, and latches."""
-        if self.cfg.replication_approach is ReplicationApproach.CONSENSUS:
-            for peer in self.peers:
-                if peer.consensus is not None and peer.consensus.is_leader():
-                    return peer
-            return None
-        return self.peers[0]
 
     # -- the transaction manager ---------------------------------------------------
 
@@ -361,8 +323,7 @@ class StorageReplicatedPipeline(PipelineBase):
     def _start_txn(self, txn_id: int) -> None:
         record = self.records[txn_id]
         txn = record.txn
-        if self.serving_peer() is None:
-            self.clients.set_timer(2_000, _Retry(txn_id))  # no elected leader yet
+        if self.leader_or_retry(txn_id) is None:
             return
         if self.cc is ConcurrencyMode.CONCURRENT_LOCKING:
             keys = sorted(txn.keys_touched())
@@ -381,7 +342,7 @@ class StorageReplicatedPipeline(PipelineBase):
         if state["next"] < len(keys):
             key = keys[state["next"]]
             state["next"] += 1
-            self.clients.send(self.serving_peer().node_id, DbRead(txn_id, key))
+            self.clients.send(self.leader().node_id, DbRead(txn_id, key))
             return
         record.execute_us = self.sim.now - record.submit_time
         state["phase"] = "commit"
@@ -391,7 +352,7 @@ class StorageReplicatedPipeline(PipelineBase):
             return
         reads = tuple(sorted(record.read_versions.items()))
         write_keys = tuple(k for k, _ in txn.write_set)
-        self.clients.send(self.serving_peer().node_id, DbValidate(txn_id, reads, write_keys))
+        self.clients.send(self.leader().node_id, DbValidate(txn_id, reads, write_keys))
 
     def _request_next_lock(self, txn_id: int) -> None:
         state = self._fsm[txn_id]
@@ -399,10 +360,10 @@ class StorageReplicatedPipeline(PipelineBase):
         if state["next"] < len(keys):
             key = keys[state["next"]]
             state["next"] += 1
-            self.clients.send(self.serving_peer().node_id, DbLock(txn_id, key))
+            self.clients.send(self.leader().node_id, DbLock(txn_id, key))
 
     def client_message(self, msg) -> None:
-        if isinstance(msg, _Retry):
+        if isinstance(msg, Retry):
             self._start_txn(msg.txn_id)
         elif isinstance(msg, DbReadResp):
             state = self._fsm.get(msg.txn_id)
@@ -416,7 +377,7 @@ class StorageReplicatedPipeline(PipelineBase):
             state = self._fsm.get(msg.txn_id)
             if state is not None and state["phase"] == "lock":
                 state["phase"] = "cancelling"
-                self.clients.send(self.serving_peer().node_id, DbCancel(msg.txn_id))
+                self.clients.send(self.leader().node_id, DbCancel(msg.txn_id))
         elif isinstance(msg, DbDecision):
             self._settle(msg.txn_id, msg.outcome)
 
@@ -433,16 +394,16 @@ class StorageReplicatedPipeline(PipelineBase):
         state["phase"] = "commit"
         txn = record.txn
         if txn.app_abort:
-            self.clients.send(self.serving_peer().node_id, DbCancel(msg.txn_id, reply=False))
+            self.clients.send(self.leader().node_id, DbCancel(msg.txn_id, reply=False))
             self._settle(msg.txn_id, TxnOutcome.ABORTED_APPLICATION)
         elif txn.write_set:
             # reads are current while latched; no version check needed
             self.clients.send(
-                self.serving_peer().node_id,
+                self.leader().node_id,
                 DbValidate(msg.txn_id, (), tuple(k for k, _ in txn.write_set)),
             )
         else:
-            self.clients.send(self.serving_peer().node_id, DbCancel(msg.txn_id, reply=False))
+            self.clients.send(self.leader().node_id, DbCancel(msg.txn_id, reply=False))
             self._settle(msg.txn_id, TxnOutcome.COMMITTED)
 
     def _settle(self, txn_id: int, outcome: TxnOutcome) -> None:

@@ -70,10 +70,6 @@ class ShardMap:
         )
 
 
-def assign_shard(key: bytes, shard_map: ShardMap) -> int:
-    return shard_map.assign(key)
-
-
 class TpcDecision(enum.Enum):
     COMMIT = "commit"
     ABORT = "abort"
@@ -493,6 +489,8 @@ class ShardedResult:
         self.tpc_records = dict(runner.tpc_records)
         self.shard_map = runner.shard_map
         self.pauses = runner.pauses
+        # the run stopped (stall window or time cap) with transactions unsettled
+        self.stalled = not runner.all_settled()
 
     @property
     def committed(self) -> int:

@@ -29,6 +29,8 @@ from txsim.harness import (
 from txsim.harness.cli import main as cli_main
 from txsim.harness.csvout import parse_csv
 from txsim.pipeline import Arrival
+from txsim.sharding import ShardedRun
+from txsim.simnet import FaultKind
 from txsim.workload import WorkloadSpec, WorkloadKind
 
 
@@ -89,6 +91,21 @@ class TestRunExperiment:
         m = run_experiment(cfg, small_spec(ops_per_txn=2), Arrival.open_loop(2000), seed=3)
         assert m.shard_count == 4
         assert m.cross_shard_ratio > 0
+        assert not m.stalled
+
+    def test_sharded_run_left_unsettled_reports_a_stall(self, monkeypatch):
+        run = ShardedRun.run
+
+        def crash_coordinator_then_run(runner, *args, **kwargs):
+            runner.sim.inject_fault("coord", FaultKind.CRASHED, at_time=20_000)
+            return run(runner, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedRun, "run", crash_coordinator_then_run)
+        cfg = DesignConfig(sharding_mode=ShardingMode.TRUSTED_2PC, node_count=12, tolerated_failures=1)
+        spec = small_spec(ops_per_txn=2, txn_count=200, seed=4)
+        m = run_experiment(cfg, spec, Arrival.open_loop(2000), seed=4)
+        assert m.pending > 0
+        assert m.stalled
 
 
 class TestSweep:

@@ -22,6 +22,9 @@ from txsim.pipeline import (
     run_pipeline,
     run_storage_replicated,
 )
+from txsim.pipeline.eov import ExecuteOrderValidatePipeline
+from txsim.pipeline.order_execute import OrderExecutePipeline
+from txsim.pipeline.storage import StorageReplicatedPipeline
 from txsim.simnet import FaultKind
 from txsim.workload import WorkloadSpec, WorkloadKind, initial_state
 
@@ -419,6 +422,27 @@ class TestOccSerializability:
             ]
             initial = {key: 1 for key, _ in initial_state(spec)}
             assert serializable_order_exists(committed, initial, res.final_state), seed
+
+
+class TestNoLeaderRetry:
+    @pytest.mark.parametrize(
+        "pipeline_cls, cfg",
+        [
+            (OrderExecutePipeline, oe_config()),
+            (ExecuteOrderValidatePipeline, eov_config(replication_approach=ReplicationApproach.CONSENSUS)),
+            (StorageReplicatedPipeline, db_config()),
+        ],
+    )
+    def test_requests_wait_for_an_elected_leader(self, pipeline_cls, cfg):
+        pipeline = pipeline_cls(cfg, update_spec(txn_count=60), Arrival.open_loop(2000), seed=3)
+        # the bootstrapped Raft leader steps down; the rest elect a new one
+        pipeline.peers[0].ordering.role = "follower"
+        assert pipeline.leader() is None
+        assert not pipeline.drive()
+        assert pipeline.sim.delivered_counts["cl:retry"] > 0
+        assert pipeline.leader() not in (None, pipeline.peers[0])
+        assert pipeline.committed_count() > 0
+        assert len({p.state.kv.state_fingerprint() for p in pipeline.peers}) == 1
 
 
 class TestRunPipelineDispatch:

@@ -6,7 +6,6 @@ from txsim.sharding import (
     ShardScheme,
     ShardedRun,
     TpcDecision,
-    assign_shard,
 )
 from txsim.simnet import FaultKind
 from txsim.workload import WorkloadSpec, WorkloadKind
@@ -28,7 +27,7 @@ def spec_2keys(txn_count=400, record_count=400, theta=0.0, seed=3, ops=2):
 class TestShardAssignment:
     def test_single_shard_always_zero(self):
         m = ShardMap(1)
-        assert all(assign_shard(ycsb_key(i), m) == 0 for i in range(100))
+        assert all(m.assign(ycsb_key(i)) == 0 for i in range(100))
 
     def test_hash_assignment_is_stable(self):
         m = ShardMap(4)
