@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from ..consensus import ProtocolHost
+from ..consensus.sharedlog import LogDeliver
 from ..core.encoding import Reader, Writer
 from ..core.types import Block, ReplicationApproach, TxnOutcome
 from .base import Arrival, BlockFormer, BlockTimer, PeerNode, PipelineBase, Retry, WorkerNode
@@ -59,12 +60,6 @@ class OrderRequest:
     txn_id: int
     reads: tuple
     kind: str = field(default="ord:append", init=False)
-
-
-@dataclass
-class EovBlockMsg:
-    payload: bytes
-    kind: str = field(default="eov:block", init=False)
 
 
 @dataclass
@@ -110,6 +105,7 @@ class EovOrderer(ProtocolHost):
         self.register("ord", self.handle)
         self.blocks = BlockFormer(self, "ord:timer")
         self.subscribers = []
+        self.height = 0  # blocks delivered so far
 
     def subscribe(self, node_id) -> None:
         self.subscribers.append(node_id)
@@ -127,9 +123,11 @@ class EovOrderer(ProtocolHost):
         if not batch:
             return
         payload = self.pipeline.seal_block(batch, self.now)
+        self.height += 1
         # the log's internal replication shows up as a fixed delivery delay
+        delay = self.pipeline.cm.net_latency_mean
         for sub in self.subscribers:
-            self.send(sub, EovBlockMsg(payload), extra_delay=self.pipeline.cm.net_latency_mean)
+            self.send(sub, LogDeliver(self.height, payload), extra_delay=delay)
 
 
 class EovPeer(PeerNode):
@@ -142,8 +140,6 @@ class EovPeer(PeerNode):
     def handle_eov(self, msg) -> int:
         if isinstance(msg, EndorseReq):
             self.to_worker(EndorseTask(msg.txn_id))
-        elif isinstance(msg, EovBlockMsg):
-            self.to_worker(ValidateTask(msg.payload))
         return 0
 
     # -- consensus-mode block formation (leader only) -------------------------------

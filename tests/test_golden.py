@@ -100,8 +100,8 @@ GOLDEN = {
         "trace": "5564764ee39359be4c9dba891d8b390cdc588ddeb98b2167bd7a80fa719ed77a",
     },
     "eov_sharedlog_plain": {
-        "row": "05266c159343b66b1ddf0707cb2834f0acfabe6fa146ad85c3d20a27cce18752",
-        "trace": "4a8d9f9eac54c0dc7dd53eeb59747831de6fa876f0a30bbbbdea9f5a13fd681b",
+        "row": "5fe2a82c6d847e1826e67963e356bdb438d560a49e85be08b2d2bd56e6ef78cc",
+        "trace": "0ec317a447da66540e580f1873360572b965b7e63ff020cc54dc7a2cab02c5e9",
     },
     "locking_pb_mpt": {
         "row": "cf45537cc8d4e00fa9d376814d0482d5cd4df951417cb0f9a156e35d17346266",

@@ -146,6 +146,15 @@ class TestExecuteOrderValidate:
         with pytest.raises(ValueError, match="consensus or shared_log"):
             run_execute_order_validate(cfg, update_spec(txn_count=10), Arrival.open_loop(500), seed=1)
 
+    def test_shared_log_block_deliveries_are_counted(self):
+        res = run_execute_order_validate(
+            eov_config(), update_spec(txn_count=100), Arrival.open_loop(2000), seed=7
+        )
+        blocks = len(res.block_log)
+        assert blocks > 0
+        # one slog:deliver per block and peer, as for order-execute on the log
+        assert res.consensus_messages() == blocks * 5
+
     def test_stale_read_aborts_rw(self):
         res = run_execute_order_validate(
             eov_config(), update_spec(theta=1.0), Arrival.open_loop(2500), seed=6
