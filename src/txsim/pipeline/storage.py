@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..consensus.primarybackup import ChainAck, ChainOp
 from ..consensus.sharedlog import SharedLogService
 from ..core.encoding import Reader, Writer
 from ..core.types import ConcurrencyMode, ReplicationApproach, TxnOutcome
@@ -99,18 +100,6 @@ class LockTimeout:
 
 
 @dataclass
-class ChainOp:
-    payload: bytes
-    kind: str = field(default="db:chain_op", init=False)
-
-
-@dataclass
-class ChainAck:
-    txn_id: int
-    kind: str = field(default="db:chain_ack", init=False)
-
-
-@dataclass
 class ApplyOpTask:
     payload: bytes
     kind: str = field(default="dbx:apply", init=False)
@@ -126,6 +115,7 @@ class StoragePeer(PeerNode):
     def __init__(self, node_id, pipeline):
         super().__init__(node_id, pipeline)
         self.register("db", self.handle_db)
+        self.register("pb", self.handle_db)  # primary-backup chain traffic
         # serving-node coordination tables
         self.intents: Dict[bytes, int] = {}
         self.pending_writes: Dict[int, int] = {}
@@ -157,7 +147,7 @@ class StoragePeer(PeerNode):
             self.to_worker(ApplyOpTask(msg.payload))
             return 0
         if isinstance(msg, ChainAck):
-            self.finish_write(msg.txn_id)
+            self.finish_write(msg.op_id)
             return 0
         if isinstance(msg, OpApplied):
             self.on_op_applied(msg)
@@ -259,17 +249,15 @@ class StorageWorker(WorkerNode):
             cm = self.pipeline.cm
             self.charge(cm.exec_time_per_op + cm.hash_cost(hops, hbytes))
             successor = self.peer.chain_successor
+            head = self.pipeline.peers[0].node_id
             if not self.pipeline.chained:
                 self.local(self.peer.node_id, OpApplied(txn_id))
             elif successor is not None:
-                self.send(successor, ChainOp(msg.payload))
-            else:
-                # the tail acknowledges the op to the head, which settles it
-                head = self.pipeline.peers[0].node_id
-                if self.peer.node_id == head:
-                    self.local(head, ChainAck(txn_id))
-                else:
-                    self.send(head, ChainAck(txn_id))
+                self.send(successor, ChainOp(txn_id, msg.payload, head))
+            elif self.peer.node_id == head:  # a chain of one
+                self.local(head, ChainAck(txn_id))
+            else:  # the tail acknowledges the op to the head, which settles it
+                self.send(head, ChainAck(txn_id))
         return 0
 
 

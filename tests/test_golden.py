@@ -104,8 +104,8 @@ GOLDEN = {
         "trace": "0ec317a447da66540e580f1873360572b965b7e63ff020cc54dc7a2cab02c5e9",
     },
     "locking_pb_mpt": {
-        "row": "cf45537cc8d4e00fa9d376814d0482d5cd4df951417cb0f9a156e35d17346266",
-        "trace": "96d821482651f6ca3a6e167e4198a6fd884385476a277bb1422bd1a70633a6ba",
+        "row": "6bcdc7157da0a9d9047b4e9f98028c6db9b3291efb13933da686851f8fca11ba",
+        "trace": "d72c77c3ecf313717196a037bafd2fc157656725118a11b5cf04af8d4ed18cf5",
     },
     "occ_pbft_plain": {
         "row": "5203aa6757ece06ad508a57abdea72da3e7dc0ef00222854e7d7d26614d4dd06",

@@ -348,6 +348,20 @@ class TestStorageReplicated:
         assert res.committed > 100
         assert len(set(res.fingerprints)) == 1
 
+    @pytest.mark.parametrize("nodes, f", [(3, 1), (5, 2)])
+    def test_primary_backup_counts_its_chain_messages(self, nodes, f):
+        cfg = db_config(
+            replication_approach=ReplicationApproach.PRIMARY_BACKUP,
+            node_count=nodes,
+            tolerated_failures=f,
+        )
+        res = run_storage_replicated(
+            cfg, occ_spec(ops_per_txn=1, txn_count=100), Arrival.closed_loop(8), seed=20
+        )
+        assert res.committed > 0
+        # N-1 forwards down the chain plus the tail's ack per single-write txn
+        assert res.messages_per_commit == nodes
+
     def test_shared_log_backend(self):
         cfg = db_config(replication_approach=ReplicationApproach.SHARED_LOG)
         res = run_storage_replicated(cfg, occ_spec(txn_count=150), Arrival.closed_loop(8), seed=21)
