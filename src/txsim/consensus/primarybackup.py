@@ -58,7 +58,7 @@ def chain_cluster(sim, node_ids, apply_fn=None, apply_cost: int = 0):
     return replicas
 
 
-class ChainHead:
+class ChainHandle:
     """A chain replica's ordering handle, with the consensus components' API.
 
     Only the head proposes, and it applies a proposal first; each replica

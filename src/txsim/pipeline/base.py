@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 from ..authstore import StateStore
 from ..consensus import PbftComponent, ProtocolHost, RaftComponent, RaftTiming
-from ..consensus.primarybackup import ChainHead
+from ..consensus.primarybackup import ChainHandle
 from ..consensus.sharedlog import LogHandle
 from ..core.rng import seeded_rng
 from ..core.types import (
@@ -241,7 +241,7 @@ class PipelineBase:
                 peer.ordering = handle.attach(peer)
         elif approach is ReplicationApproach.PRIMARY_BACKUP:
             for peer in self.peers:
-                peer.ordering = ChainHead(peer.node_id, replicas[0], on_commit_factory(peer))
+                peer.ordering = ChainHandle(peer.node_id, replicas[0], on_commit_factory(peer))
         elif self.cfg.failure_model is FailureModel.CFT:
             timing = RaftTiming.from_mean_latency(self.cm.net_latency_mean)
             for peer in self.peers:

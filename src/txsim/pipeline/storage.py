@@ -123,11 +123,6 @@ class StoragePeer(PeerNode):
         self.lock_queue: Dict[bytes, List[int]] = {}
         self.held: Dict[int, List[bytes]] = {}
 
-    @property
-    def chain_successor(self) -> Optional[int]:
-        successor = self.node_id + 1  # peers are numbered 0..N-1 down the chain
-        return successor if successor < len(self.pipeline.peers) else None
-
     def handle_db(self, msg) -> int:
         cm = self.pipeline.cm
         if isinstance(msg, DbRead):
@@ -150,7 +145,7 @@ class StoragePeer(PeerNode):
             self.finish_write(msg.op_id)
             return 0
         if isinstance(msg, OpApplied):
-            self.on_op_applied(msg)
+            self.finish_write(msg.txn_id)
             return 0
         raise ValueError(f"unhandled db message {msg!r}")
 
@@ -219,10 +214,6 @@ class StoragePeer(PeerNode):
 
     # -- completion tracking ------------------------------------------------------------
 
-    def on_op_applied(self, msg: OpApplied) -> None:
-        if msg.txn_id in self.pending_writes:
-            self.finish_write(msg.txn_id)
-
     def finish_write(self, txn_id: int) -> None:
         left = self.pending_writes.get(txn_id)
         if left is None:
@@ -248,11 +239,11 @@ class StorageWorker(WorkerNode):
             _, hops, hbytes = self.state.apply_batch([(key, value)])
             cm = self.pipeline.cm
             self.charge(cm.exec_time_per_op + cm.hash_cost(hops, hbytes))
-            successor = self.peer.chain_successor
             head = self.pipeline.peers[0].node_id
+            successor = self.peer.node_id + 1  # peers are numbered 0..N-1 down the chain
             if not self.pipeline.chained:
                 self.local(self.peer.node_id, OpApplied(txn_id))
-            elif successor is not None:
+            elif successor < len(self.pipeline.peers):
                 self.send(successor, ChainOp(txn_id, msg.payload, head))
             elif self.peer.node_id == head:  # a chain of one
                 self.local(head, ChainAck(txn_id))
