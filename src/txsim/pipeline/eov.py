@@ -285,7 +285,9 @@ class ExecuteOrderValidatePipeline(PipelineBase):
             self._send_for_ordering(msg.txn_id)
 
     def _send_for_ordering(self, txn_id: int) -> None:
-        orderer = self.orderer or self.leader_or_retry(txn_id)
+        orderer = self.orderer
+        if orderer is None:
+            orderer = self.leader_or_retry(txn_id)
         if orderer is not None:
             reads = tuple(self.records[txn_id].read_versions.items())
             self.clients.send(orderer.node_id, OrderRequest(txn_id, reads))
