@@ -53,6 +53,26 @@ class StateStore:
         ops, nbytes = self.meter.delta_since(snap)
         return versions, ops, nbytes
 
+    def fork(self) -> "StateStore":
+        """A replica of this store: equal contents, independent from here on.
+
+        The fork owns its KV dict, its index containers, a zeroed meter and an
+        empty ledger.  It shares only immutable objects with this store (trie
+        nodes, value bytes, bucket entries), so no record is hashed again.
+        """
+        index, ledger_enabled = self.index, self.ledger is not None
+        if self.index_kind is IndexKind.MBT:
+            twin = StateStore(self.index_kind, ledger_enabled, index.bucket_count, index.fanout)
+            twin.index.buckets = [list(bucket) for bucket in index.buckets]
+            twin.index.levels = [list(level) for level in index.levels]
+        else:
+            twin = StateStore(self.index_kind, ledger_enabled)
+            if index is not None:
+                twin.index._nodes = dict(index._nodes)
+                twin.index.root = index.root
+        twin.kv._data = dict(self.kv._data)
+        return twin
+
     def index_root(self) -> bytes:
         if self.index is None:
             raise ValueError("index_root requires an authenticated index (mpt or mbt)")

@@ -16,6 +16,12 @@ leads; or the head of a primary-backup chain, which applies a proposal at
 once and whose replicas forward it down the chain.  ``leader()`` finds the
 peer that proposes, serves reads and holds latches, and ``BlockFormer`` is the
 one batch-or-timeout block former.
+
+Replicas are deterministic, so host work they would repeat on immutable data
+is done once.  ``preload`` builds the initial state once and forks it to the
+other replicas, and ``decoded`` decodes each ordered payload once for all
+peers.  Every replica still owns its mutable state, so replica agreement
+still compares independent stores.
 """
 
 from __future__ import annotations
@@ -137,7 +143,7 @@ class PeerNode(CostMixin, ProtocolHost):
     def __init__(self, node_id, pipeline):
         super().__init__(node_id)
         self.pipeline = pipeline
-        self.state = pipeline.new_state_store()
+        self.state = None  # set by preload
         self.worker = None  # twin execution node, set by build_peers
         self.ordering = None  # propose/is_leader handle, set by attach_ordering
         self._pending_cost = 0
@@ -206,12 +212,10 @@ class PipelineBase:
         self._terminal = 0
         self.peers: List[PeerNode] = []
         self.clients = ClientManager(self)
+        self._decoded: Dict[bytes, list] = {}  # payload -> [decoded, peers yet to take it]
         self._client_cursor = 0  # next stream index for closed-loop clients
 
     # -- construction helpers ------------------------------------------------
-
-    def new_state_store(self) -> StateStore:
-        return StateStore(index=self.cfg.index, ledger_enabled=self.cfg.ledger_enabled)
 
     def build_peers(self, peer_cls, worker_cls=None) -> None:
         for i in range(self.cfg.node_count):
@@ -284,14 +288,34 @@ class PipelineBase:
         return self.cm.exec_time_per_op * max(1, txn.op_count)
 
     def preload(self) -> None:
-        writes = initial_state(self.spec)
-        for peer in self.peers:
-            peer.state.apply_batch(writes)
-            # pre-population is setup, not measured work
-            peer.state.meter.ops = 0
-            peer.state.meter.bytes = 0
-            if peer.state.ledger is not None:
-                peer.state.ledger.block_bytes = 0
+        """Give every peer its state store, holding the workload's initial records.
+
+        Replicas start from one shared build: the records are applied to one
+        store, and every other peer gets a ``fork`` of it, which owns its
+        mutable containers and shares only immutable nodes and values.
+        """
+        built = StateStore(index=self.cfg.index, ledger_enabled=self.cfg.ledger_enabled)
+        built.apply_batch(initial_state(self.spec))
+        # pre-population is setup, not measured work; forks start with a zeroed meter
+        built.meter.ops = built.meter.bytes = 0
+        for i, peer in enumerate(self.peers):
+            peer.state = built.fork() if i else built
+
+    def decoded(self, payload: bytes, decode):
+        """``decode(payload)``, computed once for all the peers that take it.
+
+        Decoding is a pure function of the bytes, so the peers share the
+        decoded immutable objects.  Every peer takes each ordered payload
+        once; the entry is dropped when the last one has, so only payloads
+        in flight are held.
+        """
+        entry = self._decoded.get(payload)
+        if entry is None:
+            entry = self._decoded[payload] = [decode(payload), len(self.peers)]
+        entry[1] -= 1
+        if not entry[1]:
+            del self._decoded[payload]
+        return entry[0]
 
     # -- arrivals ----------------------------------------------------------------
 

@@ -93,7 +93,7 @@ def decode_entries(payload: bytes):
         txn_id = r.u64()
         reads = tuple((r.bytes(), r.u64()) for _ in range(r.u32()))
         out.append((txn_id, reads))
-    return out
+    return tuple(out)
 
 
 class EovOrderer(ProtocolHost):
@@ -182,7 +182,7 @@ class EovWorker(WorkerNode):
         self.send("clients", EndorseResp(txn_id, self.peer.node_id, reads))
 
     def validate_block(self, payload: bytes) -> None:
-        entries = decode_entries(payload)
+        entries = self.pipeline.decoded(payload, decode_entries)
         observer = self.peer.node_id == self.pipeline.observer_id
         cm = self.pipeline.cm
         cumulative = 0

@@ -128,7 +128,7 @@ class OeWorker(WorkerNode):
         self.local(self.peer.node_id, OeProposeReady(encode_block(block)))
 
     def apply_block(self, payload: bytes, ordered_at: int) -> None:
-        block = decode_block(payload)
+        block = self.pipeline.decoded(payload, decode_block)
         observer = self.peer.node_id == self.pipeline.observer_id
         cumulative = 0
         if self.state.ledger is not None:

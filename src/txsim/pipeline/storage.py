@@ -235,7 +235,7 @@ class StorageWorker(WorkerNode):
 
     def handle(self, msg) -> int:
         if isinstance(msg, ApplyOpTask):
-            txn_id, key, value = decode_op(msg.payload)
+            txn_id, key, value = self.pipeline.decoded(msg.payload, decode_op)
             _, hops, hbytes = self.state.apply_batch([(key, value)])
             cm = self.pipeline.cm
             self.charge(cm.exec_time_per_op + cm.hash_cost(hops, hbytes))

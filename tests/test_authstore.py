@@ -448,3 +448,63 @@ class TestStateStore:
         mpt_overhead = mpt_store.storage_breakdown()["index_overhead_per_record"]
         mbt_overhead = mbt_store.storage_breakdown()["index_overhead_per_record"]
         assert mbt_overhead < mpt_overhead
+
+
+_store_writes = st.lists(st.tuples(_mpt_keys.filter(len), st.binary(max_size=8)), max_size=24)
+
+
+def _index_containers(store):
+    """The index's mutable contents, copied, for the aliasing checks."""
+    index = store.index
+    if isinstance(index, MerklePatriciaTrie):
+        return dict(index._nodes), index.root
+    if isinstance(index, MerkleBucketTree):
+        return [list(b) for b in index.buckets], [list(level) for level in index.levels]
+    return None
+
+
+def _contents(store, keys):
+    return (
+        store.kv.state_fingerprint(),
+        store.index_root() if store.index is not None else None,
+        store.storage_breakdown(),
+        {key: store.get(key) for key in keys},
+        dict(store.kv.items()),
+        _index_containers(store),
+        (store.meter.ops, store.meter.bytes),
+    )
+
+
+class TestStateStoreFork:
+    @pytest.mark.parametrize("index", list(IndexKind))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(initial=_store_writes, later=st.lists(_store_writes, max_size=4))
+    def test_fork_equals_a_fresh_store_and_stays_independent(self, index, initial, later):
+        def preloaded():
+            store = StateStore(index=index, ledger_enabled=True, bucket_count=8, fanout=2)
+            store.apply_batch(initial)
+            store.meter.ops = store.meter.bytes = 0
+            return store
+
+        source, fresh = preloaded(), preloaded()
+        fork = source.fork()
+        assert fork.index_kind is index and fork.meter.snapshot() == (0, 0)
+        assert fork.ledger is not source.ledger and len(fork.ledger) == 0
+        if fork.index is not None:
+            assert fork.index.meter is fork.meter
+        keys = {key for key, _ in initial} | {key for batch in later for key, _ in batch}
+        assert _contents(fork, keys) == _contents(fresh, keys)
+
+        source_before = _contents(source, keys)
+        for batch in later:
+            assert fork.apply_batch(batch) == fresh.apply_batch(batch)
+            assert _contents(fork, keys) == _contents(fresh, keys)
+        # writes to the fork leave the source alone
+        assert _contents(source, keys) == source_before
+
+        fork_before = _contents(fork, keys)
+        for batch in later:
+            source.apply_batch(batch)
+        source.apply_batch([(b"\xee", b"source only")])
+        # and writes to the source leave the fork alone
+        assert _contents(fork, keys) == fork_before

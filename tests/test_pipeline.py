@@ -1,7 +1,11 @@
 """Transaction lifecycles: trends, phase accounting, and correctness oracles."""
 
+import dataclasses
+import importlib
+
 import pytest
 
+from txsim.authstore import MerklePatriciaTrie
 from txsim.core import (
     ConcurrencyMode,
     CostModel,
@@ -466,6 +470,59 @@ class TestNoLeaderRetry:
         assert pipeline.leader() not in (None, pipeline.peers[0])
         assert pipeline.committed_count() > 0
         assert len({p.state.kv.state_fingerprint() for p in pipeline.peers}) == 1
+
+
+def _owned_containers(state):
+    """Every mutable container a replica's store holds."""
+    index = state.index
+    if index is None:
+        held = []
+    elif isinstance(index, MerklePatriciaTrie):
+        held = [index._nodes]
+    else:
+        held = [index.buckets, index.levels, *index.buckets, *index.levels]
+    return [state, state.kv, state.kv._data, state.meter, state.ledger, index, *held]
+
+
+class TestReplicaSharedWork:
+    @pytest.mark.parametrize(
+        "pipeline_cls, cfg, codec",
+        [
+            (OrderExecutePipeline, oe_config(index=IndexKind.MPT), "order_execute:decode_block"),
+            (ExecuteOrderValidatePipeline, eov_config(), "eov:decode_entries"),
+            (StorageReplicatedPipeline, db_config(index=IndexKind.MBT), "storage:decode_op"),
+        ],
+    )
+    def test_replicas_own_their_state_and_payloads_decode_once(
+        self, pipeline_cls, cfg, codec, monkeypatch
+    ):
+        module_name, _, name = codec.partition(":")
+        module = importlib.import_module(f"txsim.pipeline.{module_name}")
+        decode, calls = getattr(module, name), []
+        monkeypatch.setattr(module, name, lambda payload: calls.append(payload) or decode(payload))
+
+        pipeline = pipeline_cls(cfg, update_spec(txn_count=120), Arrival.open_loop(2000), seed=6)
+        held = [
+            {id(c) for c in _owned_containers(p.state) if c is not None} for p in pipeline.peers
+        ]
+        for i, ids in enumerate(held):
+            for other in held[i + 1 :]:
+                assert not ids & other
+        assert {p.state.meter.snapshot() for p in pipeline.peers} == {(0, 0)}
+
+        assert not pipeline.drive()
+        assert pipeline._decoded == {}
+        assert len(calls) == len(set(calls)) > 0  # one decode per distinct payload
+        assert len({p.state.kv.state_fingerprint() for p in pipeline.peers}) == 1
+
+        ledgers = [p.state.ledger for p in pipeline.peers]
+        if cfg.ledger_enabled:
+            assert len(calls) == len(ledgers[0].blocks)
+            tampered = ledgers[1]
+            tampered.blocks[1] = dataclasses.replace(tampered.blocks[1], proposer=7)
+            broken = [ledger.verify_chain() for ledger in ledgers]
+            # block 1's digest no longer matches what block 2 extends
+            assert broken == [None, 2, None, None, None]
 
 
 class TestRunPipelineDispatch:
