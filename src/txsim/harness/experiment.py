@@ -50,11 +50,7 @@ def _sharded_metrics(result, cfg: DesignConfig, interval: int) -> Metrics:
         mean_execute_us=0.0,
         mean_order_us=0.0,
         mean_validate_us=0.0,
-        messages_total=sum(
-            n
-            for kind, n in result.runner.sim.delivered_counts.items()
-            if kind.startswith("2pc:") or kind.startswith("pbft:")
-        ),
+        messages_total=result.protocol_messages(),
         messages_per_commit=result.messages_per_cross_shard_commit(),
         state_bytes=sum(
             len(k) + len(v) for s in result.runner.shards for k, v in s.store.items()

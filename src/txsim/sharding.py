@@ -519,18 +519,21 @@ class ShardedResult:
     def throughput_tps(self) -> float:
         return self.committed * 1_000_000 / self.span if self.span > 0 else 0.0
 
+    def protocol_messages(self) -> int:
+        """Delivered 2PC and PBFT messages; timer firings are not messages."""
+        return sum(
+            n
+            for kind, n in self.runner.sim.delivered_counts.items()
+            if (kind.startswith("2pc:") or kind.startswith("pbft:")) and not kind.endswith("timer")
+        )
+
     def messages_per_cross_shard_commit(self) -> float:
         commits = sum(
             1 for r in self.tpc_records.values() if r.decision is TpcDecision.COMMIT
         )
         if not commits:
             return 0.0
-        total = sum(
-            n
-            for kind, n in self.runner.sim.delivered_counts.items()
-            if kind.startswith("2pc:") or kind.startswith("pbft:")
-        )
-        return total / commits
+        return self.protocol_messages() / commits
 
     def atomicity_violations(self) -> list:
         """Commit must land in every participant shard, abort in none.

@@ -136,7 +136,7 @@ GOLDEN = {
         "trace": "08974aba35ff66101fa178017acbdb18e8c0b6a71c89f1068abb54dcea9c8b50",
     },
     "sharded_bft2pc": {
-        "row": "6b5068e235801a6796f09736ae0dee0b7ff6304c847d6ad19c90bbf0e0bcc807",
+        "row": "9d7331e036c5e6916d1df05489e17eca2270d9e7382045d87336d6b14455c50d",
         "trace": None,
     },
     "sharded_trusted2pc": {

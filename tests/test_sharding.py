@@ -1,6 +1,9 @@
 """Sharding: partitioning, cross-shard atomicity, blocking, reconfiguration."""
 
-from txsim.core import seeded_rng
+from txsim.core import DesignConfig, seeded_rng
+from txsim.core.types import ShardingMode
+from txsim.harness import run_experiment
+from txsim.pipeline import Arrival
 from txsim.sharding import (
     ShardMap,
     ShardScheme,
@@ -121,6 +124,26 @@ class TestTwoPhaseCommit:
         assert (
             bft.messages_per_cross_shard_commit()
             > trusted.messages_per_cross_shard_commit()
+        )
+
+    def test_bft_messages_total_excludes_timer_firings(self, monkeypatch):
+        runs = []
+        original = ShardedRun.run
+
+        def keep(runner, *args, **kwargs):
+            runs.append(runner)
+            return original(runner, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedRun, "run", keep)
+        cfg = DesignConfig(sharding_mode=ShardingMode.BFT_COORDINATED_2PC, node_count=12,
+                           tolerated_failures=1)
+        metrics = run_experiment(cfg, spec_2keys(txn_count=200, seed=11),
+                                 Arrival.open_loop(2000), seed=11)
+        counts = runs[0].sim.delivered_counts
+        assert counts.get("pbft:timer", 0) > 0  # the coordinator shard arms progress timers
+        assert metrics.messages_total == sum(
+            n for kind, n in counts.items()
+            if kind.split(":", 1)[0] in ("2pc", "pbft") and kind != "pbft:timer"
         )
 
 
