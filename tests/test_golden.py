@@ -6,7 +6,11 @@ Each cell runs ~200 transactions through ``run_experiment`` and pins:
   fingerprint (the observer replica's ``state_fingerprint`` on pipeline
   cells, every shard store on sharded cells);
 - ``trace``: SHA-256 of the trace TSV written through ``trace_path``
-  (pipeline cells only; sharded cells ignore ``trace_path``).
+  (pipeline cells only; sharded cells ignore ``trace_path``);
+- ``untimed``: SHA-256 of the same trace without its timer firings (lines
+  whose kind ends in ``timer`` or ``timeout``) and without its seq column.
+  Cancelling a timer that would have fired unheeded removes its line and
+  can shift later seqs, but must leave every other delivery as it was.
 
 The matrix covers every concurrency mode, every index, both failure models,
 every ordering approach and both 2PC coordinators.  A change that moves any
@@ -94,54 +98,67 @@ GOLDEN = {
     "eov_pbft_mpt": {
         "row": "25ea368135de08c3b8343561f1217eb62c040baa6ca631a2d8d0cf513520f95c",
         "trace": "b39d67e063da708842f1f3ef0db8f3232c22397363f27b505766480b67c04428",
+        "untimed": "2be45941c38125a9f2af79639bd850b20bc076c26af698110d21297a70a6eeb7",
     },
     "eov_raft_plain": {
         "row": "be3039100f9a5bed90873dc951f6ac1783e0a48413ed51292b5370ea5a722466",
         "trace": "5564764ee39359be4c9dba891d8b390cdc588ddeb98b2167bd7a80fa719ed77a",
+        "untimed": "0b0cfb2ead8f3c27234f92dbcc511d03e1eeccab657f087b00d50ebae62c01f2",
     },
     "eov_sharedlog_plain": {
         "row": "5fe2a82c6d847e1826e67963e356bdb438d560a49e85be08b2d2bd56e6ef78cc",
         "trace": "0ec317a447da66540e580f1873360572b965b7e63ff020cc54dc7a2cab02c5e9",
+        "untimed": "6be3e641b4c86a9a46e3e0806a53e15c35567f3519a9d6994dd15b5fef40a59c",
     },
     "locking_pb_mpt": {
         "row": "6bcdc7157da0a9d9047b4e9f98028c6db9b3291efb13933da686851f8fca11ba",
         "trace": "d72c77c3ecf313717196a037bafd2fc157656725118a11b5cf04af8d4ed18cf5",
+        "untimed": "d9a1a47776b0042a72956dae671c7ab7574dd5bbe130ff81ee0ba8a5e4d6f336",
     },
     "occ_pbft_plain": {
         "row": "5203aa6757ece06ad508a57abdea72da3e7dc0ef00222854e7d7d26614d4dd06",
         "trace": "e187f0d1f8b4b3f72d2552985fafb3d8f5fe7250ad323767254a1b4b6afb37ef",
+        "untimed": "58d3717b55c03a40e4a264b326c70c55604776ba9d2557bc59af66d027cceb0a",
     },
     "occ_sharedlog_mbt": {
         "row": "376101b7e2525c8334778900402990116e4a97c71ea773c17fdbe8de773eb973",
         "trace": "ecf57b50fee5fa2d3840c339e9f4df550c42061cb8844973a3ba34a951432375",
+        "untimed": "3222f567fb8dc3a64f84b586dfcbb266a61ff5688e03e65ace45772800f05082",
     },
     "occ_raft_mbt": {
         "row": "3cc73b61c8ef5033080bd1eddf000e99747ea081171513eb5fab2f973d9cfabb",
         "trace": "0932976aa1c16df771679f1c7bb4c92173a546926c83df3300dfdc5e934dc696",
+        "untimed": "defad0c02521ea5cf8fb87db8089e50a8f43aeeea64dd58a8573b0b319f5be88",
     },
     "oe_pbft_mbt": {
         "row": "d6bb754689f297ea34f3caa599d1a931de59da17be9f7e27326b56b271d639db",
         "trace": "45b5da82bbf0235dbeb33ed76e83c735ccd4caf49782bb7ec50a1b5daa8d4ba6",
+        "untimed": "4978969e2f7c50ffd055aa4620ce374cf261de990e1e8947a63ae1d1d72b98fe",
     },
     "oe_raft_mpt": {
         "row": "addd885cbde0d3e63d07687bf81b53a8a3d6bbb7a5e5036f57ff46946f78ee86",
         "trace": "1c1a9659dc23250ae0b873d39e38a0bd36aae1fc3246a0b72412dbb5083ea35b",
+        "untimed": "63c8b6f117fcbc54c21f88e44c93e09ddc28dd7154c3eab06d17ed8773677805",
     },
     "oe_sharedlog_plain": {
         "row": "f6484f6e18083fffea18cd21fb4a3bfba88e474e2e1c5f7f8bdcce2222a2730b",
         "trace": "fd43ab273df32c9203e76249e9042ace9e5848189c5acfad804c3f9a574209de",
+        "untimed": "c8552a3df1aec481f791132c059e3d364cd58bb327e80f7fa2475ebf0e0a621c",
     },
     "serial_raft_plain": {
         "row": "c76726d5a53220e00f91e9917891f6f6f0c175c88880117a39307109f2ec577c",
         "trace": "08974aba35ff66101fa178017acbdb18e8c0b6a71c89f1068abb54dcea9c8b50",
+        "untimed": "77b55f4d597f7b8e9d0e113eee4fe9abfec23532f584df2bbb955d68221cc880",
     },
     "sharded_bft2pc": {
         "row": "9d7331e036c5e6916d1df05489e17eca2270d9e7382045d87336d6b14455c50d",
         "trace": None,
+        "untimed": None,
     },
     "sharded_trusted2pc": {
         "row": "6e89bac63e12d691f02fc3641cdc5e2d2f6c24bf81e13ddd9962bbb375201c8a",
         "trace": None,
+        "untimed": None,
     },
 }
 
@@ -156,7 +173,7 @@ def _shard_fingerprint(runner) -> bytes:
 
 
 def cell_digests(name, tmp_path, monkeypatch):
-    """Run one cell; returns {"row": hex, "trace": hex or None}."""
+    """Run one cell; returns {"row": hex, "trace": hex or None, "untimed": hex or None}."""
     cfg, spec, arrival, seed = CELLS[name]
     seen = {}
 
@@ -179,10 +196,23 @@ def cell_digests(name, tmp_path, monkeypatch):
         fingerprint = pipeline.peers[pipeline.observer_id].state.kv.state_fingerprint()
     csv_path = tmp_path / "row.csv"
     emit_csv([run_row(cfg, spec, arrival, seed, metrics)], csv_path)
-    return {
-        "row": hashlib.sha256(csv_path.read_bytes() + fingerprint).hexdigest(),
-        "trace": None if sharded else hashlib.sha256(trace_path.read_bytes()).hexdigest(),
-    }
+    digests = {"row": hashlib.sha256(csv_path.read_bytes() + fingerprint).hexdigest(),
+               "trace": None, "untimed": None}
+    if not sharded:
+        trace = trace_path.read_bytes()
+        digests["trace"] = hashlib.sha256(trace).hexdigest()
+        digests["untimed"] = hashlib.sha256(_untimed(trace)).hexdigest()
+    return digests
+
+
+def _untimed(trace: bytes) -> bytes:
+    """The trace TSV without timer firings and without the seq column."""
+    kept = []
+    for line in trace.splitlines(keepends=True):
+        t, _seq, rest = line.split(b"\t", 2)
+        if not rest.rstrip().endswith((b"timer", b"timeout")):
+            kept.append(t + b"\t" + rest)
+    return b"".join(kept)
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
