@@ -60,8 +60,11 @@ class Component:
     def send(self, dst, payload, extra_delay: int = 0) -> None:
         self.host.send(dst, payload, extra_delay)
 
-    def set_timer(self, delay: int, payload) -> None:
-        self.host.set_timer(delay, payload)
+    def set_timer(self, delay: int, payload):
+        return self.host.set_timer(delay, payload)
+
+    def cancel_timer(self, timer) -> None:
+        self.host.cancel_timer(timer)
 
     def handle(self, msg) -> int:
         raise NotImplementedError

@@ -130,6 +130,7 @@ class PbftComponent(Component):
         self._new_view_sent: set = set()
         self._timer_token = 0
         self._timer_armed = False
+        self._timer = None  # the last progress timer's handle
 
     # -- structure -------------------------------------------------------------
 
@@ -330,11 +331,15 @@ class PbftComponent(Component):
             return
         self._timer_armed = True
         self._timer_token += 1
-        self.set_timer(self.timing.view_timeout, ProgressTimer(self._timer_token))
+        self._timer = self.set_timer(self.timing.view_timeout, ProgressTimer(self._timer_token))
 
     def _disarm_timer(self) -> None:
+        # the token moves on, so the timer would be ignored when it fires
         self._timer_armed = False
         self._timer_token += 1
+        if self._timer is not None:
+            self.cancel_timer(self._timer)
+            self._timer = None
 
     def _on_timer(self, msg: ProgressTimer) -> None:
         if msg.token != self._timer_token or not self._timer_armed:

@@ -104,6 +104,7 @@ class RaftComponent(Component):
         self._next = {}
         self._match = {}
         self._timer_token = 0
+        self._timer = None  # the armed election timer's handle
 
     @property
     def quorum(self) -> int:
@@ -182,9 +183,12 @@ class RaftComponent(Component):
     # -- elections ---------------------------------------------------------------
 
     def _reset_election_timer(self) -> None:
+        # the token only grows, so the timer this one replaces would be ignored
+        if self._timer is not None:
+            self.cancel_timer(self._timer)
         self._timer_token += 1
         delay = self.rng.randint(self.timing.election_min, self.timing.election_max)
-        self.set_timer(delay, ElectionTimeout(self._timer_token))
+        self._timer = self.set_timer(delay, ElectionTimeout(self._timer_token))
 
     def _step_down(self, term: int) -> None:
         self.term = term

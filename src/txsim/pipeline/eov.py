@@ -25,6 +25,7 @@ from ..consensus import ProtocolHost
 from ..consensus.sharedlog import LogDeliver
 from ..core.encoding import Reader, Writer
 from ..core.types import Block, ReplicationApproach, TxnOutcome
+from ..simnet import Event
 from .base import Arrival, BlockFormer, BlockTimer, PeerNode, PipelineBase, Retry, WorkerNode
 from .occ import occ_validate
 
@@ -245,6 +246,7 @@ class ExecuteOrderValidatePipeline(PipelineBase):
         self.block_log = []
         self.endorse_timeout = 200 * self.cm.net_latency_mean
         self._inflight: Dict[int, dict] = {}
+        self._endorse_timers: Dict[int, Event] = {}  # txn id -> its endorse_timeout
         # on the shared log, clients send to the block-forming orderer itself
         self.orderer = None
         if cfg.replication_approach is ReplicationApproach.SHARED_LOG:
@@ -270,14 +272,21 @@ class ExecuteOrderValidatePipeline(PipelineBase):
         self._inflight[txn_id] = {}
         for peer in self.peers:
             self.clients.send(peer.node_id, EndorseReq(txn_id))
-        self.clients.set_timer(self.endorse_timeout, EndorseTimeout(txn_id))
+        self._endorse_timers[txn_id] = self.clients.set_timer(
+            self.endorse_timeout, EndorseTimeout(txn_id)
+        )
+
+    def _end_endorsement(self, txn_id: int) -> None:
+        """Take ``txn_id`` out of ``_inflight``; it never re-enters, so its timeout is moot."""
+        del self._inflight[txn_id]
+        self.clients.cancel_timer(self._endorse_timers.pop(txn_id))
 
     def client_message(self, msg) -> None:
         if isinstance(msg, EndorseResp):
             self._on_endorse_resp(msg)
         elif isinstance(msg, EndorseTimeout):
             if msg.txn_id in self._inflight:
-                del self._inflight[msg.txn_id]
+                self._end_endorsement(msg.txn_id)
                 self.mark_dropped(self.records[msg.txn_id])
         elif isinstance(msg, EovDone):
             self.txn_finished(self.records[msg.txn_id])
@@ -301,13 +310,13 @@ class ExecuteOrderValidatePipeline(PipelineBase):
         first = next(iter(responses.values()))
         if msg.reads != first:
             # peers answered from different committed states
-            del self._inflight[msg.txn_id]
+            self._end_endorsement(msg.txn_id)
             record.settle(TxnOutcome.ABORTED_INCONSISTENT_READ, self.sim.now)
             self.txn_finished(record)
             return
         if len(responses) < self.endorsement_k:
             return
-        del self._inflight[msg.txn_id]
+        self._end_endorsement(msg.txn_id)
         record.execute_us = self.sim.now - record.submit_time
         record.read_versions = dict(first)
         self._send_for_ordering(msg.txn_id)

@@ -23,6 +23,12 @@ next seqs, one each.  Seqs, the trace and every delivery time therefore match
 the per-event push-back, while the queue sees one entry per group instead of
 one per waiting event per busy period.
 
+A timer can be cancelled.  Cancellation is lazy: the event keeps its key
+(and the seq it took) and is discarded when it comes up, or when the group it
+waits in fires.  It is never delivered, counted, traced or dropped, never
+waits behind a busy node, and is not counted by ``pending``.  Discarding it
+takes no seq, just as the per-event push-back would simply not push it back.
+
 Fault checks run only after a fault change (a crash, a byzantine fault or a
 heal) has fired, or while a partition is set.  Before that every node is
 healthy and every message deliverable, so ``send``, delivery and the waiting
@@ -36,6 +42,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 
@@ -52,14 +59,22 @@ class SimError(Exception):
     pass
 
 
+# Event.state: queued (or armed inside a handler), then one of the other three
+_QUEUED, _DELIVERED, _DROPPED, _CANCELLED = range(4)
+
+
 @dataclass(slots=True)
 class Event:
     fire_time: int
-    seq: int
+    seq: int  # 0 until the event is queued
     src: object
     target: object
     payload: object
-    delivered: bool = False
+    state: int = _QUEUED
+
+    @property
+    def delivered(self) -> bool:
+        return self.state == _DELIVERED
 
 
 @dataclass
@@ -79,7 +94,8 @@ class Node:
 
     Subclasses implement ``on_message(msg) -> cost`` and use ``send`` /
     ``set_timer`` for output.  Sends buffered during a handler depart when the
-    handler's processing cost has elapsed.
+    handler's processing cost has elapsed.  ``set_timer`` returns a handle that
+    ``cancel_timer`` takes, also from inside the handler that armed it.
     """
 
     def __init__(self, node_id):
@@ -95,24 +111,26 @@ class Node:
 
     def send(self, dst, payload, extra_delay: int = 0) -> None:
         if self._in_handler:
-            self._outbox.append((dst, payload, extra_delay, True))
+            self._outbox.append((dst, payload, extra_delay))
         else:
             self.sim.send(self.node_id, dst, payload, extra_delay=extra_delay)
 
-    def set_timer(self, delay: int, payload) -> None:
+    def set_timer(self, delay: int, payload) -> Event:
         # timers are absolute alarms: not offset by processing cost, no
         # network latency, delivered to self
-        if self._in_handler:
-            self._outbox.append((self.node_id, payload, delay, False))
-        else:
-            self.sim._schedule_at(self.sim.now + delay, self.node_id, self.node_id, payload)
+        return self.local(self.node_id, payload, delay)
 
-    def local(self, dst, payload, delay: int = 0) -> None:
+    def cancel_timer(self, timer: Event) -> None:
+        self.sim.cancel(timer)
+
+    def local(self, dst, payload, delay: int = 0) -> Event:
         """Same-machine handoff: no latency draw, not offset by processing cost."""
+        ev = Event(self.sim.now + delay, 0, self.node_id, dst, payload)
         if self._in_handler:
-            self._outbox.append((dst, payload, delay, False))
+            self._outbox.append(ev)
         else:
-            self.sim._schedule_at(self.sim.now + delay, self.node_id, dst, payload)
+            self.sim._push(ev)
+        return ev
 
     def on_message(self, msg) -> int:
         raise NotImplementedError
@@ -134,6 +152,7 @@ class Simulator:
         self._seq = 0
         self._grouped = 0  # waiting events beyond the first of each group entry
         self._tail: Optional[_Waiting] = None  # the queued group keyed last
+        self._cancelled = 0  # cancelled events still queued or waiting
         self.nodes: Dict[object, Node] = {}
         self._faults: Dict[object, NodeFault] = {}
         self._partition: Optional[Dict[object, int]] = None
@@ -193,10 +212,22 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
 
     def _schedule_at(self, fire_time: int, src, target, payload) -> int:
+        return self._push(Event(fire_time, 0, src, target, payload))
+
+    def _push(self, ev: Event) -> int:
         self._seq += 1
-        ev = Event(fire_time, self._seq, src, target, payload)
-        heapq.heappush(self._queue, (fire_time, self._seq, ev))
+        ev.seq = self._seq
+        # a timer cancelled inside the handler that armed it takes its seq only
+        if ev.state == _QUEUED:
+            heapq.heappush(self._queue, (ev.fire_time, self._seq, ev))
         return self._seq
+
+    def cancel(self, ev: Event) -> None:
+        """Keep ``ev`` from being delivered; a no-op once it was delivered or dropped."""
+        if ev.state == _QUEUED:
+            ev.state = _CANCELLED
+            if ev.seq:
+                self._cancelled += 1
 
     def schedule(self, target, payload, delay: int, src=None) -> int:
         if delay < 0:
@@ -230,10 +261,11 @@ class Simulator:
     def step(self) -> Optional[Event]:
         """Fire the minimal (fire_time, seq) queue entry; None when exhausted.
 
-        An entry is one event (delivered, dropped, made to wait, or a fault
-        change) or one group waiting behind a busy node, whose members are
-        delivered or dropped while the node is free and re-keyed together
-        once it is busy again.  Returns the event, or the group's first member.
+        An entry is one event (delivered, dropped, made to wait, discarded as
+        cancelled, or a fault change) or one group waiting behind a busy node,
+        whose members are delivered or dropped while the node is free and
+        re-keyed together once it is busy again.  Returns the event, or the
+        group's first member.
         """
         if not self._queue:
             return None
@@ -243,6 +275,9 @@ class Simulator:
 
         if ev.__class__ is _Waiting:
             return self._fire_waiting(ev)
+        if ev.state == _CANCELLED:
+            self._cancelled -= 1
+            return ev
 
         if isinstance(ev.payload, _FaultChange):
             change = ev.payload
@@ -252,6 +287,7 @@ class Simulator:
 
         node = self.nodes.get(ev.target)
         if node is None or not self._deliverable(ev):
+            ev.state = _DROPPED
             self.dropped_count += 1
             return ev
 
@@ -287,27 +323,39 @@ class Simulator:
         while fired < len(events) and node.busy_until <= self.now:
             ev = events[fired]
             fired += 1
+            if ev.state == _CANCELLED:
+                self._cancelled -= 1
+                continue
             ev.fire_time = self.now
             if self._deliverable(ev):
                 self._deliver(node, ev)
             else:
+                ev.state = _DROPPED
                 self.dropped_count += 1
         head = events[0]
         del events[:fired]
         if events:
             # only a partition or a crashed node makes an event undeliverable
-            if self._lossy and (self._partition is not None or any(
+            lossy = self._lossy and (self._partition is not None or any(
                 f.kind is FaultKind.CRASHED for f in self._faults.values()
-            )):
-                kept = [ev for ev in events if self._deliverable(ev)]
-                self.dropped_count += len(events) - len(kept)
+            ))
+            if lossy or (self._cancelled and any(map(_state_of, events))):
+                kept = []
+                for ev in events:
+                    if ev.state == _CANCELLED:
+                        self._cancelled -= 1
+                    elif lossy and not self._deliverable(ev):
+                        ev.state = _DROPPED
+                        self.dropped_count += 1
+                    else:
+                        kept.append(ev)
                 events = kept
             if events:
                 self._wait(node, events)
         return head
 
     def _deliver(self, node: Node, ev: Event) -> None:
-        ev.delivered = True
+        ev.state = _DELIVERED
         kind = payload_kind(ev.payload)
         self.delivered_counts[kind] = self.delivered_counts.get(kind, 0) + 1
         if self.trace is not None:
@@ -320,11 +368,12 @@ class Simulator:
         finally:
             node._in_handler = False
         node.busy_until = self.now + cost
-        for dst, payload, extra, is_send in node._outbox:
-            if is_send:
-                self.send(node.node_id, dst, payload, extra_delay=extra + cost)
+        for out in node._outbox:
+            if out.__class__ is Event:
+                self._push(out)
             else:
-                self._schedule_at(self.now + extra, node.node_id, dst, payload)
+                dst, payload, extra = out
+                self.send(node.node_id, dst, payload, extra_delay=extra + cost)
         node._outbox.clear()
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -332,16 +381,19 @@ class Simulator:
 
         A step is one queue entry (see ``step``), so ``max_events`` bounds
         deliveries, drops, fault changes and waiting groups re-keyed together,
-        and one step can deliver several events.
+        and one step can deliver several events.  Discarding a cancelled event
+        is not a step.
         """
         fired = 0
-        while self._queue:
-            if until is not None and self._queue[0][0] > until:
+        queue = self._queue
+        while queue:
+            if until is not None and queue[0][0] > until:
                 break
             if max_events is not None and fired >= max_events:
                 break
+            live = queue[0][2].state != _CANCELLED
             self.step()
-            fired += 1
+            fired += live
         if until is not None and self.now < until and (
             not self._queue or self._queue[0][0] > until
         ):
@@ -349,8 +401,8 @@ class Simulator:
         return fired
 
     def pending(self) -> int:
-        """Events still queued, waiting ones included (not queue entries)."""
-        return len(self._queue) + self._grouped
+        """Events still queued, waiting ones included (not queue entries nor cancelled events)."""
+        return len(self._queue) + self._grouped - self._cancelled
 
     def dump_trace(self) -> str:
         """Tab-separated trace: one line per delivered event."""
@@ -369,10 +421,14 @@ class _FaultChange:
     kind: str = field(default="__fault__", init=False)
 
 
+_state_of = attrgetter("state")
+
+
 class _Waiting:
     """Events waiting behind ``node``, keyed (fire_time, s), ..., (fire_time, last_seq)."""
 
     __slots__ = ("node", "fire_time", "last_seq", "events")
+    state = _QUEUED  # a group is never cancelled, only its members
 
     def __init__(self, node: Node, fire_time: int, events: List[Event]):
         self.node = node

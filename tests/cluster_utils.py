@@ -12,9 +12,11 @@ from txsim.simnet import Simulator
 
 
 class RaftHarness:
-    def __init__(self, n: int, seed: int, cost_model: CostModel = None, msg_cost: int = 0):
+    def __init__(self, n: int, seed: int, cost_model: CostModel = None, msg_cost: int = 0,
+                 trace: bool = False):
         self.cm = cost_model or CostModel()
-        self.sim = Simulator(rng=seeded_rng(seed, "net"), latency_fn=self.cm.net_delay)
+        self.sim = Simulator(rng=seeded_rng(seed, "net"), latency_fn=self.cm.net_delay,
+                             trace=trace)
         timing = RaftTiming.from_mean_latency(self.cm.net_latency_mean)
         self.comps = {}
         self.commits = {i: [] for i in range(n)}

@@ -6,6 +6,10 @@ import heapq
 from typing import Callable, Dict, List, Optional
 
 from txsim.simnet import (
+    _CANCELLED,
+    _DELIVERED,
+    _DROPPED,
+    _QUEUED,
     BYZANTINE_KINDS,
     Event,
     FaultKind,
@@ -22,7 +26,9 @@ class ReferenceSimulator:
 
     A popped event whose target is busy is pushed back at ``busy_until`` with
     a fresh seq, one event per step.  Kept verbatim as the model that
-    ``txsim.simnet.Simulator`` must match event for event.
+    ``txsim.simnet.Simulator`` must match event for event, apart from timer
+    cancellation, which it models in the plainest way: a cancelled event is
+    discarded when it is popped, and so never pushed back.
     """
 
     def __init__(
@@ -38,6 +44,7 @@ class ReferenceSimulator:
         self.allow_byzantine = allow_byzantine
         self._queue: List[tuple] = []
         self._seq = 0
+        self._cancelled = 0
         self.nodes: Dict[object, Node] = {}
         self._faults: Dict[object, NodeFault] = {}
         self._partition: Optional[Dict[object, int]] = None
@@ -94,10 +101,20 @@ class ReferenceSimulator:
     # -- scheduling --------------------------------------------------------
 
     def _schedule_at(self, fire_time: int, src, target, payload) -> int:
+        return self._push(Event(fire_time, 0, src, target, payload))
+
+    def _push(self, ev: Event) -> int:
         self._seq += 1
-        ev = Event(fire_time, self._seq, src, target, payload)
-        heapq.heappush(self._queue, (fire_time, self._seq, ev))
+        ev.seq = self._seq
+        if ev.state == _QUEUED:
+            heapq.heappush(self._queue, (ev.fire_time, self._seq, ev))
         return self._seq
+
+    def cancel(self, ev: Event) -> None:
+        if ev.state == _QUEUED:
+            ev.state = _CANCELLED
+            if ev.seq:
+                self._cancelled += 1
 
     def schedule(self, target, payload, delay: int, src=None) -> int:
         if delay < 0:
@@ -134,6 +151,10 @@ class ReferenceSimulator:
         assert fire_time >= self.now, "virtual clock would go backwards"
         self.now = fire_time
 
+        if ev.state == _CANCELLED:
+            self._cancelled -= 1
+            return ev
+
         if isinstance(ev.payload, _FaultChange):
             change = ev.payload
             self._faults[change.node_id] = NodeFault(change.node_id, change.fault, self.now)
@@ -141,6 +162,7 @@ class ReferenceSimulator:
 
         node = self.nodes.get(ev.target)
         if node is None or not self._deliverable(ev):
+            ev.state = _DROPPED
             self.dropped_count += 1
             return ev
 
@@ -151,7 +173,7 @@ class ReferenceSimulator:
             heapq.heappush(self._queue, (node.busy_until, self._seq, ev))
             return ev
 
-        ev.delivered = True
+        ev.state = _DELIVERED
         kind = payload_kind(ev.payload)
         self.delivered_counts[kind] = self.delivered_counts.get(kind, 0) + 1
         if self.trace is not None:
@@ -164,11 +186,12 @@ class ReferenceSimulator:
         finally:
             node._in_handler = False
         node.busy_until = self.now + cost
-        for dst, payload, extra, is_send in node._outbox:
-            if is_send:
-                self.send(node.node_id, dst, payload, extra_delay=extra + cost)
+        for out in node._outbox:
+            if out.__class__ is Event:
+                self._push(out)
             else:
-                self._schedule_at(self.now + extra, node.node_id, dst, payload)
+                dst, payload, extra = out
+                self.send(node.node_id, dst, payload, extra_delay=extra + cost)
         node._outbox.clear()
         return ev
 
@@ -189,7 +212,7 @@ class ReferenceSimulator:
         return fired
 
     def pending(self) -> int:
-        return len(self._queue)
+        return len(self._queue) - self._cancelled
 
     def dump_trace(self) -> str:
         """Tab-separated trace: one line per delivered event."""

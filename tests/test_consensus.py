@@ -124,16 +124,17 @@ class TestRaft:
 
     def test_deterministic_given_seed(self):
         def run(seed):
-            h = RaftHarness(5, seed=seed)
+            h = RaftHarness(5, seed=seed, trace=True)
             h.drive([f"p{i}".encode() for i in range(5)], duration=400_000)
-            return [h.commits[i] for i in range(5)], dict(h.sim.delivered_counts)
+            return [h.commits[i] for i in range(5)], h.sim.dump_trace()
 
-        commits_a, counts_a = run(42)
-        commits_b, counts_b = run(42)
-        assert commits_a == commits_b and counts_a == counts_b
-        # different seeds agree on the log but take different paths
-        _, counts_c = run(43)
-        assert counts_c != counts_a
+        commits_a, trace_a = run(42)
+        commits_b, trace_b = run(42)
+        assert commits_a == commits_b and trace_a == trace_b
+        # different seeds agree on the log but take different paths: the
+        # latency draws move the delivery times
+        commits_c, trace_c = run(43)
+        assert commits_c == commits_a and trace_c != trace_a
 
     def test_randomized_crash_schedules_never_diverge(self):
         for seed in range(30):

@@ -97,17 +97,17 @@ CELLS = {
 GOLDEN = {
     "eov_pbft_mpt": {
         "row": "25ea368135de08c3b8343561f1217eb62c040baa6ca631a2d8d0cf513520f95c",
-        "trace": "b39d67e063da708842f1f3ef0db8f3232c22397363f27b505766480b67c04428",
+        "trace": "e38eb8c932b953af74b149bf9644055805a528e6a66dc897799330f292e16fc8",
         "untimed": "2be45941c38125a9f2af79639bd850b20bc076c26af698110d21297a70a6eeb7",
     },
     "eov_raft_plain": {
         "row": "be3039100f9a5bed90873dc951f6ac1783e0a48413ed51292b5370ea5a722466",
-        "trace": "5564764ee39359be4c9dba891d8b390cdc588ddeb98b2167bd7a80fa719ed77a",
+        "trace": "80f05e00dd6223847bc0c65c0fe84899c08989daa8da62f5e2626f000205eb13",
         "untimed": "0b0cfb2ead8f3c27234f92dbcc511d03e1eeccab657f087b00d50ebae62c01f2",
     },
     "eov_sharedlog_plain": {
         "row": "5fe2a82c6d847e1826e67963e356bdb438d560a49e85be08b2d2bd56e6ef78cc",
-        "trace": "0ec317a447da66540e580f1873360572b965b7e63ff020cc54dc7a2cab02c5e9",
+        "trace": "6f6784ccb762e0347eea6e698a76e4e607539cce956dc01d9e921b2613bf289e",
         "untimed": "6be3e641b4c86a9a46e3e0806a53e15c35567f3519a9d6994dd15b5fef40a59c",
     },
     "locking_pb_mpt": {
@@ -127,7 +127,7 @@ GOLDEN = {
     },
     "occ_raft_mbt": {
         "row": "3cc73b61c8ef5033080bd1eddf000e99747ea081171513eb5fab2f973d9cfabb",
-        "trace": "0932976aa1c16df771679f1c7bb4c92173a546926c83df3300dfdc5e934dc696",
+        "trace": "9fb3fabe79507603b13e8586e47ecbcd860ba2d7db2f73fc5cc689d1d1a782df",
         "untimed": "defad0c02521ea5cf8fb87db8089e50a8f43aeeea64dd58a8573b0b319f5be88",
     },
     "oe_pbft_mbt": {
@@ -137,7 +137,7 @@ GOLDEN = {
     },
     "oe_raft_mpt": {
         "row": "addd885cbde0d3e63d07687bf81b53a8a3d6bbb7a5e5036f57ff46946f78ee86",
-        "trace": "1c1a9659dc23250ae0b873d39e38a0bd36aae1fc3246a0b72412dbb5083ea35b",
+        "trace": "5a4b0e8ce620237d03664529f842d2ce2f34f9cf60df0f57901acafff004a18b",
         "untimed": "63c8b6f117fcbc54c21f88e44c93e09ddc28dd7154c3eab06d17ed8773677805",
     },
     "oe_sharedlog_plain": {
@@ -147,7 +147,7 @@ GOLDEN = {
     },
     "serial_raft_plain": {
         "row": "c76726d5a53220e00f91e9917891f6f6f0c175c88880117a39307109f2ec577c",
-        "trace": "08974aba35ff66101fa178017acbdb18e8c0b6a71c89f1068abb54dcea9c8b50",
+        "trace": "b2c8539988f739f8af9c9fe078cdc98111ad4c787f3fe9a88af9415f0bfe47cf",
         "untimed": "77b55f4d597f7b8e9d0e113eee4fe9abfec23532f584df2bbb955d68221cc880",
     },
     "sharded_bft2pc": {

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from simnet_reference import ReferenceSimulator
 from txsim.core import CostModel, seeded_rng
+from txsim.pipeline.base import PipelineBase
 from txsim.simnet import FaultKind, Node, SimError, Simulator
 
 
@@ -317,6 +318,100 @@ class TestBusyNodes:
         assert sim.pending() == 0 and sim.delivered_counts == {"ping": 6}
 
 
+class Arming(Recorder):
+    """Arms a timer on each delivery; cancels it at once when ``cancel_own``."""
+
+    def __init__(self, node_id, cost=0, cancel_own=False):
+        super().__init__(node_id, cost=cost)
+        self.cancel_own = cancel_own
+        self.timers = []
+
+    def on_message(self, msg):
+        cost = super().on_message(msg)
+        if msg.hop == 0:
+            timer = self.set_timer(3, Ping(1))
+            self.timers.append(timer)
+            if self.cancel_own:
+                self.cancel_timer(timer)
+        return cost
+
+
+class TestCancelledTimers:
+    def test_cancelled_timer_is_never_delivered_counted_or_traced(self):
+        sim = Simulator(trace=True)
+        node = sim.add_node(Recorder("a"))
+        keep = node.set_timer(4, Ping(1))
+        gone = node.set_timer(2, Ping(2))
+        assert sim.pending() == 2
+        node.cancel_timer(gone)
+        assert sim.pending() == 1
+        assert sim.run() == 1  # discarding the cancelled timer is not a step
+        assert node.seen == [(4, Ping(1))] and keep.delivered and not gone.delivered
+        assert sim.delivered_counts == {"ping": 1} and sim.dropped_count == 0
+        assert sim.dump_trace() == "4\t1\ta\ta\tping\n"
+        assert sim.pending() == 0
+
+    def test_cancel_after_delivery_is_a_no_op(self):
+        sim = Simulator()
+        node = sim.add_node(Recorder("a"))
+        timer = node.set_timer(1, Ping(1))
+        sim.run()
+        node.cancel_timer(timer)
+        node.cancel_timer(timer)
+        assert sim.pending() == 0 and timer.delivered
+        sim.schedule("a", Ping(2), delay=1)
+        assert sim.pending() == 1
+
+    def test_cancel_after_a_drop_is_a_no_op(self):
+        sim = Simulator()
+        node = sim.add_node(Recorder("a"))
+        timer = node.set_timer(2, Ping(1))
+        sim.inject_fault("a", FaultKind.CRASHED, at_time=1)
+        sim.run()
+        assert sim.dropped_count == 1
+        node.cancel_timer(timer)
+        assert sim.pending() == 0
+
+    def test_timer_cancelled_inside_the_handler_that_armed_it_takes_only_its_seq(self):
+        sim = Simulator(trace=True)
+        node = sim.add_node(Arming("a", cancel_own=True))
+        sim.schedule("a", Ping(0), delay=0)
+        sim.schedule("a", Ping(5), delay=4)
+        sim.run()
+        (timer,) = node.timers
+        assert timer.seq == 3 and not timer.delivered and sim.pending() == 0
+        assert sim.dump_trace() == "0\t1\tNone\ta\tping\n4\t2\tNone\ta\tping\n"
+
+    def test_cancelled_timer_waiting_behind_a_busy_node_is_not_rekeyed(self):
+        sim = Simulator(trace=True)
+        node = sim.add_node(Arming("a", cost=10))
+        sim.schedule("a", Ping(0), delay=0)  # delivered at 0, busy until 10, arms a timer at 3
+        sim.schedule("a", Ping(7), delay=1)
+        sim.run(until=5)  # Ping(7) and the timer wait in one group at t=10
+        assert sim.pending() == 2 and len(sim._queue) == 1
+        node.cancel_timer(node.timers[0])
+        assert sim.pending() == 1
+        sim.run()
+        assert [(t, m.hop) for t, m in node.seen] == [(0, 0), (10, 7)]
+        assert sim.pending() == 0 and sim.dropped_count == 0
+
+    def test_run_left_with_only_cancelled_events_ends_with_nothing_pending(self):
+        def drive(cancel):
+            sim = Simulator()
+            node = sim.add_node(Recorder("a"))
+            timers = [node.set_timer(delay, Ping(1)) for delay in (5, 5, 9)]
+            if cancel:
+                for timer in timers:
+                    node.cancel_timer(timer)
+            run = type("Stub", (), {"sim": sim, "_terminal": 0, "all_done": lambda self: False})()
+            stalled = PipelineBase.drive(run)
+            return stalled, sim.pending(), sum(sim.delivered_counts.values())
+
+        # the timers that fire unheeded and the cancelled ones stall alike
+        assert drive(cancel=False) == (True, 0, 3)
+        assert drive(cancel=True) == (True, 0, 0)
+
+
 def _ping_ring_trace(seed: int) -> str:
     sim = _sim(seed, trace=True)
     for name in ("n0", "n1", "n2"):
@@ -412,14 +507,21 @@ class Scripted(Node):
     """Replays a seeded script: cost, sends, local handoffs, timers, faults.
 
     Its choices depend only on the order of its own deliveries, so two
-    simulators that deliver identically run identical scripts.
+    simulators that deliver identically run identical scripts.  With a
+    ``cancel_rate``, it also cancels timers: one it has just armed, inside
+    the handler that armed it, and any timer of the run, whether it is still
+    queued, waiting behind a busy node or already fired.  Those choices come
+    from a second stream, so a zero rate replays the script without them.
     """
 
-    def __init__(self, node_id, seed, peers, budget):
+    def __init__(self, node_id, seed, peers, budget, timers, cancel_rate):
         super().__init__(node_id)
         self.rng = random.Random(seed * 8 + node_id)
+        self.cancels = random.Random(seed * 8 + node_id + 1_000_003)
         self.peers = peers
         self.budget = budget  # one-item list shared by every node of a run
+        self.timers = timers  # every timer armed in the run, in arming order
+        self.cancel_rate = cancel_rate
 
     def on_message(self, msg):
         rng, sim = self.rng, self.sim
@@ -436,7 +538,12 @@ class Scripted(Node):
             elif how < 0.75:
                 self.local(dst, Job("b"), delay=delay)
             else:
-                self.set_timer(delay, Job("timer"))
+                timer = self.set_timer(delay, Job("timer"))
+                self.timers.append(timer)
+                if self.cancels.random() < self.cancel_rate / 2:
+                    self.cancel_timer(timer)
+        if self.timers and self.cancels.random() < self.cancel_rate:
+            self.cancel_timer(self.cancels.choice(self.timers))
         roll = rng.random()
         target = rng.randrange(self.peers)
         if roll < 0.1:
@@ -459,6 +566,7 @@ scenarios = st.fixed_dictionaries({
     "nodes": st.integers(1, 5),
     "seed": st.integers(0, 2**16),
     "budget": st.integers(0, 150),
+    "cancel_rate": st.sampled_from((0.0, 0.0, 0.3, 0.6)),
     "slices": st.lists(st.fixed_dictionaries({
         # (target, src or None, delay) injected from outside the loop
         "inject": st.lists(st.tuples(node_ids, st.none() | node_ids, st.sampled_from(DELAYS)),
@@ -468,6 +576,8 @@ scenarios = st.fixed_dictionaries({
         "partition": st.none() | st.just("clear") | st.lists(st.integers(0, 1), min_size=5,
                                                             max_size=5),
         "span": st.integers(0, 40),
+        # timers of the run cancelled from outside the loop, by arming order
+        "cancel": st.lists(st.integers(0, 200), max_size=3),
     }), min_size=1, max_size=5),
 })
 
@@ -478,8 +588,9 @@ def _play(sim_cls, scenario):
     sim = sim_cls(rng=random.Random(scenario["seed"]),
                   latency_fn=lambda r: r.choice((0, 0, 1, 4)), trace=True)
     budget = [scenario["budget"]]
+    timers = []
     for i in range(n):
-        sim.add_node(Scripted(i, scenario["seed"], n, budget))
+        sim.add_node(Scripted(i, scenario["seed"], n, budget, timers, scenario["cancel_rate"]))
     seen = []
     for piece in scenario["slices"]:
         if piece["partition"] == "clear":
@@ -499,6 +610,9 @@ def _play(sim_cls, scenario):
             else:
                 seqs.append(sim.send(src % n, target % n, Job("a"), extra_delay=delay))
         sim.run(until=sim.now + piece["span"])
+        for pick in piece["cancel"]:
+            if timers:
+                sim.cancel(timers[pick % len(timers)])
         seen.append((seqs, sim.now, sim.pending(), sim.dropped_count,
                      dict(sim.delivered_counts), sim.dump_trace()))
     sim.run()
