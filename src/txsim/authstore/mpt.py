@@ -10,6 +10,12 @@ encoding is canonical, the rebuilt bytes are the ones that were digested.
 The access path from root to leaf doubles as the membership proof, and
 ``verify`` checks it from the encoded bytes alone.
 
+A batch applied at a root is a pure function of the two: the nodes stored,
+in order, the new root and the hash work metered.  Tries that ``share`` a
+``TransitionMemo`` (replicas applying the same batches) compute each such
+transition once; the others replay it into their own node store.  A trie
+that has diverged stands at a different root, so it misses and computes.
+
 The node encoding is this package's own (branch children are stored sparse,
 prefixed by a presence bitmap); it is canonical and injective but not wire
 compatible with any production system.
@@ -124,11 +130,38 @@ def _common_prefix(a, b) -> int:
     return n
 
 
+class TransitionMemo:
+    """Batch transitions computed by one trie and replayed by the tries sharing it.
+
+    ``entries`` maps (root, batch) to [new root, the (digest, node) pairs
+    stored in order, hash ops, hash bytes, sharers yet to take it].  An entry
+    is dropped once every sharer has taken it, so only transitions some
+    sharer has still to apply are held.
+    """
+
+    __slots__ = ("sharers", "entries")
+
+    def __init__(self):
+        self.sharers = 1
+        self.entries: Dict[tuple, list] = {}
+
+
 class MerklePatriciaTrie:
     def __init__(self, meter: Optional[HashMeter] = None):
         self._nodes: Dict[bytes, Node] = {}  # digest of the encoding -> node
         self.root = EMPTY_ROOT
         self.meter = meter or HashMeter()
+        self.memo: Optional[TransitionMemo] = None
+        self._stored: Optional[list] = None  # (digest, node) pairs, while recording
+
+    def share(self, twin: "MerklePatriciaTrie") -> None:
+        """Make ``twin`` an equal trie with its own node store, sharing this trie's memo."""
+        twin._nodes = dict(self._nodes)
+        twin.root = self.root
+        if self.memo is None:
+            self.memo = TransitionMemo()
+        self.memo.sharers += 1
+        twin.memo = self.memo
 
     # -- node store ------------------------------------------------------------
 
@@ -138,6 +171,8 @@ class MerklePatriciaTrie:
         d = digest(enc)
         self._nodes[d] = node
         self.meter.count(len(enc))
+        if self._stored is not None:
+            self._stored.append((d, node))
         return d
 
     # -- queries ---------------------------------------------------------------
@@ -174,9 +209,35 @@ class MerklePatriciaTrie:
         return self.root
 
     def put_batch(self, writes) -> bytes:
-        for key, value in writes:
-            self.put(key, value)
-        return self.root
+        memo = self.memo
+        if memo is None:
+            for key, value in writes:
+                self.put(key, value)
+            return self.root
+        step = (self.root, tuple(writes))
+        entry = memo.entries.get(step)
+        if entry is None:
+            meter = self.meter
+            ops, nbytes = meter.ops, meter.bytes
+            self._stored = stored = []
+            for key, value in writes:
+                self.put(key, value)
+            self._stored = None
+            if memo.sharers > 1:
+                memo.entries[step] = [
+                    self.root, stored, meter.ops - ops, meter.bytes - nbytes, memo.sharers - 1
+                ]
+            return self.root
+        root, stored, ops, nbytes, left = entry
+        self._nodes.update(stored)
+        self.meter.ops += ops
+        self.meter.bytes += nbytes
+        self.root = root
+        if left == 1:
+            del memo.entries[step]
+        else:
+            entry[4] = left - 1
+        return root
 
     # -- insertion ---------------------------------------------------------------
 

@@ -59,6 +59,8 @@ class StateStore:
         The fork owns its KV dict, its index containers, a zeroed meter and an
         empty ledger.  It shares only immutable objects with this store (trie
         nodes, value bytes, bucket entries), so no record is hashed again.
+        An MPT fork also shares this store's transition memo: a batch that
+        every replica applies at the same root is computed once.
         """
         index, ledger_enabled = self.index, self.ledger is not None
         if self.index_kind is IndexKind.MBT:
@@ -68,8 +70,7 @@ class StateStore:
         else:
             twin = StateStore(self.index_kind, ledger_enabled)
             if index is not None:
-                twin.index._nodes = dict(index._nodes)
-                twin.index.root = index.root
+                index.share(twin.index)
         twin.kv._data = dict(self.kv._data)
         return twin
 

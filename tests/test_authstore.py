@@ -508,3 +508,77 @@ class TestStateStoreFork:
         source.apply_batch([(b"\xee", b"source only")])
         # and writes to the source leave the fork alone
         assert _contents(fork, keys) == fork_before
+
+
+# few keys and values, so batches repeat and tries meet at the same roots
+_shared_writes = st.lists(
+    st.tuples(st.sampled_from([b"\x01", b"\x01\x10", b"\x01\x11", b"\x10", b"\xf0\xff"]),
+              st.sampled_from([b"", b"a", b"b" * 40])),
+    max_size=4,
+)
+_DIVERGED = [(b"\xff\xfe", b"only one replica writes this")]
+
+
+class TestMptTransitionSharing:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        initial=_shared_writes,
+        batches=st.lists(_shared_writes, min_size=1, max_size=6),
+        replicas=st.integers(3, 5),
+        order=st.lists(st.integers(0, 4), max_size=40),
+        diverge=st.none() | st.tuples(st.integers(0, 4), st.integers(0, 6)),
+    )
+    def test_shared_forks_match_unshared_tries(self, initial, batches, replicas, order, diverge):
+        def preloaded():
+            store = StateStore(index=IndexKind.MPT)
+            store.apply_batch(initial)
+            store.meter.ops = store.meter.bytes = 0
+            return store
+
+        # one replica (the diverged one) takes a batch of its own mid-way
+        plans = [list(batches) for _ in range(replicas)]
+        if diverge is not None:
+            victim, at = diverge[0] % replicas, min(diverge[1], len(batches))
+            plans[victim][at:at] = [_DIVERGED]
+        built = preloaded()
+        stores = [built] + [built.fork() for _ in range(replicas - 1)]
+        unshared = [preloaded() for _ in range(replicas)]
+        assert unshared[0].index.memo is None
+
+        # interleave the replicas, each applying its own plan in order
+        done = [0] * replicas
+        picks = [i % replicas for i in order] + [i for i in range(replicas) for _ in plans[i]]
+        for i in picks:
+            if done[i] < len(plans[i]):
+                batch = plans[i][done[i]]
+                assert stores[i].apply_batch(batch) == unshared[i].apply_batch(batch)
+                done[i] += 1
+
+        for store, alone in zip(stores, unshared):
+            trie, fresh = store.index, alone.index
+            assert trie.root == fresh.root
+            assert list(trie._nodes.items()) == list(fresh._nodes.items())
+            assert trie.meter.snapshot() == fresh.meter.snapshot()
+            for key, (value, _) in alone.kv.items():
+                assert trie.prove(key).nodes == fresh.prove(key).nodes
+                assert mpt_mod.verify(trie.root, key, value, trie.prove(key))
+
+        memo = built.index.memo
+        assert memo.sharers == replicas and all(s.index.memo is memo for s in stores)
+        if diverge is None:
+            assert memo.entries == {}
+        else:
+            # only transitions the diverged replica skipped or took alone are left
+            common = preloaded()
+            for batch in batches[:at]:
+                common.apply_batch(batch)
+            skipped, own = set(), set()
+            for batch in batches[at:]:
+                skipped.add(common.index_root())
+                common.apply_batch(batch)
+            diverged = preloaded()
+            for i, batch in enumerate(plans[victim]):
+                if i >= at:
+                    own.add(diverged.index_root())
+                diverged.apply_batch(batch)
+            assert {root for root, _ in memo.entries} <= skipped | own
