@@ -42,7 +42,6 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 
@@ -59,8 +58,9 @@ class SimError(Exception):
     pass
 
 
-# Event.state: queued (or armed inside a handler), then one of the other three
-_QUEUED, _DELIVERED, _DROPPED, _CANCELLED = range(4)
+# Event.state: queued (or armed inside a handler), maybe waiting behind a busy
+# node, then delivered, dropped or cancelled
+_QUEUED, _WAITING, _DELIVERED, _DROPPED, _CANCELLED = range(5)
 
 
 @dataclass(slots=True)
@@ -153,6 +153,7 @@ class Simulator:
         self._grouped = 0  # waiting events beyond the first of each group entry
         self._tail: Optional[_Waiting] = None  # the queued group keyed last
         self._cancelled = 0  # cancelled events still queued or waiting
+        self._cancelled_waiting = 0  # those of them that wait in a group
         self.nodes: Dict[object, Node] = {}
         self._faults: Dict[object, NodeFault] = {}
         self._partition: Optional[Dict[object, int]] = None
@@ -212,7 +213,10 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
 
     def _schedule_at(self, fire_time: int, src, target, payload) -> int:
-        return self._push(Event(fire_time, 0, src, target, payload))
+        self._seq += 1
+        ev = Event(fire_time, self._seq, src, target, payload)
+        heapq.heappush(self._queue, (fire_time, self._seq, ev))
+        return self._seq
 
     def _push(self, ev: Event) -> int:
         self._seq += 1
@@ -224,10 +228,15 @@ class Simulator:
 
     def cancel(self, ev: Event) -> None:
         """Keep ``ev`` from being delivered; a no-op once it was delivered or dropped."""
-        if ev.state == _QUEUED:
-            ev.state = _CANCELLED
-            if ev.seq:
+        if ev.state == _WAITING:
+            self._cancelled += 1
+            self._cancelled_waiting += 1
+        elif ev.state == _QUEUED:
+            if ev.seq:  # else armed by a handler still running: not queued yet
                 self._cancelled += 1
+        else:
+            return
+        ev.state = _CANCELLED
 
     def schedule(self, target, payload, delay: int, src=None) -> int:
         if delay < 0:
@@ -292,6 +301,7 @@ class Simulator:
             return ev
 
         if node.busy_until > self.now:
+            ev.state = _WAITING
             self._wait(node, [ev])
             return ev
 
@@ -325,6 +335,7 @@ class Simulator:
             fired += 1
             if ev.state == _CANCELLED:
                 self._cancelled -= 1
+                self._cancelled_waiting -= 1
                 continue
             ev.fire_time = self.now
             if self._deliverable(ev):
@@ -339,11 +350,12 @@ class Simulator:
             lossy = self._lossy and (self._partition is not None or any(
                 f.kind is FaultKind.CRASHED for f in self._faults.values()
             ))
-            if lossy or (self._cancelled and any(map(_state_of, events))):
+            if lossy or self._cancelled_waiting:
                 kept = []
                 for ev in events:
                     if ev.state == _CANCELLED:
                         self._cancelled -= 1
+                        self._cancelled_waiting -= 1
                     elif lossy and not self._deliverable(ev):
                         ev.state = _DROPPED
                         self.dropped_count += 1
@@ -421,14 +433,11 @@ class _FaultChange:
     kind: str = field(default="__fault__", init=False)
 
 
-_state_of = attrgetter("state")
-
-
 class _Waiting:
     """Events waiting behind ``node``, keyed (fire_time, s), ..., (fire_time, last_seq)."""
 
     __slots__ = ("node", "fire_time", "last_seq", "events")
-    state = _QUEUED  # a group is never cancelled, only its members
+    state = _WAITING  # a group is never cancelled, only its members
 
     def __init__(self, node: Node, fire_time: int, events: List[Event]):
         self.node = node

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -403,7 +404,7 @@ class TestCancelledTimers:
             if cancel:
                 for timer in timers:
                     node.cancel_timer(timer)
-            run = type("Stub", (), {"sim": sim, "_terminal": 0, "all_done": lambda self: False})()
+            run = SimpleNamespace(sim=sim, _terminal=0, all_done=lambda: False)
             stalled = PipelineBase.drive(run)
             return stalled, sim.pending(), sum(sim.delivered_counts.values())
 
