@@ -223,10 +223,9 @@ class MerklePatriciaTrie:
             for key, value in writes:
                 self.put(key, value)
             self._stored = None
-            if memo.sharers > 1:
-                memo.entries[step] = [
-                    self.root, stored, meter.ops - ops, meter.bytes - nbytes, memo.sharers - 1
-                ]
+            memo.entries[step] = [
+                self.root, stored, meter.ops - ops, meter.bytes - nbytes, memo.sharers - 1
+            ]
             return self.root
         root, stored, ops, nbytes, left = entry
         self._nodes.update(stored)

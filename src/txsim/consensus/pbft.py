@@ -339,7 +339,6 @@ class PbftComponent(Component):
         self._timer_token += 1
         if self._timer is not None:
             self.cancel_timer(self._timer)
-            self._timer = None
 
     def _on_timer(self, msg: ProgressTimer) -> None:
         if msg.token != self._timer_token or not self._timer_armed:
