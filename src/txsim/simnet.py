@@ -154,6 +154,7 @@ class Simulator:
         self._tail: Optional[_Waiting] = None  # the queued group keyed last
         self._cancelled = 0  # cancelled events still queued or waiting
         self._cancelled_waiting = 0  # those of them that wait in a group
+        self._discarded = 0  # queue entries that were cancelled events
         self.nodes: Dict[object, Node] = {}
         self._faults: Dict[object, NodeFault] = {}
         self._partition: Optional[Dict[object, int]] = None
@@ -286,6 +287,7 @@ class Simulator:
             return self._fire_waiting(ev)
         if ev.state == _CANCELLED:
             self._cancelled -= 1
+            self._discarded += 1
             return ev
 
         if isinstance(ev.payload, _FaultChange):
@@ -397,20 +399,19 @@ class Simulator:
         is not a step.
         """
         fired = 0
-        queue = self._queue
-        while queue:
-            if until is not None and queue[0][0] > until:
+        discarded = self._discarded
+        while self._queue:
+            if until is not None and self._queue[0][0] > until:
                 break
-            if max_events is not None and fired >= max_events:
+            if max_events is not None and fired - (self._discarded - discarded) >= max_events:
                 break
-            live = queue[0][2].state != _CANCELLED
             self.step()
-            fired += live
+            fired += 1
         if until is not None and self.now < until and (
             not self._queue or self._queue[0][0] > until
         ):
             self.now = until
-        return fired
+        return fired - (self._discarded - discarded)
 
     def pending(self) -> int:
         """Events still queued, waiting ones included (not queue entries nor cancelled events)."""
@@ -437,7 +438,6 @@ class _Waiting:
     """Events waiting behind ``node``, keyed (fire_time, s), ..., (fire_time, last_seq)."""
 
     __slots__ = ("node", "fire_time", "last_seq", "events")
-    state = _WAITING  # a group is never cancelled, only its members
 
     def __init__(self, node: Node, fire_time: int, events: List[Event]):
         self.node = node

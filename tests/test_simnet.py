@@ -346,7 +346,7 @@ class TestCancelledTimers:
         assert sim.pending() == 2
         node.cancel_timer(gone)
         assert sim.pending() == 1
-        assert sim.run() == 1  # discarding the cancelled timer is not a step
+        assert sim.run(max_events=1) == 1  # discarding the cancelled timer is not a step
         assert node.seen == [(4, Ping(1))] and keep.delivered and not gone.delivered
         assert sim.delivered_counts == {"ping": 1} and sim.dropped_count == 0
         assert sim.dump_trace() == "4\t1\ta\ta\tping\n"
