@@ -219,13 +219,12 @@ class Simulator:
         heapq.heappush(self._queue, (fire_time, self._seq, ev))
         return self._seq
 
-    def _push(self, ev: Event) -> int:
+    def _push(self, ev: Event) -> None:
         self._seq += 1
         ev.seq = self._seq
         # a timer cancelled inside the handler that armed it takes its seq only
         if ev.state == _QUEUED:
             heapq.heappush(self._queue, (ev.fire_time, self._seq, ev))
-        return self._seq
 
     def cancel(self, ev: Event) -> None:
         """Keep ``ev`` from being delivered; a no-op once it was delivered or dropped."""
