@@ -13,9 +13,10 @@ Each cell runs ~200 transactions through ``run_experiment`` and pins:
   can shift later seqs, but must leave every other delivery as it was.
 
 The matrix covers every concurrency mode, every index, both failure models,
-every ordering approach and both 2PC coordinators.  A change that moves any
-virtual-time output, event seq or delivery order changes a digest here, so a
-host-time optimisation must leave them all as they are.
+every ordering approach, both 2PC coordinators and one sharded run with
+reconfiguration pauses.  A change that moves any virtual-time output, event
+seq or delivery order changes a digest here, so a host-time optimisation must
+leave them all as they are.
 """
 
 import hashlib
@@ -88,6 +89,11 @@ CELLS = {
     "sharded_trusted2pc": (
         DesignConfig(sharding_mode=ShardingMode.TRUSTED_2PC, node_count=12, tolerated_failures=1),
         TWO_OPS, Arrival.open_loop(2000), 10),
+    # every 30 ms the shards drain in-flight 2PC and pause; the row pins the interval
+    "sharded_trusted2pc_reconfig": (
+        DesignConfig(sharding_mode=ShardingMode.TRUSTED_2PC, node_count=12, tolerated_failures=1,
+                     reconfiguration_interval=30_000),
+        TWO_OPS, Arrival.open_loop(2000), 14),
     "sharded_bft2pc": (
         DesignConfig(sharding_mode=ShardingMode.BFT_COORDINATED_2PC, node_count=12,
                      tolerated_failures=1),
@@ -152,6 +158,11 @@ GOLDEN = {
     },
     "sharded_bft2pc": {
         "row": "9d7331e036c5e6916d1df05489e17eca2270d9e7382045d87336d6b14455c50d",
+        "trace": None,
+        "untimed": None,
+    },
+    "sharded_trusted2pc_reconfig": {
+        "row": "6086a202c6a985c50e638b05a61cac1f4a069a6d6ac507e97f03229d49daace5",
         "trace": None,
         "untimed": None,
     },
