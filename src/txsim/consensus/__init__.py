@@ -5,10 +5,8 @@ from .base import Component, ProtocolHost, ReplicaState, messages_per_commit
 from .raft import RaftComponent, RaftTiming
 from .pbft import PbftComponent, PbftTiming
 from .sharedlog import SharedLogService
-from .primarybackup import ChainReplica, chain_cluster
 
 __all__ = [
-    "ChainReplica",
     "Component",
     "PbftComponent",
     "PbftTiming",
@@ -20,7 +18,6 @@ __all__ = [
     "ReplicaState",
     "SharedLogService",
     "bft_f_for",
-    "chain_cluster",
     "messages_per_commit",
     "quorum_size",
 ]

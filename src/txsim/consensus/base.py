@@ -84,13 +84,21 @@ class ReplicaState:
         return tuple(d for (_, _, d) in self.log[: self.commit_index])
 
 
+# every replication and commit protocol; a run uses at most a few of them
+PROTOCOL_PREFIXES = ("raft:", "pbft:", "slog:", "pb:", "2pc:")
+
+
+def protocol_messages(delivered_counts, prefixes=PROTOCOL_PREFIXES) -> int:
+    """Delivered messages of the given kind prefixes; timer firings are not messages."""
+    return sum(
+        n
+        for kind, n in delivered_counts.items()
+        if kind.startswith(prefixes) and not kind.endswith("timer")
+    )
+
+
 def messages_per_commit(sim, prefix: str, committed: int) -> float:
     """Mean delivered protocol messages per committed entry, from the sim counters."""
     if committed <= 0:
         return 0.0
-    total = sum(
-        count
-        for kind, count in sim.delivered_counts.items()
-        if kind.split(":", 1)[0] == prefix and not kind.endswith("timer")
-    )
-    return total / committed
+    return protocol_messages(sim.delivered_counts, (prefix + ":",)) / committed

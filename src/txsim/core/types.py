@@ -171,6 +171,21 @@ def validate_config(cfg: DesignConfig):
     return out
 
 
+class InvalidConfig(ValueError):
+    """A design config that ``validate_config`` rejects; ``violations`` says why."""
+
+    def __init__(self, violations):
+        super().__init__("invalid design config: " + "; ".join(violations))
+        self.violations = violations
+
+
+def check_config(cfg: DesignConfig) -> None:
+    """Raise ``InvalidConfig`` when ``validate_config`` finds a violation."""
+    violations = validate_config(cfg)
+    if violations:
+        raise InvalidConfig(violations)
+
+
 class TxnOutcome(enum.Enum):
     PENDING = 0
     COMMITTED = 1

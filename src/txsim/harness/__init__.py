@@ -3,6 +3,7 @@
 from .metrics import Metrics, percentile
 from .experiment import (
     find_saturation_rate,
+    parse_arrival,
     run_experiment,
     sweep,
     sweep_cells_from_grid,
@@ -37,6 +38,7 @@ __all__ = [
     "emit_storage_csv",
     "find_saturation_rate",
     "forecast_band",
+    "parse_arrival",
     "percentile",
     "run_experiment",
     "run_row",

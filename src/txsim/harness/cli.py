@@ -6,21 +6,11 @@ import argparse
 import sys
 
 from ..core.configio import ConfigError, config_from_file
-from ..core.types import validate_config
-from ..pipeline import Arrival
+from ..core.types import InvalidConfig, check_config
 from ..workload import workload_from_file
 from .csvout import emit_csv, run_row
-from .experiment import run_experiment, sweep, sweep_cells_from_grid
+from .experiment import parse_arrival, run_experiment, sweep, sweep_cells_from_grid
 from .forecast import forecast_band
-
-
-def _parse_arrival(text: str) -> Arrival:
-    mode, _, value = text.partition(":")
-    if mode == "open_loop":
-        return Arrival.open_loop(float(value or 1000))
-    if mode == "closed_loop":
-        return Arrival.closed_loop(int(value or 16))
-    raise ValueError(f"arrival must be open_loop:RATE or closed_loop:CLIENTS, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,13 +50,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = config_from_file(args.config)
-            violations = validate_config(cfg)
-            if violations:
-                for v in violations:
-                    print(f"config error: {v}", file=sys.stderr)
-                return 2
             spec = workload_from_file(args.workload)
-            arrival = _parse_arrival(args.arrival)
+            arrival = parse_arrival(args.arrival)
             metrics = run_experiment(
                 cfg, spec, arrival, args.seed, trace_path=args.trace, txn_log_path=args.txn_log
             )
@@ -86,15 +71,15 @@ def main(argv=None) -> int:
             return 0
         if args.command == "forecast":
             cfg = config_from_file(args.config)
-            violations = validate_config(cfg)
-            if violations:
-                for v in violations:
-                    print(f"config error: {v}", file=sys.stderr)
-                return 2
+            check_config(cfg)
             band = forecast_band(cfg)
             flag = " (high variance under contention)" if band.high_variance else ""
             print(f"tier {band.tier} of 4 (1 slowest): {band.label}{flag}")
             return 0
+    except InvalidConfig as exc:
+        for v in exc.violations:
+            print(f"config error: {v}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,11 @@
 """Wiring one experiment cell: workload -> pipeline -> consensus -> storage.
 
-Sharded configurations route through the sharded runner instead of the flat
-pipelines; everything else dispatches on the configured lifecycle.  A sweep
-runs a grid of cells varying exactly one parameter, and per-cell failures
-become stalled rows rather than aborting the sweep.
+``run_experiment`` runs every cell, flat or sharded.  A flat cell goes
+through ``run_pipeline``, a sharded cell through the sharded runner.  Both
+drive the simulator with the one drive loop (``simnet.run_until_settled``)
+and return a ``RunResult``, so one ``metrics_from_run`` builds every
+``Metrics``.  A sweep runs a grid of cells varying exactly one parameter, and
+per-cell failures become stalled rows rather than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -14,55 +16,14 @@ import statistics
 from typing import List, Optional, Tuple
 
 from ..core.configio import _build_config
-from ..core.types import DesignConfig, ShardingMode, TxnOutcome, validate_config
+from ..core.types import DesignConfig, ShardingMode, check_config
 from ..pipeline import Arrival, run_pipeline, txn_report
 from ..sharding import ShardedRun
 from ..workload import WorkloadSpec
 from ..workload.spec import _build_spec
-from .metrics import Metrics, metrics_from_run, percentile
+from .metrics import Metrics, metrics_from_run
 
-
-def _sharded_metrics(result, cfg: DesignConfig, interval: int) -> Metrics:
-    committed_times = result.runner.commit_times
-    submit_times = result.runner.submit_times
-    lat = sorted(
-        committed_times[t] - submit_times[t] for t in committed_times if t in submit_times
-    )
-    outcomes = result.outcomes
-    aborts = {}
-    for o in outcomes.values():
-        if o not in (TxnOutcome.COMMITTED, TxnOutcome.PENDING):
-            aborts[o.name.lower()] = aborts.get(o.name.lower(), 0) + 1
-    submitted = len(result.runner.txns)
-    committed = result.committed
-    pending = submitted - committed - sum(aborts.values())
-    return Metrics(
-        submitted=submitted,
-        committed=committed,
-        abort_counts=aborts,
-        dropped=0,
-        pending=pending,
-        span_us=result.span,
-        throughput_tps=result.throughput_tps,
-        latency_p50_us=percentile(lat, 0.50),
-        latency_p95_us=percentile(lat, 0.95),
-        latency_p99_us=percentile(lat, 0.99),
-        mean_execute_us=0.0,
-        mean_order_us=0.0,
-        mean_validate_us=0.0,
-        messages_total=result.protocol_messages(),
-        messages_per_commit=result.messages_per_cross_shard_commit(),
-        state_bytes=sum(
-            len(k) + len(v) for s in result.runner.shards for k, v in s.store.items()
-        ),
-        block_bytes=0,
-        index_overhead_per_record=0.0,
-        stalled=result.stalled,
-        shard_count=result.shard_map.shard_count,
-        cross_shard_ratio=result.cross_shard_ratio,
-        blocked_count=result.blocked_count,
-        reconfig_interval=interval,
-    )
+NODES_PER_SHARD = 3  # a sharded cell seats node_count // 3 shards
 
 
 def run_experiment(
@@ -72,28 +33,26 @@ def run_experiment(
     seed: int = 0,
     trace_path=None,
     txn_log_path=None,
-    nodes_per_shard: int = 3,
 ) -> Metrics:
-    violations = validate_config(cfg)
-    if violations:
-        raise ValueError("invalid design config: " + "; ".join(violations))
-    if cfg.sharding_mode is not ShardingMode.NONE:
-        shard_count = max(1, cfg.node_count // nodes_per_shard)
-        runner = ShardedRun(
+    """Run one cell and measure it; the trace TSV is written for flat cells only."""
+    if cfg.sharding_mode is ShardingMode.NONE:
+        res = run_pipeline(cfg, spec, arrival, seed, trace=trace_path is not None)
+        if trace_path is not None:
+            with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(res.trace)
+    else:
+        check_config(cfg)
+        if arrival.mode != "open_loop":
+            raise ValueError("a sharded cell needs open-loop arrival; it has no closed-loop clients")
+        res = ShardedRun(
             spec,
-            shard_count=shard_count,
+            shard_count=max(1, cfg.node_count // NODES_PER_SHARD),
             cost_model=cfg.cost_model,
             bft_coordinator=cfg.sharding_mode is ShardingMode.BFT_COORDINATED_2PC,
             reconfiguration_interval=cfg.reconfiguration_interval,
             seed=seed,
-            arrival_rate_tps=arrival.rate_tps or 2_000.0,
-        )
-        result = runner.run()
-        return _sharded_metrics(result, cfg, cfg.reconfiguration_interval)
-    res = run_pipeline(cfg, spec, arrival, seed, trace=trace_path is not None)
-    if trace_path is not None:
-        with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(res.trace)
+            arrival_rate_tps=arrival.rate_tps,
+        ).run()
     if txn_log_path is not None:
         with open(txn_log_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(txn_report(res))
@@ -166,13 +125,24 @@ def _failed_metrics(spec: WorkloadSpec) -> Metrics:
     )
 
 
-def _parse_arrival(data) -> Arrival:
-    if data is None:
-        return Arrival.closed_loop(16)
+def parse_arrival(data) -> Arrival:
+    """An ``Arrival`` from ``"open_loop:RATE"``/``"closed_loop:CLIENTS"`` or a grid object.
+
+    The grid object is ``{"mode": ..., "rate_tps": ..., "clients": ...}``.
+    Whatever is left out defaults to closed loop, 16 clients, 1000 tps.
+    """
+    if isinstance(data, str):
+        mode, _, value = data.partition(":")
+        data = {"mode": mode}
+        if value:
+            data["rate_tps" if mode == "open_loop" else "clients"] = value
+    data = data or {}
     mode = data.get("mode", "closed_loop")
     if mode == "open_loop":
         return Arrival.open_loop(float(data.get("rate_tps", 1000.0)))
-    return Arrival.closed_loop(int(data.get("clients", 16)))
+    if mode == "closed_loop":
+        return Arrival.closed_loop(int(data.get("clients", 16)))
+    raise ValueError(f"arrival mode must be open_loop or closed_loop, got {mode!r}")
 
 
 def sweep_cells_from_grid(text: str):
@@ -180,7 +150,7 @@ def sweep_cells_from_grid(text: str):
     data = json.loads(text)
     cfg = _build_config(dict(data.get("config", {})), dict(data.get("cost_model", {})))
     spec = _build_spec(dict(data.get("workload", {})))
-    arrival = _parse_arrival(data.get("arrival"))
+    arrival = parse_arrival(data.get("arrival"))
     seed = int(data.get("seed", 0))
     axis = data.get("axis")
     values = data.get("values", [])

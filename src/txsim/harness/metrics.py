@@ -59,8 +59,8 @@ class Metrics:
         return self.aborted / settled if settled else 0.0
 
 
-def metrics_from_run(res, shard_count: int = 1, reconfig_interval: int = 0) -> Metrics:
-    """Aggregate a pipeline RunResult into the flat metric surface."""
+def metrics_from_run(res) -> Metrics:
+    """Aggregate a ``RunResult``, flat or sharded, into the metric surface."""
     lat = res.latencies()
     phases = res.phase_means()
     storage = res.storage
@@ -84,6 +84,8 @@ def metrics_from_run(res, shard_count: int = 1, reconfig_interval: int = 0) -> M
         block_bytes=storage["block_bytes"],
         index_overhead_per_record=storage["index_overhead_per_record"],
         stalled=res.stalled,
-        shard_count=shard_count,
-        reconfig_interval=reconfig_interval,
+        shard_count=res.shard_count,
+        cross_shard_ratio=res.cross_shard_ratio,
+        blocked_count=res.blocked_count,
+        reconfig_interval=res.reconfig_interval,
     )

@@ -2,26 +2,16 @@
 
 from .records import PhaseTimings, TxnRecord, latency_breakdown
 from .occ import occ_validate
-from .run import (
-    Arrival,
-    RunResult,
-    run_pipeline,
-    run_execute_order_validate,
-    run_order_execute,
-    run_storage_replicated,
-    txn_report,
-)
+from .run import Arrival, RunResult, drive_and_collect, run_pipeline, txn_report
 
 __all__ = [
     "Arrival",
     "PhaseTimings",
     "RunResult",
     "TxnRecord",
+    "drive_and_collect",
     "latency_breakdown",
     "occ_validate",
-    "run_execute_order_validate",
-    "run_order_execute",
     "run_pipeline",
-    "run_storage_replicated",
     "txn_report",
 ]

@@ -1,4 +1,4 @@
-"""Shared pipeline plumbing: peers, the ordering layer, clients, the drive loop.
+"""Shared pipeline plumbing: peers, the ordering layer, clients, driving a run.
 
 A pipeline wires N peer nodes (each with its own StateStore) plus a client
 manager over one simulator.  Whole blocks (transaction-based lifecycles) or
@@ -42,7 +42,7 @@ from ..core.types import (
     Transaction,
     TxnOutcome,
 )
-from ..simnet import Simulator
+from ..simnet import Simulator, run_until_settled
 from ..workload import WorkloadSpec, generate, initial_state
 from .records import TxnRecord
 
@@ -362,25 +362,6 @@ class PipelineBase:
     def all_done(self) -> bool:
         return self._terminal >= len(self.txns)
 
-    def drive(
-        self,
-        stall_window: int = 3_000_000,
-        max_virtual: int = 600_000_000,
-        chunk: int = 100_000,
-    ) -> bool:
-        """Run to completion or stall; returns True when the run stalled."""
-        last_progress = self.sim.now
-        last_terminal = self._terminal
-        while True:
-            if self.all_done():
-                return False
-            if self.sim.pending() == 0:
-                return not self.all_done()
-            self.sim.run(until=self.sim.now + chunk)
-            if self._terminal > last_terminal:
-                last_terminal = self._terminal
-                last_progress = self.sim.now
-            if self.sim.now - last_progress >= stall_window:
-                return True
-            if self.sim.now >= max_virtual:
-                return True
+    def drive(self, stall_window: int = 3_000_000) -> bool:
+        """Run to completion or stall (``run_until_settled``); True when the run stalled."""
+        return run_until_settled(self.sim, self.all_done, lambda: self._terminal, stall_window)

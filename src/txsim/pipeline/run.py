@@ -1,17 +1,46 @@
-"""Pipeline selection plus the raw run result the harness aggregates."""
+"""The flat entry point, and the run result that every cell reports.
+
+``run_pipeline`` is the one way to run a flat (unsharded) cell.  It validates
+the config, builds the pipeline class that ``PIPELINES`` names for the
+concurrency mode, and hands it to ``drive_and_collect``, which runs the one
+drive loop (``PipelineBase.drive``) and gathers the ``RunResult``.  A test
+that needs a pipeline built with test-only options builds the class itself
+and calls ``drive_and_collect`` too.
+
+``RunResult`` is the surface ``harness.metrics_from_run`` reads.  The sharded
+runner's ``ShardedResult`` is a ``RunResult`` as well, so one metrics path
+measures every cell.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.types import ConcurrencyMode, DesignConfig, TxnOutcome, validate_config
+from ..consensus.base import protocol_messages
+from ..core.types import ConcurrencyMode, DesignConfig, TxnOutcome, check_config
 from ..workload import WorkloadSpec
-from .base import Arrival
+from .base import Arrival, PipelineBase
 from .eov import ExecuteOrderValidatePipeline
 from .order_execute import OrderExecutePipeline
 from .records import TxnRecord, mean_phase_timings
 from .storage import StorageReplicatedPipeline
+
+# the lifecycle that runs each concurrency mode
+PIPELINES = {
+    ConcurrencyMode.SERIAL: OrderExecutePipeline,
+    ConcurrencyMode.ORDER_EXECUTE: OrderExecutePipeline,
+    ConcurrencyMode.EXECUTE_ORDER_VALIDATE: ExecuteOrderValidatePipeline,
+    ConcurrencyMode.CONCURRENT_OCC: StorageReplicatedPipeline,
+    ConcurrencyMode.CONCURRENT_LOCKING: StorageReplicatedPipeline,
+}
+
+
+def run_span(records, now: int) -> int:
+    """Virtual time from the first submission to the last commit; ``now`` without both."""
+    submits = [r.submit_time for r in records if r.submit_time is not None]
+    commits = [r.commit_time for r in records if r.commit_time is not None]
+    return max(commits) - min(submits) if submits and commits else now
 
 
 @dataclass
@@ -29,6 +58,11 @@ class RunResult:
     validate_time_total: int = 0
     trace: Optional[str] = None  # the simulator's trace TSV, when recorded
     final_state: Optional[dict] = None  # observer's committed kv map
+    # a flat cell is one shard that never reconfigures
+    shard_count: int = 1
+    cross_shard_ratio: float = 0.0
+    blocked_count: int = 0
+    reconfig_interval: int = 0
 
     @property
     def submitted(self) -> int:
@@ -77,43 +111,34 @@ class RunResult:
         return mean_phase_timings(self.records.values())
 
     def consensus_messages(self) -> int:
-        return sum(
-            n
-            for kind, n in self.delivered_counts.items()
-            if (kind.startswith("raft:") or kind.startswith("pbft:") or kind.startswith("slog:") or kind.startswith("pb:"))
-            and not kind.endswith("timer")
-        )
+        return protocol_messages(self.delivered_counts)
 
     @property
     def messages_per_commit(self) -> float:
         return self.consensus_messages() / self.committed if self.committed else 0.0
 
 
-def _collect(pipeline, stalled: bool) -> RunResult:
-    records = pipeline.records
-    submit_times = [r.submit_time for r in records.values() if r.submit_time is not None]
-    end_times = [r.commit_time for r in records.values() if r.commit_time is not None]
-    if submit_times and end_times:
-        span = max(end_times) - min(submit_times)
-    else:
-        span = pipeline.sim.now
+def drive_and_collect(pipeline: PipelineBase) -> RunResult:
+    """Drive a built pipeline to completion or stall and gather its result."""
+    stalled = pipeline.drive()
+    peers, observer = pipeline.peers, pipeline.peers[pipeline.observer_id]
     roots = None
-    if pipeline.peers and pipeline.peers[0].state.index is not None:
-        roots = [p.state.index_root() for p in pipeline.peers]
+    if observer.state.index is not None:
+        roots = [p.state.index_root() for p in peers]
     return RunResult(
-        records=records,
+        records=pipeline.records,
         dropped=set(pipeline.dropped),
         stalled=stalled,
-        span=span,
+        span=run_span(pipeline.records.values(), pipeline.sim.now),
         delivered_counts=dict(pipeline.sim.delivered_counts),
-        fingerprints=[p.state.kv.state_fingerprint() for p in pipeline.peers],
+        fingerprints=[p.state.kv.state_fingerprint() for p in peers],
         roots=roots,
-        storage=pipeline.peers[pipeline.observer_id].state.storage_breakdown(),
+        storage=observer.state.storage_breakdown(),
         block_log=list(getattr(pipeline, "block_log", [])),
         sig_time_total=getattr(pipeline, "sig_time_total", 0),
         validate_time_total=getattr(pipeline, "validate_time_total", 0),
         trace=pipeline.sim.dump_trace() if pipeline.sim.trace is not None else None,
-        final_state=dict(pipeline.peers[pipeline.observer_id].state.kv.items()),
+        final_state=dict(observer.state.kv.items()),
     )
 
 
@@ -136,51 +161,10 @@ def txn_report(result: RunResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check(cfg: DesignConfig) -> None:
-    violations = validate_config(cfg)
-    if violations:
-        raise ValueError("invalid design config: " + "; ".join(violations))
-
-
-def run_order_execute(
-    cfg: DesignConfig, spec: WorkloadSpec, arrival: Arrival, seed: int = 0, trace: bool = False
-) -> RunResult:
-    _check(cfg)
-    pipeline = OrderExecutePipeline(cfg, spec, arrival, seed, trace=trace)
-    return _collect(pipeline, pipeline.drive())
-
-
-def run_execute_order_validate(
-    cfg: DesignConfig, spec: WorkloadSpec, arrival: Arrival, seed: int = 0, trace: bool = False
-) -> RunResult:
-    _check(cfg)
-    pipeline = ExecuteOrderValidatePipeline(cfg, spec, arrival, seed, trace=trace)
-    return _collect(pipeline, pipeline.drive())
-
-
-def run_storage_replicated(
-    cfg: DesignConfig,
-    spec: WorkloadSpec,
-    arrival: Arrival,
-    seed: int = 0,
-    cc: Optional[ConcurrencyMode] = None,
-    lock_timeout: Optional[int] = None,
-    trace: bool = False,
-) -> RunResult:
-    _check(cfg)
-    pipeline = StorageReplicatedPipeline(
-        cfg, spec, arrival, seed, cc=cc, lock_timeout=lock_timeout, trace=trace
-    )
-    return _collect(pipeline, pipeline.drive())
-
-
 def run_pipeline(
     cfg: DesignConfig, spec: WorkloadSpec, arrival: Arrival, seed: int = 0, trace: bool = False
 ) -> RunResult:
-    """Dispatch on the configured concurrency mode / lifecycle."""
-    mode = cfg.concurrency_mode
-    if mode in (ConcurrencyMode.SERIAL, ConcurrencyMode.ORDER_EXECUTE):
-        return run_order_execute(cfg, spec, arrival, seed, trace)
-    if mode is ConcurrencyMode.EXECUTE_ORDER_VALIDATE:
-        return run_execute_order_validate(cfg, spec, arrival, seed, trace)
-    return run_storage_replicated(cfg, spec, arrival, seed, trace=trace)
+    """Run one flat cell through the lifecycle its concurrency mode names."""
+    check_config(cfg)
+    pipeline = PIPELINES[cfg.concurrency_mode](cfg, spec, arrival, seed, trace=trace)
+    return drive_and_collect(pipeline)

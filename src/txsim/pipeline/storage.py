@@ -244,7 +244,7 @@ class StorageWorker(WorkerNode):
             if not self.pipeline.chained:
                 self.local(self.peer.node_id, OpApplied(txn_id))
             elif successor < len(self.pipeline.peers):
-                self.send(successor, ChainOp(txn_id, msg.payload, head))
+                self.send(successor, ChainOp(txn_id, msg.payload))
             elif self.peer.node_id == head:  # a chain of one
                 self.local(head, ChainAck(txn_id))
             else:  # the tail acknowledges the op to the head, which settles it

@@ -16,6 +16,11 @@ commit under one of two coordinators:
 Reconfiguration drains in-flight 2PC, pauses every shard for the configured
 time, then reshuffles the node-to-shard seating under a seeded permutation;
 the key-to-shard map itself is stable (the measured cost is the pause).
+
+A sharded run is driven and measured as a flat pipeline is: ``ShardedRun.run``
+runs the one drive loop (``simnet.run_until_settled``), keeps a ``TxnRecord``
+per transaction, and returns a ``ShardedResult``, which is a ``RunResult``, so
+``harness.metrics_from_run`` measures it.
 """
 
 from __future__ import annotations
@@ -29,7 +34,9 @@ from .consensus.pbft import Request
 from .core.encoding import digest
 from .core.rng import seeded_rng
 from .core.types import CostModel, TxnOutcome
-from .simnet import Simulator
+from .pipeline.records import TxnRecord
+from .pipeline.run import RunResult, run_span
+from .simnet import Simulator, run_until_settled
 from .workload import WorkloadSpec, generate
 
 
@@ -302,11 +309,9 @@ class ShardedRun:
         )
         self.vote_durability_delay = 2 * self.cm.net_latency_mean
         self.txns = generate(spec)
-        self.records = {t.id: t for t in self.txns}
-        self.outcomes: Dict[int, TxnOutcome] = {}
+        self.records: Dict[int, TxnRecord] = {t.id: TxnRecord(txn=t) for t in self.txns}
+        self.settled = 0  # transactions with an outcome
         self.tpc_records: Dict[int, TwoPcRecord] = {}
-        self.commit_times: Dict[int, int] = {}
-        self.submit_times: Dict[int, int] = {}
         self.clients_id = "clients"
         self.reconfig_rng = seeded_rng(seed, "reconfig")
         self.draining = False
@@ -363,13 +368,12 @@ class ShardedRun:
         if self.draining or self._paused():
             self.drained_submissions.append(index)
             return
-        self.submit_times[txn.id] = self.sim.now
+        self.records[txn.id].submit_time = self.sim.now
         groups = self.shards_of(txn)
         if txn.app_abort or not txn.write_set:
-            self.outcomes[txn.id] = (
-                TxnOutcome.ABORTED_APPLICATION if txn.app_abort else TxnOutcome.COMMITTED
+            self._settle(
+                txn.id, TxnOutcome.ABORTED_APPLICATION if txn.app_abort else TxnOutcome.COMMITTED
             )
-            self.commit_times[txn.id] = self.sim.now
             return
         if len(groups) == 1:
             shard, writes = next(iter(groups.items()))
@@ -391,14 +395,17 @@ class ShardedRun:
         return any(s.paused_until > self.sim.now for s in self.shards)
 
     def finish(self, txn_id: int) -> None:
-        if txn_id in self.outcomes:
+        if self.records[txn_id].outcome is not TxnOutcome.PENDING:
             return
         record = self.tpc_records.get(txn_id)
         if record is not None and record.decision is TpcDecision.ABORT:
-            self.outcomes[txn_id] = TxnOutcome.ABORTED_WW
+            self._settle(txn_id, TxnOutcome.ABORTED_WW)
         else:
-            self.outcomes[txn_id] = TxnOutcome.COMMITTED
-            self.commit_times[txn_id] = self.sim.now
+            self._settle(txn_id, TxnOutcome.COMMITTED)
+
+    def _settle(self, txn_id: int, outcome: TxnOutcome) -> None:
+        self.records[txn_id].settle(outcome, self.sim.now)
+        self.settled += 1
 
     # -- reconfiguration ----------------------------------------------------------
 
@@ -435,18 +442,11 @@ class ShardedRun:
     # -- run and report -------------------------------------------------------------
 
     def all_settled(self) -> bool:
-        return len(self.outcomes) >= len(self.txns)
+        return self.settled >= len(self.txns)
 
-    def run(self, max_virtual: int = 600_000_000, stall_window: int = 5_000_000) -> "ShardedResult":
-        last_progress = 0
-        settled = 0
-        while self.sim.pending() and not self.all_settled():
-            self.sim.run(until=self.sim.now + 100_000)
-            if len(self.outcomes) > settled:
-                settled = len(self.outcomes)
-                last_progress = self.sim.now
-            if self.sim.now - last_progress >= stall_window or self.sim.now >= max_virtual:
-                break
+    def run(self, stall_window: int = 5_000_000) -> "ShardedResult":
+        """Run to completion or stall (``run_until_settled``) and gather the result."""
+        run_until_settled(self.sim, self.all_settled, lambda: self.settled, stall_window)
         for txn_id, record in self.tpc_records.items():
             stuck = tuple(
                 s for s in record.participants if txn_id in self.shards[s].prepared
@@ -482,58 +482,48 @@ class _ShardClients(ProtocolHost):
         return 0
 
 
-class ShardedResult:
+class ShardedResult(RunResult):
+    """A sharded run on the ``RunResult`` surface, with its 2PC records.
+
+    Shard stores hold plain values, so block bytes and index overhead are 0.
+    ``messages_per_commit`` counts per cross-shard commit: single-shard
+    transactions send no protocol messages.
+    """
+
     def __init__(self, runner: ShardedRun):
+        records = runner.records
+        started = sum(1 for r in records.values() if r.submit_time is not None)
+        tpc = dict(runner.tpc_records)
+        super().__init__(
+            records=records,
+            dropped=set(),
+            # the run stopped (stall window or time cap) with transactions unsettled
+            stalled=not runner.all_settled(),
+            span=run_span(records.values(), runner.sim.now),
+            delivered_counts=dict(runner.sim.delivered_counts),
+            fingerprints=[],
+            roots=None,
+            storage={
+                "state_bytes": sum(
+                    len(k) + len(v) for s in runner.shards for k, v in s.store.items()
+                ),
+                "block_bytes": 0,
+                "index_overhead_per_record": 0.0,
+            },
+            shard_count=runner.shard_map.shard_count,
+            cross_shard_ratio=len(tpc) / started if started else 0.0,
+            blocked_count=sum(1 for r in tpc.values() if r.decision is TpcDecision.BLOCKED),
+            reconfig_interval=runner.reconfiguration_interval,
+        )
         self.runner = runner
-        self.outcomes = dict(runner.outcomes)
-        self.tpc_records = dict(runner.tpc_records)
+        self.tpc_records = tpc
         self.shard_map = runner.shard_map
         self.pauses = runner.pauses
-        # the run stopped (stall window or time cap) with transactions unsettled
-        self.stalled = not runner.all_settled()
 
     @property
-    def committed(self) -> int:
-        return sum(1 for o in self.outcomes.values() if o is TxnOutcome.COMMITTED)
-
-    @property
-    def blocked_count(self) -> int:
-        return sum(
-            1 for r in self.tpc_records.values() if r.decision is TpcDecision.BLOCKED
-        )
-
-    @property
-    def cross_shard_ratio(self) -> float:
-        total = len(self.runner.submit_times)
-        return len(self.tpc_records) / total if total else 0.0
-
-    @property
-    def span(self) -> int:
-        times = list(self.runner.commit_times.values())
-        subs = list(self.runner.submit_times.values())
-        if not times or not subs:
-            return self.runner.sim.now
-        return max(times) - min(subs)
-
-    @property
-    def throughput_tps(self) -> float:
-        return self.committed * 1_000_000 / self.span if self.span > 0 else 0.0
-
-    def protocol_messages(self) -> int:
-        """Delivered 2PC and PBFT messages; timer firings are not messages."""
-        return sum(
-            n
-            for kind, n in self.runner.sim.delivered_counts.items()
-            if (kind.startswith("2pc:") or kind.startswith("pbft:")) and not kind.endswith("timer")
-        )
-
-    def messages_per_cross_shard_commit(self) -> float:
-        commits = sum(
-            1 for r in self.tpc_records.values() if r.decision is TpcDecision.COMMIT
-        )
-        if not commits:
-            return 0.0
-        return self.protocol_messages() / commits
+    def messages_per_commit(self) -> float:
+        commits = sum(1 for r in self.tpc_records.values() if r.decision is TpcDecision.COMMIT)
+        return self.consensus_messages() / commits if commits else 0.0
 
     def atomicity_violations(self) -> list:
         """Commit must land in every participant shard, abort in none.

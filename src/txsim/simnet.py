@@ -443,3 +443,27 @@ class _Waiting:
         self.fire_time = fire_time
         self.last_seq = 0
         self.events = events
+
+
+MAX_VIRTUAL = 600_000_000  # a driven run stops here, settled or not
+DRIVE_CHUNK = 100_000  # virtual time between two progress checks
+
+
+def run_until_settled(
+    sim: Simulator, done: Callable[[], bool], progress: Callable[[], int], stall_window: int
+) -> bool:
+    """The drive loop of every run: returns True when it stops before ``done()``.
+
+    ``progress()`` counts the run's settled transactions.  The simulator runs
+    in chunks of ``DRIVE_CHUNK`` until ``done()``, or until it stops short: its
+    queue is empty, ``progress()`` has not grown for ``stall_window``, or the
+    clock has reached ``MAX_VIRTUAL``.
+    """
+    last, last_progress = progress(), sim.now
+    while not done() and sim.pending():
+        sim.run(until=sim.now + DRIVE_CHUNK)
+        if progress() > last:
+            last, last_progress = progress(), sim.now
+        if sim.now - last_progress >= stall_window or sim.now >= MAX_VIRTUAL:
+            break
+    return not done()

@@ -32,12 +32,8 @@ from txsim.harness import (
     run_experiment,
     run_row,
 )
-from txsim.pipeline import (
-    Arrival,
-    run_execute_order_validate,
-    run_order_execute,
-    run_storage_replicated,
-)
+from txsim.pipeline import Arrival, drive_and_collect, run_pipeline
+from txsim.pipeline.storage import StorageReplicatedPipeline
 from txsim.sharding import ShardedRun
 from txsim.simnet import FaultKind
 from txsim.workload import WorkloadSpec, WorkloadKind, initial_state
@@ -265,8 +261,8 @@ class TestCriterion5LedgerTamperEvidence:
         assert ledger.verify_chain() is None
 
         spec = update_spec(txn_count=200)
-        with_ledger = run_order_execute(oe_config(), spec, Arrival.open_loop(2000), seed=5)
-        without = run_storage_replicated(db_config(), spec, Arrival.closed_loop(16), seed=5)
+        with_ledger = run_pipeline(oe_config(), spec, Arrival.open_loop(2000), seed=5)
+        without = run_pipeline(db_config(), spec, Arrival.closed_loop(16), seed=5)
         assert with_ledger.storage["block_bytes"] > 0
         total_with = with_ledger.storage["state_bytes"] + with_ledger.storage["block_bytes"]
         assert total_with > without.storage["state_bytes"] + without.storage["block_bytes"]
@@ -287,7 +283,7 @@ class TestCriterion6OccSerializability:
                 txn_count=rng.randint(2, 8),
                 seed=seed,
             )
-            res = run_storage_replicated(
+            res = run_pipeline(
                 db_config(), spec, Arrival.closed_loop(spec.txn_count), seed=seed
             )
             committed = [
@@ -308,7 +304,7 @@ class TestCriterion7ConcurrencyTrends:
         for theta in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
             aborted = settled = 0
             for wseed in range(30):
-                res = run_execute_order_validate(
+                res = run_pipeline(
                     eov_config(),
                     update_spec(
                         theta=theta,
@@ -330,10 +326,12 @@ class TestCriterion7ConcurrencyTrends:
     def test_serial_pipelines_have_zero_conflict_aborts(self):
         for theta in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
             spec = update_spec(theta=theta, txn_count=200, seed=8)
-            oe = run_order_execute(oe_config(), spec, Arrival.open_loop(2500), seed=42)
+            oe = run_pipeline(oe_config(), spec, Arrival.open_loop(2500), seed=42)
             assert oe.abort_counts() == {}, f"order-execute aborted at theta={theta}"
-            serial = run_storage_replicated(
-                db_config(), spec, Arrival.closed_loop(8), seed=42, cc=ConcurrencyMode.SERIAL
+            serial = drive_and_collect(
+                StorageReplicatedPipeline(
+                    db_config(), spec, Arrival.closed_loop(8), seed=42, cc=ConcurrencyMode.SERIAL
+                )
             )
             assert serial.abort_counts() == {}, f"serial db aborted at theta={theta}"
 
@@ -343,19 +341,21 @@ class TestCriterion7ConcurrencyTrends:
             spec = update_spec(
                 ops_per_txn=ops, constant_total_bytes=1000, txn_count=600, seed=9
             )
-            res = run_execute_order_validate(eov_config(), spec, Arrival.open_loop(1200), seed=42)
+            res = run_pipeline(eov_config(), spec, Arrival.open_loop(1200), seed=42)
             ops_rates[ops] = res.abort_rate
         assert ops_rates[10] > ops_rates[1]
 
         cfg = db_config(concurrency_mode=ConcurrencyMode.CONCURRENT_LOCKING)
         lock_res = {}
         for theta in (0.0, 1.0):
-            lock_res[theta] = run_storage_replicated(
-                cfg,
-                update_spec(theta=theta, record_count=50, txn_count=500, seed=10),
-                Arrival.closed_loop(24),
-                seed=42,
-                lock_timeout=12_000,
+            lock_res[theta] = drive_and_collect(
+                StorageReplicatedPipeline(
+                    cfg,
+                    update_spec(theta=theta, record_count=50, txn_count=500, seed=10),
+                    Arrival.closed_loop(24),
+                    seed=42,
+                    lock_timeout=12_000,
+                )
             )
         drop = 1 - lock_res[1.0].throughput_tps / lock_res[0.0].throughput_tps
         abort_ratio = lock_res[1.0].abort_rate
@@ -374,12 +374,12 @@ class TestCriterion8RecordSizeSensitivity:
         db_lat = {}
         for size in (10, 5000):
             spec = update_spec(record_count=64, record_size_bytes=size, txn_count=200, seed=9)
-            oe = run_order_execute(
+            oe = run_pipeline(
                 oe_config(index=IndexKind.MPT), spec, Arrival.closed_loop(40), seed=42
             )
             assert oe.committed == 200
             oe_commit[size] = oe.phase_means().validate_commit
-            db = run_storage_replicated(db_config(), spec, Arrival.closed_loop(40), seed=42)
+            db = run_pipeline(db_config(), spec, Arrival.closed_loop(40), seed=42)
             db_lat[size] = statistics.mean(db.latencies())
         oe_ratio = oe_commit[5000] / oe_commit[10]
         db_ratio = db_lat[5000] / db_lat[10]
@@ -474,7 +474,7 @@ class TestCriterion11Determinism:
         for name in ("first.csv", "second.csv"):
             from txsim.harness.metrics import metrics_from_run
 
-            res = run_execute_order_validate(cfg, spec, arrival, seed=42)
+            res = run_pipeline(cfg, spec, arrival, seed=42)
             metrics = metrics_from_run(res)
             path = tmp_path / name
             emit_csv([run_row(cfg, spec, arrival, 42, metrics)], path)

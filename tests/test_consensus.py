@@ -4,23 +4,27 @@ shared log, and primary-backup."""
 import pytest
 
 from cluster_utils import PbftHarness, RaftHarness, assert_agreement
-from txsim.core import CostModel, FailureModel, seeded_rng
-from txsim.consensus import (
-    QuorumError,
-    QuorumSpec,
-    chain_cluster,
-    messages_per_commit,
-    quorum_size,
+from txsim.core import (
+    ConcurrencyMode,
+    CostModel,
+    DesignConfig,
+    FailureModel,
+    ReplicationApproach,
+    ReplicationModel,
+    seeded_rng,
 )
+from txsim.consensus import QuorumError, QuorumSpec, messages_per_commit, quorum_size
 from txsim.consensus.pbft import Request
-from txsim.consensus.primarybackup import ChainAck, ChainOp
 from txsim.consensus.sharedlog import (
     LogAppend,
     LogAppendAck,
     LogDeliver,
     SharedLogService,
 )
+from txsim.pipeline import Arrival, drive_and_collect
+from txsim.pipeline.storage import StorageReplicatedPipeline
 from txsim.simnet import FaultKind, Node, Simulator
+from txsim.workload import WorkloadKind, WorkloadSpec
 
 
 class TestQuorumArithmetic:
@@ -285,39 +289,55 @@ class TestSharedLog:
         assert len(set(spans.values())) == 1
 
 
+def _storage_run(n, approach, txns=1, crashed=None):
+    """Single-write OCC transactions, one at a time, replicated by ``approach``.
+
+    ``crashed`` names a peer that is down from the start.  Returns the
+    pipeline, its result and the key each transaction writes.
+    """
+    cfg = DesignConfig(
+        replication_model=ReplicationModel.STORAGE_BASED,
+        concurrency_mode=ConcurrencyMode.CONCURRENT_OCC,
+        replication_approach=approach,
+        ledger_enabled=False,
+        node_count=n,
+        tolerated_failures=(n - 1) // 2,
+    )
+    spec = WorkloadSpec(kind=WorkloadKind.YCSB_UPDATE, record_count=50, record_size_bytes=100,
+                        txn_count=txns, seed=5)
+    pipeline = StorageReplicatedPipeline(cfg, spec, Arrival.closed_loop(1), seed=5)
+    if crashed is not None:
+        pipeline.sim.inject_fault(crashed, FaultKind.CRASHED, at_time=0)
+    keys = [txn.write_set[0][0] for txn in pipeline.txns]
+    return pipeline, drive_and_collect(pipeline), keys
+
+
 class TestPrimaryBackup:
-    def _make(self, n=3, seed=5):
-        cm = CostModel()
-        sim = Simulator(rng=seeded_rng(seed, "net"), latency_fn=cm.net_delay)
-        client = sim.add_node(_Counter("client"))
-        replicas = chain_cluster(sim, [f"r{i}" for i in range(n)])
-        return sim, client, replicas
+    """The storage pipeline's chain: peer 0 is the head, peer N-1 the tail."""
+
+    def _versions(self, pipeline, key):
+        return [p.state.version(key) for p in pipeline.peers]
 
     def test_chain_of_three_forwards_twice_then_acks(self):
-        sim, client, replicas = self._make(3)
-        sim.schedule("r0", ChainOp(1, b"op", "client"), delay=0, src="client")
-        sim.run()
-        assert [m.op_id for _, m in client.seen if isinstance(m, ChainAck)] == [1]
-        assert all(r.applied == [(1, b"op")] for r in replicas)
-        # replica-to-replica hops only: N-1 = 2
-        assert sim.delivered_counts.get("pb:op", 0) - 1 == 2  # minus the client send
+        pipeline, res, (key,) = _storage_run(3, ReplicationApproach.PRIMARY_BACKUP)
+        assert res.committed == 1
+        assert self._versions(pipeline, key) == [2, 2, 2]  # preloaded at 1, written once
+        # replica-to-replica hops only: N-1 = 2, then the tail's ack
+        assert res.delivered_counts["pb:op"] == 2
+        assert res.delivered_counts["pb:ack"] == 1
 
     def test_primary_crashed_no_acks_ever(self):
-        sim, client, replicas = self._make(3)
-        sim.inject_fault("r0", FaultKind.CRASHED, at_time=0)
-        sim.schedule("r0", ChainOp(1, b"op", "client"), delay=1, src="client")
-        sim.run()
-        assert client.seen == []
-        assert all(r.applied == [] for r in replicas)
+        pipeline, res, (key,) = _storage_run(3, ReplicationApproach.PRIMARY_BACKUP, crashed=0)
+        assert res.committed == 0 and res.pending == 1
+        assert self._versions(pipeline, key) == [1, 1, 1]
+        assert "pb:op" not in res.delivered_counts and "pb:ack" not in res.delivered_counts
 
     def test_mid_chain_crash_leaves_op_unacknowledged(self):
-        sim, client, replicas = self._make(4)
-        sim.inject_fault("r2", FaultKind.CRASHED, at_time=0)
-        sim.schedule("r0", ChainOp(1, b"op", "client"), delay=1, src="client")
-        sim.run()
-        assert client.seen == []
-        assert replicas[0].applied == [(1, b"op")]
-        assert replicas[3].applied == []
+        pipeline, res, (key,) = _storage_run(4, ReplicationApproach.PRIMARY_BACKUP, crashed=2)
+        assert res.committed == 0 and res.pending == 1
+        # upstream of the crash applied the write; downstream never saw it
+        assert self._versions(pipeline, key) == [2, 2, 1, 1]
+        assert "pb:ack" not in res.delivered_counts
 
 
 class TestMessageComplexity:
@@ -353,18 +373,12 @@ class TestMessageComplexity:
         assert h.commits[0] and messages_per_commit(h.sim, "raft", 1) == 0.0
 
     def test_chain_is_cheaper_than_consensus_per_op(self):
-        # chain replication: N-1 hops per op; consensus: at least 2(N-1)
-        # for replication plus commit notification
+        # chain replication: N-1 hops per op plus the tail's ack; consensus:
+        # at least 2(N-1) for replication plus commit notification
         n = 5
-        cm = CostModel()
-        sim = Simulator(rng=seeded_rng(80, "net"), latency_fn=cm.net_delay)
-        sim.add_node(_Counter("client"))
-        chain_cluster(sim, [f"r{i}" for i in range(n)])
-        for op in range(10):
-            sim.schedule("r0", ChainOp(op, b"x", "client"), delay=op * 3_000, src="client")
-        sim.run()
-        chain_msgs = sim.delivered_counts.get("pb:op", 0) - 10  # minus client sends
-        assert chain_msgs / 10 == n - 1
-
-        raft = self._raft_messages(n)
-        assert raft >= 2 * (n - 1)
+        _, chain, _ = _storage_run(n, ReplicationApproach.PRIMARY_BACKUP, txns=10)
+        _, raft, _ = _storage_run(n, ReplicationApproach.CONSENSUS, txns=10)
+        assert chain.committed == raft.committed == 10
+        assert chain.delivered_counts["pb:op"] / chain.committed == n - 1
+        assert chain.messages_per_commit == n
+        assert raft.messages_per_commit >= 2 * (n - 1)

@@ -20,6 +20,7 @@ from txsim.harness import (
     emit_storage_csv,
     find_saturation_rate,
     forecast_band,
+    parse_arrival,
     run_experiment,
     run_row,
     sweep,
@@ -106,6 +107,34 @@ class TestRunExperiment:
         m = run_experiment(cfg, spec, Arrival.open_loop(2000), seed=4)
         assert m.pending > 0
         assert m.stalled
+
+    def test_sharded_config_rejects_closed_loop_arrival(self, monkeypatch):
+        monkeypatch.setattr(ShardedRun, "run", lambda runner: pytest.fail("sharded run started"))
+        cfg = DesignConfig(sharding_mode=ShardingMode.TRUSTED_2PC, node_count=12, tolerated_failures=1)
+        with pytest.raises(ValueError, match="open-loop"):
+            run_experiment(cfg, small_spec(ops_per_txn=2), Arrival.closed_loop(16), seed=4)
+
+
+class TestParseArrival:
+    @pytest.mark.parametrize(
+        "text, grid, expected",
+        [
+            ("open_loop:2500", {"mode": "open_loop", "rate_tps": 2500}, Arrival.open_loop(2500)),
+            ("open_loop", {"mode": "open_loop"}, Arrival.open_loop(1000)),
+            ("closed_loop:8", {"mode": "closed_loop", "clients": 8}, Arrival.closed_loop(8)),
+            ("closed_loop", {}, Arrival.closed_loop(16)),
+        ],
+    )
+    def test_text_and_grid_forms_agree(self, text, grid, expected):
+        assert parse_arrival(text) == parse_arrival(grid) == expected
+
+    def test_missing_grid_arrival_is_closed_loop_16(self):
+        assert parse_arrival(None) == Arrival.closed_loop(16)
+
+    @pytest.mark.parametrize("data", ["poisson:5", {"mode": "poisson"}])
+    def test_unknown_mode_is_rejected(self, data):
+        with pytest.raises(ValueError, match="poisson"):
+            parse_arrival(data)
 
 
 class TestSweep:

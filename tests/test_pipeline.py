@@ -20,11 +20,9 @@ from txsim.core import (
 from txsim.pipeline import (
     Arrival,
     latency_breakdown,
+    drive_and_collect,
     occ_validate,
-    run_execute_order_validate,
-    run_order_execute,
     run_pipeline,
-    run_storage_replicated,
 )
 from txsim.pipeline.eov import ExecuteOrderValidatePipeline
 from txsim.pipeline.order_execute import OrderExecutePipeline
@@ -85,27 +83,27 @@ def update_spec(**overrides):
 
 class TestOrderExecute:
     def test_conflicting_stream_has_zero_aborts(self):
-        res = run_order_execute(
+        res = run_pipeline(
             oe_config(), update_spec(theta=1.0), Arrival.open_loop(2000), seed=1
         )
         assert res.committed == 400
         assert res.abort_counts() == {}
 
     def test_every_txn_executed_exactly_twice(self):
-        res = run_order_execute(oe_config(), update_spec(), Arrival.open_loop(2000), seed=1)
+        res = run_pipeline(oe_config(), update_spec(), Arrival.open_loop(2000), seed=1)
         assert {r.executions for r in res.records.values()} == {2}
 
     def test_skew_does_not_change_throughput(self):
         tputs = {}
         for theta in (0.0, 1.0):
-            res = run_order_execute(
+            res = run_pipeline(
                 oe_config(), update_spec(theta=theta), Arrival.open_loop(2000), seed=1
             )
             tputs[theta] = res.throughput_tps
         assert abs(tputs[1.0] - tputs[0.0]) / tputs[0.0] < 0.05
 
     def test_all_nodes_reach_identical_state_and_roots(self):
-        res = run_order_execute(
+        res = run_pipeline(
             oe_config(index=IndexKind.MPT),
             update_spec(txn_count=150),
             Arrival.open_loop(2000),
@@ -116,19 +114,19 @@ class TestOrderExecute:
 
     def test_shared_log_ordering_variant(self):
         cfg = oe_config(replication_approach=ReplicationApproach.SHARED_LOG)
-        res = run_order_execute(cfg, update_spec(txn_count=150), Arrival.open_loop(2000), seed=3)
+        res = run_pipeline(cfg, update_spec(txn_count=150), Arrival.open_loop(2000), seed=3)
         assert res.committed == 150
         assert len(set(res.fingerprints)) == 1
 
     def test_bft_variant_commits(self):
         cfg = oe_config(failure_model=FailureModel.BFT, node_count=4, tolerated_failures=1)
-        res = run_order_execute(cfg, update_spec(txn_count=150), Arrival.open_loop(2000), seed=4)
+        res = run_pipeline(cfg, update_spec(txn_count=150), Arrival.open_loop(2000), seed=4)
         assert res.committed == 150
         assert len(set(res.fingerprints)) == 1
 
     def test_deterministic_given_seed(self):
         def run():
-            res = run_order_execute(oe_config(), update_spec(), Arrival.open_loop(2500), seed=5)
+            res = run_pipeline(oe_config(), update_spec(), Arrival.open_loop(2500), seed=5)
             return (
                 sorted((tid, r.commit_time) for tid, r in res.records.items()),
                 res.fingerprints,
@@ -140,7 +138,7 @@ class TestOrderExecute:
     def test_primary_backup_ordering_rejected(self):
         cfg = oe_config(replication_approach=ReplicationApproach.PRIMARY_BACKUP)
         with pytest.raises(ValueError, match="consensus or shared_log"):
-            run_order_execute(cfg, update_spec(txn_count=10), Arrival.open_loop(500), seed=1)
+            run_pipeline(cfg, update_spec(txn_count=10), Arrival.open_loop(500), seed=1)
 
 
 class TestExecuteOrderValidate:
@@ -148,10 +146,10 @@ class TestExecuteOrderValidate:
         cfg = eov_config(replication_approach=ReplicationApproach.PRIMARY_BACKUP)
         assert any("consensus or shared_log" in v for v in validate_config(cfg))
         with pytest.raises(ValueError, match="consensus or shared_log"):
-            run_execute_order_validate(cfg, update_spec(txn_count=10), Arrival.open_loop(500), seed=1)
+            run_pipeline(cfg, update_spec(txn_count=10), Arrival.open_loop(500), seed=1)
 
     def test_shared_log_block_deliveries_are_counted(self):
-        res = run_execute_order_validate(
+        res = run_pipeline(
             eov_config(), update_spec(txn_count=100), Arrival.open_loop(2000), seed=7
         )
         blocks = len(res.block_log)
@@ -160,13 +158,13 @@ class TestExecuteOrderValidate:
         assert res.consensus_messages() == blocks * 5
 
     def test_stale_read_aborts_rw(self):
-        res = run_execute_order_validate(
+        res = run_pipeline(
             eov_config(), update_spec(theta=1.0), Arrival.open_loop(2500), seed=6
         )
         assert res.abort_counts().get("aborted_rw", 0) > 0
 
     def test_divergent_endorsements_abort_inconsistent_read(self):
-        res = run_execute_order_validate(
+        res = run_pipeline(
             eov_config(), update_spec(theta=1.0, txn_count=800), Arrival.open_loop(2500), seed=6
         )
         assert res.abort_counts().get("aborted_inconsistent_read", 0) > 0
@@ -174,7 +172,7 @@ class TestExecuteOrderValidate:
     def test_abort_rate_grows_with_skew(self):
         rates = []
         for theta in (0.0, 1.0):
-            res = run_execute_order_validate(
+            res = run_pipeline(
                 eov_config(), update_spec(theta=theta, txn_count=600), Arrival.open_loop(2500), seed=7
             )
             rates.append(res.abort_rate)
@@ -186,12 +184,12 @@ class TestExecuteOrderValidate:
             spec = update_spec(
                 ops_per_txn=ops, constant_total_bytes=1000, txn_count=600
             )
-            res = run_execute_order_validate(eov_config(), spec, Arrival.open_loop(1200), seed=8)
+            res = run_pipeline(eov_config(), spec, Arrival.open_loop(1200), seed=8)
             rates[ops] = res.abort_rate
         assert rates[10] > rates[1]
 
     def test_block_order_replay_oracle(self):
-        res = run_execute_order_validate(
+        res = run_pipeline(
             eov_config(), update_spec(theta=0.8, txn_count=500), Arrival.open_loop(2500), seed=9
         )
         spec = update_spec(theta=0.8, txn_count=500)
@@ -223,7 +221,7 @@ class TestExecuteOrderValidate:
         # a large key space keeps conflict aborts (sig-only work) out of it
         cm = CostModel(sig_verify_time=200, exec_time_per_op=300, hash_time_base=0, hash_time_per_byte=0.0)
         cfg = eov_config(ledger_enabled=False, cost_model=cm)
-        res = run_execute_order_validate(
+        res = run_pipeline(
             cfg, update_spec(record_count=10_000, txn_count=400), Arrival.open_loop(1500), seed=10
         )
         share = res.sig_time_total / res.validate_time_total
@@ -231,8 +229,8 @@ class TestExecuteOrderValidate:
 
     def test_validation_is_the_phase_that_grows_when_saturated(self):
         spec = update_spec(txn_count=500)
-        slow = run_execute_order_validate(eov_config(), spec, Arrival.open_loop(800), seed=11)
-        fast = run_execute_order_validate(eov_config(), spec, Arrival.open_loop(6000), seed=11)
+        slow = run_pipeline(eov_config(), spec, Arrival.open_loop(800), seed=11)
+        fast = run_pipeline(eov_config(), spec, Arrival.open_loop(6000), seed=11)
         report = latency_breakdown(slow.phase_means(), fast.phase_means())
         assert report["bottleneck"] == "validate_commit"
         # unsaturated phases sit near their cost-model floors: one endorsement
@@ -256,21 +254,18 @@ class TestExecuteOrderValidate:
 
     def test_consensus_ordering_variant(self):
         cfg = eov_config(replication_approach=ReplicationApproach.CONSENSUS)
-        res = run_execute_order_validate(cfg, update_spec(txn_count=200), Arrival.open_loop(2000), seed=13)
+        res = run_pipeline(cfg, update_spec(txn_count=200), Arrival.open_loop(2000), seed=13)
         assert res.committed > 150
         assert len(set(res.fingerprints)) == 1
 
     def test_k_of_n_endorsement_tolerates_a_crashed_peer(self):
-        from txsim.pipeline.eov import ExecuteOrderValidatePipeline
-        from txsim.pipeline.run import _collect
-
         cfg = eov_config()
         spec = update_spec(txn_count=120)
         pipeline = ExecuteOrderValidatePipeline(
             cfg, spec, Arrival.open_loop(2000), seed=12, endorsement_k=4
         )
         pipeline.sim.inject_fault(3, FaultKind.CRASHED, at_time=10_000)
-        res = _collect(pipeline, pipeline.drive())
+        res = drive_and_collect(pipeline)
         # with 4-of-5 endorsement the dead peer no longer drops everything
         assert res.committed > 80
         assert len(res.dropped) == 0
@@ -291,13 +286,13 @@ def occ_spec(**overrides):
 class TestStorageReplicated:
     def test_two_concurrent_writers_one_key_exactly_one_commits(self):
         spec = occ_spec(record_count=1, txn_count=2)
-        res = run_storage_replicated(db_config(), spec, Arrival.closed_loop(2), seed=14)
+        res = run_pipeline(db_config(), spec, Arrival.closed_loop(2), seed=14)
         assert res.committed == 1
         assert res.abort_counts() == {"aborted_ww": 1}
 
     def test_disjoint_writers_overlap_and_commit(self):
         spec = occ_spec(record_count=2, txn_count=2, theta=0.0)
-        res = run_storage_replicated(db_config(), spec, Arrival.closed_loop(2), seed=15)
+        res = run_pipeline(db_config(), spec, Arrival.closed_loop(2), seed=15)
         recs = list(res.records.values())
         if {r.outcome for r in recs} == {TxnOutcome.COMMITTED}:
             starts = [r.submit_time for r in recs]
@@ -305,23 +300,24 @@ class TestStorageReplicated:
             assert max(starts) < min(ends)  # execution windows overlapped
 
     def test_all_nodes_identical_after_occ_run(self):
-        res = run_storage_replicated(db_config(), occ_spec(theta=0.8), Arrival.closed_loop(16), seed=16)
+        res = run_pipeline(db_config(), occ_spec(theta=0.8), Arrival.closed_loop(16), seed=16)
         assert len(set(res.fingerprints)) == 1
 
     def test_serial_mode_zero_conflict_aborts_any_theta(self):
         for theta in (0.0, 1.0):
-            res = run_storage_replicated(
+            pipeline = StorageReplicatedPipeline(
                 db_config(),
                 occ_spec(theta=theta, txn_count=150),
                 Arrival.closed_loop(8),
                 seed=17,
                 cc=ConcurrencyMode.SERIAL,
             )
+            res = drive_and_collect(pipeline)
             assert res.committed == 150
             assert res.abort_counts() == {}
 
     def test_locking_queues_instead_of_aborting_uncontended(self):
-        res = run_storage_replicated(
+        res = run_pipeline(
             db_config(concurrency_mode=ConcurrencyMode.CONCURRENT_LOCKING),
             occ_spec(theta=0.0),
             Arrival.closed_loop(16),
@@ -334,12 +330,14 @@ class TestStorageReplicated:
         cfg = db_config(concurrency_mode=ConcurrencyMode.CONCURRENT_LOCKING)
         results = {}
         for theta in (0.0, 1.0):
-            results[theta] = run_storage_replicated(
-                cfg,
-                occ_spec(theta=theta, record_count=50, txn_count=500),
-                Arrival.closed_loop(24),
-                seed=19,
-                lock_timeout=12_000,
+            results[theta] = drive_and_collect(
+                StorageReplicatedPipeline(
+                    cfg,
+                    occ_spec(theta=theta, record_count=50, txn_count=500),
+                    Arrival.closed_loop(24),
+                    seed=19,
+                    lock_timeout=12_000,
+                )
             )
         drop = 1 - results[1.0].throughput_tps / results[0.0].throughput_tps
         abort_ratio = results[1.0].abort_rate
@@ -348,7 +346,7 @@ class TestStorageReplicated:
 
     def test_primary_backup_backend(self):
         cfg = db_config(replication_approach=ReplicationApproach.PRIMARY_BACKUP)
-        res = run_storage_replicated(cfg, occ_spec(txn_count=150), Arrival.closed_loop(8), seed=20)
+        res = run_pipeline(cfg, occ_spec(txn_count=150), Arrival.closed_loop(8), seed=20)
         assert res.committed > 100
         assert len(set(res.fingerprints)) == 1
 
@@ -359,7 +357,7 @@ class TestStorageReplicated:
             node_count=nodes,
             tolerated_failures=f,
         )
-        res = run_storage_replicated(
+        res = run_pipeline(
             cfg, occ_spec(ops_per_txn=1, txn_count=100), Arrival.closed_loop(8), seed=20
         )
         assert res.committed > 0
@@ -368,13 +366,13 @@ class TestStorageReplicated:
 
     def test_shared_log_backend(self):
         cfg = db_config(replication_approach=ReplicationApproach.SHARED_LOG)
-        res = run_storage_replicated(cfg, occ_spec(txn_count=150), Arrival.closed_loop(8), seed=21)
+        res = run_pipeline(cfg, occ_spec(txn_count=150), Arrival.closed_loop(8), seed=21)
         assert res.committed > 100
         assert len(set(res.fingerprints)) == 1
 
     def test_bft_backend(self):
         cfg = db_config(failure_model=FailureModel.BFT, node_count=4, tolerated_failures=1)
-        res = run_storage_replicated(cfg, occ_spec(txn_count=150), Arrival.closed_loop(8), seed=22)
+        res = run_pipeline(cfg, occ_spec(txn_count=150), Arrival.closed_loop(8), seed=22)
         assert res.committed > 100
         assert len(set(res.fingerprints)) == 1
 
@@ -443,7 +441,7 @@ class TestOccSerializability:
             spec = occ_spec(
                 record_count=4, ops_per_txn=2, txn_count=8, theta=0.0, seed=seed
             )
-            res = run_storage_replicated(db_config(), spec, Arrival.closed_loop(8), seed=seed)
+            res = run_pipeline(db_config(), spec, Arrival.closed_loop(8), seed=seed)
             committed = [
                 r for r in res.records.values() if r.outcome is TxnOutcome.COMMITTED
             ]
@@ -541,7 +539,7 @@ class TestRunPipelineDispatch:
         spec = WorkloadSpec(
             kind=WorkloadKind.SMALLBANK, record_count=10, theta=1.0, txn_count=300, seed=24
         )
-        res = run_order_execute(oe_config(), spec, Arrival.open_loop(2000), seed=24)
+        res = run_pipeline(oe_config(), spec, Arrival.open_loop(2000), seed=24)
         counts = res.abort_counts()
         assert counts.get("aborted_application", 0) > 0
         assert res.committed + counts["aborted_application"] == 300
