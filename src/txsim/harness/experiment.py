@@ -1,10 +1,11 @@
 """Wiring one experiment cell: workload -> pipeline -> consensus -> storage.
 
 ``run_experiment`` runs every cell, flat or sharded.  A flat cell goes
-through ``run_pipeline``, a sharded cell through the sharded runner.  Both
-drive the simulator with the one drive loop (``simnet.run_until_settled``)
-and return a ``RunResult``, so one ``metrics_from_run`` builds every
-``Metrics``.  A sweep runs a grid of cells varying exactly one parameter, and
+through ``run_pipeline``, a sharded cell through ``ShardedRun``, which is a
+pipeline too.  Both drive the simulator with the one drive loop
+(``PipelineBase.drive``) and return a ``RunResult``, so one
+``metrics_from_run`` builds every ``Metrics``, and either can write its trace
+TSV.  A sweep runs a grid of cells varying exactly one parameter, and
 per-cell failures become stalled rows rather than aborting the sweep.
 """
 
@@ -23,8 +24,6 @@ from ..workload import WorkloadSpec
 from ..workload.spec import _build_spec
 from .metrics import Metrics, metrics_from_run
 
-NODES_PER_SHARD = 3  # a sharded cell seats node_count // 3 shards
-
 
 def run_experiment(
     cfg: DesignConfig,
@@ -34,25 +33,16 @@ def run_experiment(
     trace_path=None,
     txn_log_path=None,
 ) -> Metrics:
-    """Run one cell and measure it; the trace TSV is written for flat cells only."""
+    """Run one cell and measure it, writing its trace TSV and transaction log if asked."""
+    trace = trace_path is not None
     if cfg.sharding_mode is ShardingMode.NONE:
-        res = run_pipeline(cfg, spec, arrival, seed, trace=trace_path is not None)
-        if trace_path is not None:
-            with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(res.trace)
+        res = run_pipeline(cfg, spec, arrival, seed, trace=trace)
     else:
         check_config(cfg)
-        if arrival.mode != "open_loop":
-            raise ValueError("a sharded cell needs open-loop arrival; it has no closed-loop clients")
-        res = ShardedRun(
-            spec,
-            shard_count=max(1, cfg.node_count // NODES_PER_SHARD),
-            cost_model=cfg.cost_model,
-            bft_coordinator=cfg.sharding_mode is ShardingMode.BFT_COORDINATED_2PC,
-            reconfiguration_interval=cfg.reconfiguration_interval,
-            seed=seed,
-            arrival_rate_tps=arrival.rate_tps,
-        ).run()
+        res = ShardedRun(cfg, spec, arrival, seed, trace=trace).run()
+    if trace:
+        with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(res.trace)
     if txn_log_path is not None:
         with open(txn_log_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(txn_report(res))

@@ -17,10 +17,12 @@ Reconfiguration drains in-flight 2PC, pauses every shard for the configured
 time, then reshuffles the node-to-shard seating under a seeded permutation;
 the key-to-shard map itself is stable (the measured cost is the pause).
 
-A sharded run is driven and measured as a flat pipeline is: ``ShardedRun.run``
-runs the one drive loop (``simnet.run_until_settled``), keeps a ``TxnRecord``
-per transaction, and returns a ``ShardedResult``, which is a ``RunResult``, so
-``harness.metrics_from_run`` measures it.
+``ShardedRun`` is a pipeline (``PipelineBase``), built from the
+``DesignConfig`` as the flat ones are.  It shares their simulator, records,
+client node, open- or closed-loop arrivals and settle count, and its ``run``
+runs the one drive loop (``PipelineBase.drive``).  It returns a
+``ShardedResult``, which is a ``RunResult`` carrying the trace when one is
+recorded, so ``harness.metrics_from_run`` measures it.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from .consensus import PbftComponent, PbftTiming, ProtocolHost
 from .consensus.pbft import Request
 from .core.encoding import digest
 from .core.rng import seeded_rng
-from .core.types import CostModel, TxnOutcome
+from .core.types import ShardingMode, TxnOutcome
+from .pipeline.base import Arrival, PipelineBase
 from .pipeline.records import TxnRecord
 from .pipeline.run import RunResult, run_span
-from .simnet import Simulator, run_until_settled
-from .workload import WorkloadSpec, generate
+
+NODES_PER_SHARD = 3  # a sharded cell seats node_count // 3 shards
 
 
 class ShardScheme(enum.Enum):
@@ -86,7 +89,6 @@ class TpcDecision(enum.Enum):
 @dataclass
 class TwoPcRecord:
     txn_id: int
-    coordinator: object
     participants: Tuple[int, ...]
     votes: Dict[int, Optional[bool]] = field(default_factory=dict)
     decision: Optional[TpcDecision] = None
@@ -107,12 +109,6 @@ class ShardExec:
 class ShardExecDone:
     txn_id: int
     kind: str = field(default="cl:shard_done", init=False)
-
-
-@dataclass
-class TpcBegin:
-    txn_id: int
-    kind: str = field(default="2pc:begin", init=False)
 
 
 @dataclass
@@ -147,18 +143,12 @@ class VoteReady:
 
 @dataclass
 class PauseOver:
-    kind: str = field(default="sh:pause_over", init=False)
+    kind: str = field(default="cl:pause_over", init=False)
 
 
 @dataclass
 class ReconfigTimer:
     kind: str = field(default="cl:reconfig", init=False)
-
-
-@dataclass
-class SubmitNext:
-    index: int
-    kind: str = field(default="cl:submit", init=False)
 
 
 class ShardNode(ProtocolHost):
@@ -183,14 +173,12 @@ class ShardNode(ProtocolHost):
         if isinstance(msg, ShardExec):
             for key, value in msg.writes:
                 self.store[key] = value
-            self.send(self.runner.clients_id, ShardExecDone(msg.txn_id))
+            self.send(self.runner.clients.node_id, ShardExecDone(msg.txn_id))
             return self.exec_cost(msg.writes)
         if isinstance(msg, VoteReady):
             self.runner.tpc_records[msg.txn_id].votes[self.shard_id] = msg.yes
             for dst in self.runner.coordinator_ids:
                 self.send(dst, TpcVote(msg.txn_id, self.shard_id, msg.yes))
-            return 0
-        if isinstance(msg, PauseOver):
             return 0
         raise ValueError(f"shard cannot handle {msg!r}")
 
@@ -240,7 +228,7 @@ class TrustedCoordinator(ProtocolHost):
                 record.decision = TpcDecision.COMMIT if commit else TpcDecision.ABORT
                 for shard in record.participants:
                     self.send(self.runner.shard_node_id(shard), TpcDecide(msg.txn_id, commit))
-                self.send(self.runner.clients_id, ShardExecDone(msg.txn_id))
+                self.send(self.runner.clients.node_id, ShardExecDone(msg.txn_id))
         return 0
 
 
@@ -278,74 +266,55 @@ class BftCoordinatorReplica(ProtocolHost):
             record.decision = TpcDecision.COMMIT if commit else TpcDecision.ABORT
         for shard in record.participants:
             self.send(self.runner.shard_node_id(shard), TpcDecide(txn_id, commit))
-        self.send(self.runner.clients_id, ShardExecDone(txn_id))
+        self.send(self.runner.clients.node_id, ShardExecDone(txn_id))
 
 
-class ShardedRun:
-    """Drives one workload stream through a sharded deployment."""
+class ShardedRun(PipelineBase):
+    """Drives one workload stream through a sharded deployment.
+
+    Built from the ``DesignConfig`` as every pipeline is: ``node_count //
+    NODES_PER_SHARD`` shards, the coordinator that ``sharding_mode`` names,
+    and the config's reconfiguration interval and cost model.
+    """
 
     COORD_REPLICAS = 4
 
-    def __init__(
-        self,
-        spec: WorkloadSpec,
-        shard_count: int,
-        cost_model: Optional[CostModel] = None,
-        bft_coordinator: bool = False,
-        reconfiguration_interval: int = 0,
-        scheme: ShardScheme = ShardScheme.HASH,
-        seed: int = 0,
-        arrival_rate_tps: float = 2_000.0,
-    ):
-        self.cm = cost_model or CostModel()
-        self.spec = spec
-        self.bft_coordinator = bft_coordinator
-        self.reconfiguration_interval = reconfiguration_interval
-        self.shard_map = ShardMap(shard_count, scheme)
-        self.sim = Simulator(
-            rng=seeded_rng(seed, "net"),
-            latency_fn=self.cm.net_delay,
-            allow_byzantine=bft_coordinator,
-        )
+    def __init__(self, cfg, spec, arrival: Arrival, seed: int, trace: bool = False):
+        super().__init__(cfg, spec, arrival, seed, trace)
+        self.bft_coordinator = cfg.sharding_mode is ShardingMode.BFT_COORDINATED_2PC
+        # Byzantine faults are in scope for the BFT coordinator shard only
+        self.sim.allow_byzantine = self.bft_coordinator
+        self.shard_map = ShardMap(max(1, cfg.node_count // NODES_PER_SHARD))
         self.vote_durability_delay = 2 * self.cm.net_latency_mean
-        self.txns = generate(spec)
-        self.records: Dict[int, TxnRecord] = {t.id: TxnRecord(txn=t) for t in self.txns}
-        self.settled = 0  # transactions with an outcome
         self.tpc_records: Dict[int, TwoPcRecord] = {}
-        self.clients_id = "clients"
         self.reconfig_rng = seeded_rng(seed, "reconfig")
         self.draining = False
         self.drained_submissions: List[int] = []
         self.pauses = 0
 
-        self.shards = [self.sim.add_node(ShardNode(s, self)) for s in range(shard_count)]
-        if bft_coordinator:
-            self.coordinators = [
+        self.shards = [
+            self.sim.add_node(ShardNode(s, self)) for s in range(self.shard_map.shard_count)
+        ]
+        if self.bft_coordinator:
+            coordinators = [
                 self.sim.add_node(BftCoordinatorReplica(i, self))
                 for i in range(self.COORD_REPLICAS)
             ]
-            replica_ids = [c.node_id for c in self.coordinators]
+            self.coordinator_ids = [c.node_id for c in coordinators]
             timing = PbftTiming.from_mean_latency(self.cm.net_latency_mean)
-            for coord in self.coordinators:
-                comp = PbftComponent(
-                    replica_ids,
+            for coord in coordinators:
+                coord.pbft = PbftComponent(
+                    self.coordinator_ids,
                     timing,
                     on_commit=coord.on_decided,
                     msg_cost=self.cm.sig_verify_time,
-                )
-                comp.attach(coord)
-                coord.pbft = comp
-            self.coordinator_ids = replica_ids
+                ).attach(coord)
         else:
-            self.coordinator = self.sim.add_node(TrustedCoordinator(self))
-            self.coordinator_ids = ["coord"]
-        self.clients = self.sim.add_node(_ShardClients(self))
-
-        interval = max(1, int(1_000_000 / arrival_rate_tps))
-        for i in range(len(self.txns)):
-            self.sim.schedule(self.clients_id, SubmitNext(i), delay=i * interval)
-        if reconfiguration_interval > 0:
-            self.sim.schedule(self.clients_id, ReconfigTimer(), delay=reconfiguration_interval)
+            self.coordinator_ids = [self.sim.add_node(TrustedCoordinator(self)).node_id]
+        self.sim.add_node(self.clients)
+        self.schedule_arrivals()
+        if cfg.reconfiguration_interval > 0:
+            self.sim.schedule(self.clients.node_id, ReconfigTimer(), cfg.reconfiguration_interval)
 
     # -- topology ------------------------------------------------------------
 
@@ -363,90 +332,94 @@ class ShardedRun:
 
     # -- client behavior -----------------------------------------------------------
 
-    def submit(self, index: int) -> None:
-        txn = self.txns[index]
+    def begin_txn(self, txn_id: int) -> None:
+        self.submit(txn_id)
+
+    def submit(self, txn_id: int) -> None:
         if self.draining or self._paused():
-            self.drained_submissions.append(index)
+            self.drained_submissions.append(txn_id)
             return
-        self.records[txn.id].submit_time = self.sim.now
-        groups = self.shards_of(txn)
+        record = self.records[txn_id]
+        record.submit_time = self.sim.now
+        txn = record.txn
         if txn.app_abort or not txn.write_set:
             self._settle(
-                txn.id, TxnOutcome.ABORTED_APPLICATION if txn.app_abort else TxnOutcome.COMMITTED
+                record, TxnOutcome.ABORTED_APPLICATION if txn.app_abort else TxnOutcome.COMMITTED
             )
             return
+        groups = self.shards_of(txn)
         if len(groups) == 1:
             shard, writes = next(iter(groups.items()))
-            self.clients.send(self.shard_node_id(shard), ShardExec(txn.id, writes))
+            self.clients.send(self.shard_node_id(shard), ShardExec(txn_id, writes))
             return
-        record = TwoPcRecord(
-            txn_id=txn.id,
-            coordinator="coord-shard" if self.bft_coordinator else "coord",
-            participants=tuple(sorted(groups)),
-        )
-        self.tpc_records[txn.id] = record
+        self.tpc_records[txn_id] = TwoPcRecord(txn_id, participants=tuple(sorted(groups)))
         for shard, writes in groups.items():
             self.clients.send(
                 self.shard_node_id(shard),
-                TpcPrepare(txn.id, writes, tuple(self.coordinator_ids)),
+                TpcPrepare(txn_id, writes, tuple(self.coordinator_ids)),
             )
+
+    def client_message(self, msg) -> None:
+        if isinstance(msg, ShardExecDone):
+            self.finish(msg.txn_id)
+        elif isinstance(msg, ReconfigTimer):
+            self.draining = True
+            self._try_pause()
+        elif isinstance(msg, PauseOver):
+            self.resume_drained()
 
     def _paused(self) -> bool:
         return any(s.paused_until > self.sim.now for s in self.shards)
 
     def finish(self, txn_id: int) -> None:
-        if self.records[txn_id].outcome is not TxnOutcome.PENDING:
+        record = self.records[txn_id]
+        if record.outcome is not TxnOutcome.PENDING:
             return
-        record = self.tpc_records.get(txn_id)
-        if record is not None and record.decision is TpcDecision.ABORT:
-            self._settle(txn_id, TxnOutcome.ABORTED_WW)
+        tpc = self.tpc_records.get(txn_id)
+        if tpc is not None and tpc.decision is TpcDecision.ABORT:
+            self._settle(record, TxnOutcome.ABORTED_WW)
         else:
-            self._settle(txn_id, TxnOutcome.COMMITTED)
+            self._settle(record, TxnOutcome.COMMITTED)
 
-    def _settle(self, txn_id: int, outcome: TxnOutcome) -> None:
-        self.records[txn_id].settle(outcome, self.sim.now)
-        self.settled += 1
+    def _settle(self, record: TxnRecord, outcome: TxnOutcome) -> None:
+        record.settle(outcome, self.sim.now)
+        self.txn_finished(record)
 
     # -- reconfiguration ----------------------------------------------------------
 
-    def start_reconfiguration(self) -> None:
-        self.draining = True
-        self._try_pause()
-
     def _try_pause(self) -> None:
-        inflight = [r for r in self.tpc_records.values() if r.decision is None]
-        if inflight:
+        """Pause every shard and reseat them, once no cross-shard record is in flight."""
+        if any(r.decision is None for r in self.tpc_records.values()):
             # in-flight cross-shard records drain before the pause
-            self.sim.schedule(self.clients_id, ReconfigTimer(), delay=5_000)
+            self.sim.schedule(self.clients.node_id, ReconfigTimer(), 5_000)
             return
-        until = self.sim.now + self.cm.reconfig_pause
+        pause = self.cm.reconfig_pause
+        until = self.sim.now + pause
         for shard in self.shards:
             shard.paused_until = until
             shard.busy_until = max(shard.busy_until, until)
         self.shard_map = self.shard_map.reconfigure(self.reconfig_rng)
         self.pauses += 1
         self.draining = False
-        self.sim.schedule(self.clients_id, PauseOver(), delay=self.cm.reconfig_pause)
-        if self.reconfiguration_interval > 0:
+        self.sim.schedule(self.clients.node_id, PauseOver(), pause)
+        if self.cfg.reconfiguration_interval > 0:
             self.sim.schedule(
-                self.clients_id,
-                ReconfigTimer(),
-                delay=self.cm.reconfig_pause + self.reconfiguration_interval,
+                self.clients.node_id, ReconfigTimer(), pause + self.cfg.reconfiguration_interval
             )
 
     def resume_drained(self) -> None:
         pending, self.drained_submissions = self.drained_submissions, []
-        for index in pending:
-            self.submit(index)
+        for txn_id in pending:
+            self.submit(txn_id)
 
     # -- run and report -------------------------------------------------------------
 
     def all_settled(self) -> bool:
-        return self.settled >= len(self.txns)
+        return self.all_done()
 
-    def run(self, stall_window: int = 5_000_000) -> "ShardedResult":
-        """Run to completion or stall (``run_until_settled``) and gather the result."""
-        run_until_settled(self.sim, self.all_settled, lambda: self.settled, stall_window)
+    def run(self) -> "ShardedResult":
+        """Drive to completion or stall and gather the result."""
+        stalled = self.drive(stall_window=5_000_000)
         for txn_id, record in self.tpc_records.items():
             stuck = tuple(
                 s for s in record.participants if txn_id in self.shards[s].prepared
@@ -457,29 +430,7 @@ class ShardedRun:
                 # observable outcome is a blocked record
                 record.stuck = stuck
                 record.decision = TpcDecision.BLOCKED
-        return ShardedResult(self)
-
-
-class _ShardClients(ProtocolHost):
-    def __init__(self, runner: ShardedRun):
-        super().__init__(runner.clients_id)
-        self.runner = runner
-        self.register("cl", self.handle)
-        self.register("sh", self.handle)
-
-    def handle(self, msg) -> int:
-        if isinstance(msg, SubmitNext):
-            self.runner.submit(msg.index)
-        elif isinstance(msg, ShardExecDone):
-            self.runner.finish(msg.txn_id)
-        elif isinstance(msg, ReconfigTimer):
-            if self.runner.draining:
-                self.runner._try_pause()
-            else:
-                self.runner.start_reconfiguration()
-        elif isinstance(msg, PauseOver):
-            self.runner.resume_drained()
-        return 0
+        return ShardedResult(self, stalled)
 
 
 class ShardedResult(RunResult):
@@ -490,15 +441,14 @@ class ShardedResult(RunResult):
     transactions send no protocol messages.
     """
 
-    def __init__(self, runner: ShardedRun):
+    def __init__(self, runner: ShardedRun, stalled: bool):
         records = runner.records
         started = sum(1 for r in records.values() if r.submit_time is not None)
         tpc = dict(runner.tpc_records)
         super().__init__(
             records=records,
             dropped=set(),
-            # the run stopped (stall window or time cap) with transactions unsettled
-            stalled=not runner.all_settled(),
+            stalled=stalled,
             span=run_span(records.values(), runner.sim.now),
             delivered_counts=dict(runner.sim.delivered_counts),
             fingerprints=[],
@@ -513,7 +463,8 @@ class ShardedResult(RunResult):
             shard_count=runner.shard_map.shard_count,
             cross_shard_ratio=len(tpc) / started if started else 0.0,
             blocked_count=sum(1 for r in tpc.values() if r.decision is TpcDecision.BLOCKED),
-            reconfig_interval=runner.reconfiguration_interval,
+            reconfig_interval=runner.cfg.reconfiguration_interval,
+            trace=runner.sim.dump_trace() if runner.sim.trace is not None else None,
         )
         self.runner = runner
         self.tpc_records = tpc

@@ -1,6 +1,7 @@
-"""Shared cluster wiring for consensus tests."""
+"""Shared cluster wiring for consensus and sharding tests."""
 
-from txsim.core import CostModel, seeded_rng
+from txsim.core import CostModel, DesignConfig, seeded_rng
+from txsim.core.types import ShardingMode
 from txsim.consensus import (
     PbftComponent,
     PbftTiming,
@@ -8,6 +9,8 @@ from txsim.consensus import (
     RaftComponent,
     RaftTiming,
 )
+from txsim.pipeline import Arrival
+from txsim.sharding import NODES_PER_SHARD, ShardedRun
 from txsim.simnet import Simulator
 
 
@@ -115,3 +118,14 @@ def assert_agreement(states) -> None:
             assert by_index.setdefault(idx, d) == d, (
                 f"divergent commit at index {idx}"
             )
+
+
+def sharded_run(spec, shards, bft=False, reconfiguration_interval=0, seed=0):
+    """A ``ShardedRun`` of ``shards`` shards at 2000 tps open loop, built from its config."""
+    cfg = DesignConfig(
+        sharding_mode=ShardingMode.BFT_COORDINATED_2PC if bft else ShardingMode.TRUSTED_2PC,
+        node_count=shards * NODES_PER_SHARD,
+        tolerated_failures=1,
+        reconfiguration_interval=reconfiguration_interval,
+    )
+    return ShardedRun(cfg, spec, Arrival.open_loop(2000), seed)

@@ -10,7 +10,7 @@ import random
 import statistics
 import time
 
-from cluster_utils import PbftHarness, RaftHarness, assert_agreement
+from cluster_utils import PbftHarness, RaftHarness, assert_agreement, sharded_run
 from txsim.authstore import MerkleBucketTree, MerklePatriciaTrie
 from txsim.authstore import mbt as mbt_mod
 from txsim.authstore import mpt as mpt_mod
@@ -34,7 +34,6 @@ from txsim.harness import (
 )
 from txsim.pipeline import Arrival, drive_and_collect, run_pipeline
 from txsim.pipeline.storage import StorageReplicatedPipeline
-from txsim.sharding import ShardedRun
 from txsim.simnet import FaultKind
 from txsim.workload import WorkloadSpec, WorkloadKind, initial_state
 
@@ -402,19 +401,19 @@ class TestCriterion9Sharding:
     def test_atomicity_blocking_and_reconfiguration(self):
         # atomicity in completed runs
         for bft in (False, True):
-            res = ShardedRun(self._spec(), shard_count=4, bft_coordinator=bft, seed=31).run()
+            res = sharded_run(self._spec(), shards=4, bft=bft, seed=31).run()
             assert res.atomicity_violations() == []
             assert res.blocked_count == 0
 
         # the crafted crash schedule blocks under a trusted coordinator
-        run = ShardedRun(self._spec(txn_count=120), shard_count=4, seed=33)
+        run = sharded_run(self._spec(txn_count=120), shards=4, seed=33)
         run.sim.inject_fault("coord", FaultKind.CRASHED, at_time=20_000)
         trusted = run.run()
         assert trusted.blocked_count >= 1
         assert trusted.atomicity_violations() == []
 
         # the identical schedule under a BFT coordinator completes
-        run = ShardedRun(self._spec(txn_count=120), shard_count=4, bft_coordinator=True, seed=33)
+        run = sharded_run(self._spec(txn_count=120), shards=4, bft=True, seed=33)
         run.sim.inject_fault(("coord", 0), FaultKind.CRASHED, at_time=20_000)
         bft = run.run()
         assert bft.blocked_count == 0
@@ -424,9 +423,9 @@ class TestCriterion9Sharding:
         # reconfiguration strictly reduces throughput, monotonically in frequency
         tputs = []
         for interval in (0, 120_000, 60_000, 30_000):
-            res = ShardedRun(
+            res = sharded_run(
                 self._spec(txn_count=600),
-                shard_count=4,
+                shards=4,
                 reconfiguration_interval=interval,
                 seed=39,
             ).run()

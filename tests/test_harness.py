@@ -108,11 +108,41 @@ class TestRunExperiment:
         assert m.pending > 0
         assert m.stalled
 
-    def test_sharded_config_rejects_closed_loop_arrival(self, monkeypatch):
-        monkeypatch.setattr(ShardedRun, "run", lambda runner: pytest.fail("sharded run started"))
-        cfg = DesignConfig(sharding_mode=ShardingMode.TRUSTED_2PC, node_count=12, tolerated_failures=1)
-        with pytest.raises(ValueError, match="open-loop"):
-            run_experiment(cfg, small_spec(ops_per_txn=2), Arrival.closed_loop(16), seed=4)
+    @pytest.mark.parametrize(
+        "mode, interval",
+        [(ShardingMode.TRUSTED_2PC, 0), (ShardingMode.BFT_COORDINATED_2PC, 30_000)],
+    )
+    def test_sharded_closed_loop_settles_every_txn_with_bounded_clients(
+        self, mode, interval, monkeypatch
+    ):
+        runners, inflight, peak = [], set(), [0]
+        begin, finished = ShardedRun.begin_txn, ShardedRun.txn_finished
+
+        def begin_txn(runner, txn_id):
+            if runner not in runners:
+                runners.append(runner)
+            inflight.add(txn_id)
+            peak[0] = max(peak[0], len(inflight))
+            begin(runner, txn_id)
+
+        def txn_finished(runner, record):
+            inflight.discard(record.txn.id)
+            finished(runner, record)
+
+        monkeypatch.setattr(ShardedRun, "begin_txn", begin_txn)
+        monkeypatch.setattr(ShardedRun, "txn_finished", txn_finished)
+        cfg = DesignConfig(sharding_mode=mode, node_count=12, tolerated_failures=1,
+                           reconfiguration_interval=interval)
+        spec, arrival = small_spec(ops_per_txn=2, txn_count=200, seed=4), Arrival.closed_loop(8)
+        rows = []
+        for _ in range(2):
+            m = run_experiment(cfg, spec, arrival, seed=4)
+            assert not m.stalled and m.pending == 0
+            assert m.committed + m.aborted == 200
+            rows.append(run_row(cfg, spec, arrival, 4, m))
+        assert rows[0] == rows[1]
+        assert peak[0] == 8
+        assert all(r.pauses > 0 for r in runners) == (interval > 0)
 
 
 class TestParseArrival:

@@ -1,5 +1,6 @@
 """Sharding: partitioning, cross-shard atomicity, blocking, reconfiguration."""
 
+from cluster_utils import sharded_run
 from txsim.core import DesignConfig, seeded_rng
 from txsim.core.types import ShardingMode
 from txsim.harness import run_experiment
@@ -64,7 +65,7 @@ class TestShardAssignment:
 
 class TestTwoPhaseCommit:
     def test_unanimous_yes_commits_atomically(self):
-        run = ShardedRun(spec_2keys(txn_count=300), shard_count=4, seed=31)
+        run = sharded_run(spec_2keys(txn_count=300), shards=4, seed=31)
         res = run.run()
         assert res.committed > 250
         commits = [r for r in res.tpc_records.values() if r.decision is TpcDecision.COMMIT]
@@ -72,9 +73,7 @@ class TestTwoPhaseCommit:
         assert res.atomicity_violations() == []
 
     def test_conflicting_prepares_vote_no_and_abort_everywhere(self):
-        run = ShardedRun(
-            spec_2keys(txn_count=500, record_count=30, theta=1.0), shard_count=4, seed=32
-        )
+        run = sharded_run(spec_2keys(txn_count=500, record_count=30, theta=1.0), shards=4, seed=32)
         res = run.run()
         aborts = [r for r in res.tpc_records.values() if r.decision is TpcDecision.ABORT]
         assert aborts, "hot keys must produce at least one No vote"
@@ -83,7 +82,7 @@ class TestTwoPhaseCommit:
         assert res.atomicity_violations() == []
 
     def test_trusted_coordinator_crash_blocks(self):
-        run = ShardedRun(spec_2keys(txn_count=120), shard_count=4, seed=33)
+        run = sharded_run(spec_2keys(txn_count=120), shards=4, seed=33)
         run.sim.inject_fault("coord", FaultKind.CRASHED, at_time=20_000)
         res = run.run()
         assert res.blocked_count >= 1
@@ -92,7 +91,7 @@ class TestTwoPhaseCommit:
         assert res.atomicity_violations() == []
 
     def test_same_crash_schedule_bft_coordinator_completes(self):
-        run = ShardedRun(spec_2keys(txn_count=120), shard_count=4, bft_coordinator=True, seed=33)
+        run = sharded_run(spec_2keys(txn_count=120), shards=4, bft=True, seed=33)
         run.sim.inject_fault(("coord", 0), FaultKind.CRASHED, at_time=20_000)
         res = run.run()
         assert res.blocked_count == 0
@@ -104,8 +103,8 @@ class TestTwoPhaseCommit:
     def test_bft_coordinator_survives_f_crashes_over_100_schedules(self):
         for seed in range(100):
             rng = seeded_rng(seed, "sched")
-            run = ShardedRun(
-                spec_2keys(txn_count=40, seed=seed), shard_count=4, bft_coordinator=True, seed=50 + seed
+            run = sharded_run(
+                spec_2keys(txn_count=40, seed=seed), shards=4, bft=True, seed=50 + seed
             )
             run.sim.inject_fault(
                 ("coord", rng.randrange(4)),
@@ -117,10 +116,8 @@ class TestTwoPhaseCommit:
             assert res.atomicity_violations() == [], seed
 
     def test_bft_coordination_costs_more_messages(self):
-        trusted = ShardedRun(spec_2keys(txn_count=300), shard_count=4, seed=34).run()
-        bft = ShardedRun(
-            spec_2keys(txn_count=300), shard_count=4, bft_coordinator=True, seed=34
-        ).run()
+        trusted = sharded_run(spec_2keys(txn_count=300), shards=4, seed=34).run()
+        bft = sharded_run(spec_2keys(txn_count=300), shards=4, bft=True, seed=34).run()
         assert bft.messages_per_commit > trusted.messages_per_commit
 
     def test_bft_messages_total_excludes_timer_firings(self, monkeypatch):
@@ -148,21 +145,19 @@ class TestTwoPhaseCommit:
 
 class TestCrossShardRatio:
     def test_single_shard_ratio_is_zero(self):
-        res = ShardedRun(spec_2keys(txn_count=200), shard_count=1, seed=35).run()
+        res = sharded_run(spec_2keys(txn_count=200), shards=1, seed=35).run()
         assert res.cross_shard_ratio == 0.0
 
     def test_two_uniform_keys_four_shards_ratio_three_quarters(self):
-        res = ShardedRun(
-            spec_2keys(txn_count=8_000, record_count=8_000), shard_count=4, seed=36
-        ).run()
+        res = sharded_run(spec_2keys(txn_count=8_000, record_count=8_000), shards=4, seed=36).run()
         assert abs(res.cross_shard_ratio - 0.75) < 0.02
 
     def test_ratio_grows_with_ops_per_txn(self):
         ratios = {}
         for ops in (1, 4, 10):
-            res = ShardedRun(
+            res = sharded_run(
                 spec_2keys(txn_count=600, record_count=2_000, ops=ops),
-                shard_count=4,
+                shards=4,
                 seed=37,
             ).run()
             ratios[ops] = res.cross_shard_ratio
@@ -171,15 +166,15 @@ class TestCrossShardRatio:
 
 class TestReconfiguration:
     def test_disabled_means_epoch_constant_and_no_pauses(self):
-        run = ShardedRun(spec_2keys(txn_count=300), shard_count=4, seed=38)
+        run = sharded_run(spec_2keys(txn_count=300), shards=4, seed=38)
         res = run.run()
         assert res.shard_map.epoch == 0 and res.pauses == 0
 
     def test_periodic_reconfiguration_strictly_reduces_throughput(self):
-        base = ShardedRun(spec_2keys(txn_count=600), shard_count=4, seed=39).run()
-        paused = ShardedRun(
+        base = sharded_run(spec_2keys(txn_count=600), shards=4, seed=39).run()
+        paused = sharded_run(
             spec_2keys(txn_count=600),
-            shard_count=4,
+            shards=4,
             reconfiguration_interval=60_000,
             seed=39,
         ).run()
@@ -189,9 +184,9 @@ class TestReconfiguration:
     def test_shorter_interval_lower_throughput(self):
         tputs = []
         for interval in (120_000, 60_000, 30_000):
-            res = ShardedRun(
+            res = sharded_run(
                 spec_2keys(txn_count=600),
-                shard_count=4,
+                shards=4,
                 reconfiguration_interval=interval,
                 seed=40,
             ).run()
@@ -199,9 +194,9 @@ class TestReconfiguration:
         assert tputs[0] > tputs[1] > tputs[2]
 
     def test_inflight_records_drain_before_pause(self):
-        run = ShardedRun(
+        run = sharded_run(
             spec_2keys(txn_count=400),
-            shard_count=4,
+            shards=4,
             reconfiguration_interval=50_000,
             seed=41,
         )
