@@ -5,8 +5,7 @@ Each cell runs ~200 transactions through ``run_experiment`` and pins:
 - ``row``: SHA-256 of the cell's ``run_row`` CSV bytes followed by the state
   fingerprint (the observer replica's ``state_fingerprint`` on pipeline
   cells, every shard store on sharded cells);
-- ``trace``: SHA-256 of the trace TSV written through ``trace_path``
-  (pipeline cells only; sharded cells ignore ``trace_path``);
+- ``trace``: SHA-256 of the trace TSV written through ``trace_path``;
 - ``untimed``: SHA-256 of the same trace without its timer firings (lines
   whose kind ends in ``timer`` or ``timeout``) and without its seq column.
   Cancelling a timer that would have fired unheeded removes its line and
@@ -158,18 +157,18 @@ GOLDEN = {
     },
     "sharded_bft2pc": {
         "row": "9d7331e036c5e6916d1df05489e17eca2270d9e7382045d87336d6b14455c50d",
-        "trace": None,
-        "untimed": None,
+        "trace": "7bd74899376888ec5f37c8c982f4655aff4a625a63754b7416841a090a5752e3",
+        "untimed": "f3e844462b8fc273b7b1fcbbbdb5fd98a7ae1884847f9bc0e1f459b7d7eadfa2",
     },
     "sharded_trusted2pc_reconfig": {
         "row": "6086a202c6a985c50e638b05a61cac1f4a069a6d6ac507e97f03229d49daace5",
-        "trace": None,
-        "untimed": None,
+        "trace": "71d57fd3a3b730f784d3c508a4ff97de39bb195e94a54541f8de5c40ff06ea50",
+        "untimed": "287c9d2923b11ec477402ed56428512cd1dbf17bcff9bb71a8b2d3b9b1b7054f",
     },
     "sharded_trusted2pc": {
         "row": "6e89bac63e12d691f02fc3641cdc5e2d2f6c24bf81e13ddd9962bbb375201c8a",
-        "trace": None,
-        "untimed": None,
+        "trace": "da05dcc5696d0b5fd5445815f1b66156677be5d761841a3ffd29d44cc3cff865",
+        "untimed": "95bb402558ae7a31151ec33a258195debef7ba86e01c4e43ad42636603ab3777",
     },
 }
 
@@ -184,7 +183,7 @@ def _shard_fingerprint(runner) -> bytes:
 
 
 def cell_digests(name, tmp_path, monkeypatch):
-    """Run one cell; returns {"row": hex, "trace": hex or None, "untimed": hex or None}."""
+    """Run one cell; returns {"row": hex, "trace": hex, "untimed": hex}."""
     cfg, spec, arrival, seed = CELLS[name]
     seen = {}
 
@@ -197,23 +196,19 @@ def cell_digests(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(PipelineBase, "drive", keep("pipeline", PipelineBase.drive))
     monkeypatch.setattr(ShardedRun, "run", keep("runner", ShardedRun.run))
-    sharded = cfg.sharding_mode is not ShardingMode.NONE
-    trace_path = None if sharded else tmp_path / "trace.tsv"
+    trace_path = tmp_path / "trace.tsv"
     metrics = run_experiment(cfg, spec, arrival, seed=seed, trace_path=trace_path)
-    if sharded:
+    if cfg.sharding_mode is not ShardingMode.NONE:
         fingerprint = _shard_fingerprint(seen["runner"])
     else:
         pipeline = seen["pipeline"]
         fingerprint = pipeline.peers[pipeline.observer_id].state.kv.state_fingerprint()
     csv_path = tmp_path / "row.csv"
     emit_csv([run_row(cfg, spec, arrival, seed, metrics)], csv_path)
-    digests = {"row": hashlib.sha256(csv_path.read_bytes() + fingerprint).hexdigest(),
-               "trace": None, "untimed": None}
-    if not sharded:
-        trace = trace_path.read_bytes()
-        digests["trace"] = hashlib.sha256(trace).hexdigest()
-        digests["untimed"] = hashlib.sha256(_untimed(trace)).hexdigest()
-    return digests
+    trace = trace_path.read_bytes()
+    return {"row": hashlib.sha256(csv_path.read_bytes() + fingerprint).hexdigest(),
+            "trace": hashlib.sha256(trace).hexdigest(),
+            "untimed": hashlib.sha256(_untimed(trace)).hexdigest()}
 
 
 def _untimed(trace: bytes) -> bytes:
