@@ -333,6 +333,9 @@ class ShardedRun(PipelineBase):
     # -- client behavior -----------------------------------------------------------
 
     def begin_txn(self, txn_id: int) -> None:
+        # latency counts from the first arrival, also for a submission that
+        # a reconfiguration drains and ``resume_drained`` submits again
+        self.records[txn_id].submit_time = self.sim.now
         self.submit(txn_id)
 
     def submit(self, txn_id: int) -> None:
@@ -340,7 +343,6 @@ class ShardedRun(PipelineBase):
             self.drained_submissions.append(txn_id)
             return
         record = self.records[txn_id]
-        record.submit_time = self.sim.now
         txn = record.txn
         if txn.app_abort or not txn.write_set:
             self._settle(

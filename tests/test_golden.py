@@ -161,7 +161,7 @@ GOLDEN = {
         "untimed": "f3e844462b8fc273b7b1fcbbbdb5fd98a7ae1884847f9bc0e1f459b7d7eadfa2",
     },
     "sharded_trusted2pc_reconfig": {
-        "row": "6086a202c6a985c50e638b05a61cac1f4a069a6d6ac507e97f03229d49daace5",
+        "row": "9ada7604a7c627061ea7c32eeaa60a59cf79dd5320c51b6da834f8b556028d55",
         "trace": "71d57fd3a3b730f784d3c508a4ff97de39bb195e94a54541f8de5c40ff06ea50",
         "untimed": "287c9d2923b11ec477402ed56428512cd1dbf17bcff9bb71a8b2d3b9b1b7054f",
     },

@@ -193,6 +193,25 @@ class TestReconfiguration:
             tputs.append(res.throughput_tps)
         assert tputs[0] > tputs[1] > tputs[2]
 
+    def test_drained_submission_latency_counts_from_first_arrival(self, monkeypatch):
+        submits = []
+        submit = ShardedRun.submit
+        monkeypatch.setattr(
+            ShardedRun, "submit", lambda runner, txn_id: submits.append(txn_id) or submit(runner, txn_id)
+        )
+        run = sharded_run(
+            spec_2keys(txn_count=300), shards=4, reconfiguration_interval=30_000, seed=41
+        )
+        res = run.run()
+        assert res.pauses >= 1
+        assert len(submits) > len(run.txns)  # some submissions were drained and resubmitted
+        # open loop at 2000 tps: the i-th transaction arrives at i * 500 us
+        for i, txn in enumerate(run.txns):
+            record = res.records[txn.id]
+            assert record.submit_time == i * 500
+            if record.commit_time is not None:
+                assert record.latency == record.commit_time - i * 500
+
     def test_inflight_records_drain_before_pause(self):
         run = sharded_run(
             spec_2keys(txn_count=400),
