@@ -5,6 +5,10 @@ numbers in arrival order and pushes entries to subscribers.  Its internal
 replication shows up as a per-append processing cost plus an ack delay,
 not as simulated replicas.  Consumers never load the sequencer, so append
 throughput is flat in the number of consumers.
+
+``SharedLogService.append`` is the one sequence-and-fan-out step.  An
+append request goes through it, and so does each block of EOV's orderer,
+which runs a block former in front of the log.
 """
 
 from __future__ import annotations
@@ -61,14 +65,19 @@ class SharedLogService(Node):
     def subscribe(self, node_id) -> None:
         self.subscribers.append(node_id)
 
+    def append(self, entry: bytes) -> int:
+        """Sequence ``entry`` and push it to every subscriber; returns its seq."""
+        self.entries.append(entry)
+        seq = len(self.entries)
+        for sub in self.subscribers:
+            self.send(sub, LogDeliver(seq, entry), extra_delay=self.ack_delay)
+        return seq
+
     def on_message(self, msg) -> int:
         if isinstance(msg, LogAppend):
-            self.entries.append(msg.entry)
-            seq = len(self.entries)
+            seq = self.append(msg.entry)
             if msg.reply_to is not None:
                 self.send(msg.reply_to, LogAppendAck(seq), extra_delay=self.ack_delay)
-            for sub in self.subscribers:
-                self.send(sub, LogDeliver(seq, msg.entry), extra_delay=self.ack_delay)
             return self.append_cost
         if isinstance(msg, LogRead):
             slice_ = tuple(self.entries[msg.from_seq - 1 :])

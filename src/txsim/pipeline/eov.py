@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from ..consensus import ProtocolHost
-from ..consensus.sharedlog import LogDeliver
+from ..consensus.sharedlog import SharedLogService
 from ..core.encoding import Reader, Writer
 from ..core.types import Block, ReplicationApproach, TxnOutcome
 from ..simnet import Event
@@ -97,38 +96,32 @@ def decode_entries(payload: bytes):
     return tuple(out)
 
 
-class EovOrderer(ProtocolHost):
-    """Trusted ordering service: dense sequencing plus block formation."""
+class EovOrderer(SharedLogService):
+    """Trusted ordering service: the shared log, with a block former in front.
+
+    Each block the former closes is one log entry.  The log's internal
+    replication shows up as a fixed delivery delay.
+    """
 
     def __init__(self, pipeline):
-        super().__init__("orderer")
+        super().__init__("orderer", ack_delay=pipeline.cm.net_latency_mean)
         self.pipeline = pipeline
-        self.register("ord", self.handle)
         self.blocks = BlockFormer(self, "ord:timer")
-        self.subscribers = []
-        self.height = 0  # blocks delivered so far
 
-    def subscribe(self, node_id) -> None:
-        self.subscribers.append(node_id)
+    def on_message(self, msg) -> int:
+        return self.handle(msg)
 
     def handle(self, msg) -> int:
         if isinstance(msg, OrderRequest):
             self.blocks.add((msg.txn_id, msg.reads))
-            self.deliver(self.blocks.take())
+            batch = self.blocks.take()
         elif isinstance(msg, BlockTimer):
-            if self.blocks.timed_out(msg):
-                self.deliver(self.blocks.take(force=True))
+            batch = self.blocks.take(force=True) if self.blocks.timed_out(msg) else []
+        else:
+            return super().on_message(msg)
+        if batch:
+            self.append(self.pipeline.seal_block(batch, self.now))
         return 0
-
-    def deliver(self, batch) -> None:
-        if not batch:
-            return
-        payload = self.pipeline.seal_block(batch, self.now)
-        self.height += 1
-        # the log's internal replication shows up as a fixed delivery delay
-        delay = self.pipeline.cm.net_latency_mean
-        for sub in self.subscribers:
-            self.send(sub, LogDeliver(self.height, payload), extra_delay=delay)
 
 
 class EovPeer(PeerNode):
