@@ -8,7 +8,6 @@ bucket-to-root path: depth + 1 digest recomputations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -23,10 +22,6 @@ def _bucket_digest_bytes(entries) -> bytes:
     for key, value in entries:
         w.bytes(key).bytes(value)
     return w.getvalue()
-
-
-def tree_depth(bucket_count: int, fanout: int) -> int:
-    return max(1, math.ceil(math.log(bucket_count, fanout))) if bucket_count > 1 else 1
 
 
 def _build_empty_levels(bucket_count: int, fanout: int) -> List[List[bytes]]:

@@ -48,9 +48,6 @@ class TxnRecord:
             return None
         return self.commit_time - self.submit_time
 
-    def phase_timings(self) -> PhaseTimings:
-        return PhaseTimings(self.execute_us, self.order_us, self.validate_us)
-
 
 def mean_phase_timings(records) -> PhaseTimings:
     done = [r for r in records if r.outcome is TxnOutcome.COMMITTED]

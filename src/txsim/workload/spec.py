@@ -5,7 +5,7 @@ from __future__ import annotations
 import configparser
 import enum
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 
 class WorkloadKind(enum.Enum):
@@ -92,12 +92,3 @@ def workload_from_text(text: str) -> WorkloadSpec:
 def workload_from_file(path) -> WorkloadSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return workload_from_text(fh.read())
-
-
-def workload_to_dict(spec: WorkloadSpec) -> dict:
-    out = {}
-    for f in fields(WorkloadSpec):
-        value = getattr(spec, f.name)
-        out[f.name] = value.value if f.name == "kind" else value
-    out["smallbank_mix"] = list(list(p) for p in spec.smallbank_mix)
-    return out
