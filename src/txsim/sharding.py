@@ -281,9 +281,9 @@ class ShardedRun(PipelineBase):
 
     def __init__(self, cfg, spec, arrival: Arrival, seed: int, trace: bool = False):
         super().__init__(cfg, spec, arrival, seed, trace)
-        self.bft_coordinator = cfg.sharding_mode is ShardingMode.BFT_COORDINATED_2PC
+        bft = cfg.sharding_mode is ShardingMode.BFT_COORDINATED_2PC
         # Byzantine faults are in scope for the BFT coordinator shard only
-        self.sim.allow_byzantine = self.bft_coordinator
+        self.sim.allow_byzantine = bft
         self.shard_map = ShardMap(max(1, cfg.node_count // NODES_PER_SHARD))
         self.vote_durability_delay = 2 * self.cm.net_latency_mean
         self.tpc_records: Dict[int, TwoPcRecord] = {}
@@ -295,7 +295,7 @@ class ShardedRun(PipelineBase):
         self.shards = [
             self.sim.add_node(ShardNode(s, self)) for s in range(self.shard_map.shard_count)
         ]
-        if self.bft_coordinator:
+        if bft:
             coordinators = [
                 self.sim.add_node(BftCoordinatorReplica(i, self))
                 for i in range(self.COORD_REPLICAS)
