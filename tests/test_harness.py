@@ -142,7 +142,7 @@ class TestRunExperiment:
             rows.append(run_row(cfg, spec, arrival, 4, m))
         assert rows[0] == rows[1]
         assert peak[0] == 8
-        assert all(r.pauses > 0 for r in runners) == (interval > 0)
+        assert [r.pauses > 0 for r in runners] == [interval > 0] * 2
 
 
 class TestParseArrival:
