@@ -23,11 +23,15 @@ class LedgerStore:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def append(self, block: Block) -> Tuple[bytes, int]:
+    def append(self, block: Block, enc: Optional[bytes] = None) -> Tuple[bytes, int]:
         """Persist a block; returns (digest, encoded size).
 
         The block must extend the current tip: its parent digest is checked,
-        and its height must be exactly one above the stored chain.
+        and its height must be exactly one above the stored chain.  ``enc``,
+        when given, must be ``encode_block(block)``: a replica that decoded
+        the block from its ordered bytes passes those bytes, and the ledger
+        digests them instead of encoding the block again.  ``verify_chain``
+        still re-encodes every block from its fields.
         """
         if block.parent_digest != self.tip_digest:
             raise LedgerError(
@@ -37,7 +41,8 @@ class LedgerStore:
         expected_height = self.blocks[-1].height + 1 if self.blocks else 0
         if block.height != expected_height:
             raise LedgerError(f"height {block.height} does not extend {expected_height - 1}")
-        enc = encode_block(block)
+        if enc is None:
+            enc = encode_block(block)
         self.blocks.append(block)
         self.tip_digest = digest(enc)
         self.block_bytes += len(enc)

@@ -10,6 +10,14 @@ encoding is canonical, the rebuilt bytes are the ones that were digested.
 The access path from root to leaf doubles as the membership proof, and
 ``verify`` checks it from the encoded bytes alone.
 
+``put`` and ``put_batch`` model per-write hashing: each insert re-stores
+every node on its path, and the hash work they meter is what pipelines
+charge as virtual time.  The nodes an insert replaced stay in the store.
+``load`` fills an empty trie in bulk instead: it sorts the keys' nibble
+paths and builds the trie bottom-up, storing each final node exactly once,
+so the store holds only reachable nodes.  It is meant for set-up, whose
+hash work the state store does not meter.
+
 A batch applied at a root is a pure function of the two: the nodes stored,
 in order, the new root and the hash work metered.  Tries that ``share`` a
 ``TransitionMemo`` (replicas applying the same batches) compute each such
@@ -237,6 +245,44 @@ class MerklePatriciaTrie:
         else:
             entry[4] = left - 1
         return root
+
+    def load(self, writes) -> bytes:
+        """Fill an empty trie with ``writes`` (last write wins); returns the root.
+
+        The result equals ``put_batch(writes)`` on an empty trie: the same
+        root, nodes and proofs, but without the nodes an insert would replace.
+        """
+        if self.root != EMPTY_ROOT:
+            raise ValueError("load needs an empty trie")
+        items = sorted({key_nibbles(key): value for key, value in writes}.items())
+        if items:
+            self.root = self._build(items, 0, len(items), 0)
+        return self.root
+
+    def _build(self, items, lo: int, hi: int, depth: int) -> bytes:
+        """Store the subtrie of the sorted ``items[lo:hi]``, which share ``depth`` nibbles."""
+        first, value = items[lo]
+        if hi - lo == 1:
+            return self._store(Leaf(first[depth:], value))
+        # in sorted order, the first and last paths share what all of them share
+        common = _common_prefix(first[depth:], items[hi - 1][0][depth:])
+        end = depth + common
+        branch_value = None
+        if len(first) == end:  # a key ends here; it sorts first
+            branch_value = value
+            lo += 1
+        children: List[Optional[bytes]] = [None] * 16
+        while lo < hi:
+            nibble = items[lo][0][end]
+            group_end = lo + 1
+            while group_end < hi and items[group_end][0][end] == nibble:
+                group_end += 1
+            children[nibble] = self._build(items, lo, group_end, end + 1)
+            lo = group_end
+        out = self._store(Branch(tuple(children), branch_value))
+        if common:
+            out = self._store(Extension(first[depth:end], out))
+        return out
 
     # -- insertion ---------------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 Commits flow through ``apply_batch``, which keeps KV and index in lockstep
 and reports the digest work done so the caller can charge virtual time.
+The initial records go in once through ``load``, which is set-up and
+meters nothing.
 """
 
 from __future__ import annotations
@@ -52,6 +54,24 @@ class StateStore:
             )
         ops, nbytes = self.meter.delta_since(snap)
         return versions, ops, nbytes
+
+    def load(self, writes) -> None:
+        """Pre-populate an empty store with ``writes``; set-up, so nothing is metered.
+
+        KV and index end up as after ``apply_batch(writes)``.  An MPT is built
+        bottom-up in one pass (``MerklePatriciaTrie.load``), so it stores no
+        node that later writes of the batch would replace.
+        """
+        if len(self.kv):
+            raise ValueError("load needs an empty store")
+        versions = self.kv.put_batch(writes)
+        if self.index is not None:
+            records = [(k, self.kv.get(k)[0]) for k in versions]
+            if self.index_kind is IndexKind.MPT:
+                self.index.load(records)
+            else:
+                self.index.put_batch(records)
+        self.meter.ops = self.meter.bytes = 0
 
     def fork(self) -> "StateStore":
         """A replica of this store: equal contents, independent from here on.

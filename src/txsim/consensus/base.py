@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..simnet import Node, payload_kind
+from ..simnet import Node
 
 
 class ProtocolHost(Node):
@@ -25,8 +25,7 @@ class ProtocolHost(Node):
             raise ValueError(f"prefix {prefix!r} already registered on {self.node_id!r}")
         self._handlers[prefix] = handler
 
-    def on_message(self, msg) -> int:
-        kind = payload_kind(msg)
+    def receive(self, msg, kind: str) -> int:
         handler = self._routes.get(kind)
         if handler is None:
             handler = self._handlers.get(kind.split(":", 1)[0])

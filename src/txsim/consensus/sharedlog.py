@@ -2,9 +2,9 @@
 
 The log is trusted and non-Byzantine: one sequencer assigns dense sequence
 numbers in arrival order and pushes entries to subscribers.  Its internal
-replication shows up as a per-append processing cost plus an ack delay,
-not as simulated replicas.  Consumers never load the sequencer, so append
-throughput is flat in the number of consumers.
+replication shows up as a per-append processing cost plus a delivery
+delay, not as simulated replicas.  Consumers never load the sequencer, so
+append throughput is flat in the number of consumers.
 
 ``SharedLogService.append`` is the one sequence-and-fan-out step.  An
 append request goes through it, and so does each block of EOV's orderer,
@@ -23,14 +23,7 @@ from .base import Component
 @dataclass
 class LogAppend:
     entry: bytes
-    reply_to: object
     kind: str = field(default="slog:append", init=False)
-
-
-@dataclass
-class LogAppendAck:
-    seq: int
-    kind: str = field(default="slog:append_ack", init=False)
 
 
 @dataclass
@@ -55,29 +48,26 @@ class LogDeliver:
 
 
 class SharedLogService(Node):
-    def __init__(self, node_id="shared_log", append_cost: int = 0, ack_delay: int = 0):
+    def __init__(self, node_id="shared_log", append_cost: int = 0, delivery_delay: int = 0):
         super().__init__(node_id)
         self.append_cost = append_cost
-        self.ack_delay = ack_delay
+        self.delivery_delay = delivery_delay
         self.entries: List[bytes] = []
         self.subscribers: List = []
 
     def subscribe(self, node_id) -> None:
         self.subscribers.append(node_id)
 
-    def append(self, entry: bytes) -> int:
-        """Sequence ``entry`` and push it to every subscriber; returns its seq."""
+    def append(self, entry: bytes) -> None:
+        """Sequence ``entry`` and push it to every subscriber."""
         self.entries.append(entry)
         seq = len(self.entries)
         for sub in self.subscribers:
-            self.send(sub, LogDeliver(seq, entry), extra_delay=self.ack_delay)
-        return seq
+            self.send(sub, LogDeliver(seq, entry), extra_delay=self.delivery_delay)
 
     def on_message(self, msg) -> int:
         if isinstance(msg, LogAppend):
-            seq = self.append(msg.entry)
-            if msg.reply_to is not None:
-                self.send(msg.reply_to, LogAppendAck(seq), extra_delay=self.ack_delay)
+            self.append(msg.entry)
             return self.append_cost
         if isinstance(msg, LogRead):
             slice_ = tuple(self.entries[msg.from_seq - 1 :])
@@ -105,7 +95,7 @@ class LogHandle(Component):
         return self.node_id == self.leader
 
     def propose(self, payload: bytes) -> None:
-        self.send(self.log_id, LogAppend(payload, None))
+        self.send(self.log_id, LogAppend(payload))
 
     def handle(self, msg) -> int:
         if not isinstance(msg, LogDeliver):

@@ -125,8 +125,8 @@ class CostMixin:
     def charge(self, cost: int) -> None:
         self._pending_cost += cost
 
-    def on_message(self, msg) -> int:
-        cost = super().on_message(msg)
+    def receive(self, msg, kind: str) -> int:
+        cost = super().receive(msg, kind)
         extra, self._pending_cost = self._pending_cost, 0
         return cost + extra
 
@@ -290,14 +290,14 @@ class PipelineBase:
     def preload(self) -> None:
         """Give every peer its state store, holding the workload's initial records.
 
-        Replicas start from one shared build: the records are applied to one
-        store, and every other peer gets a ``fork`` of it, which owns its
-        mutable containers and shares only immutable nodes and values.
+        Replicas start from one shared build: the records are loaded into one
+        store with ``StateStore.load`` (set-up, so no hash work is metered; an
+        MPT is built bottom-up and holds only reachable nodes), and every
+        other peer gets a ``fork`` of it, which owns its mutable containers
+        and shares only immutable nodes and values.
         """
         built = StateStore(index=self.cfg.index, ledger_enabled=self.cfg.ledger_enabled)
-        built.apply_batch(initial_state(self.spec))
-        # pre-population is setup, not measured work; forks start with a zeroed meter
-        built.meter.ops = built.meter.bytes = 0
+        built.load(initial_state(self.spec))
         for i, peer in enumerate(self.peers):
             peer.state = built.fork() if i else built
 

@@ -104,7 +104,7 @@ class EovOrderer(SharedLogService):
     """
 
     def __init__(self, pipeline):
-        super().__init__("orderer", ack_delay=pipeline.cm.net_latency_mean)
+        super().__init__("orderer", delivery_delay=pipeline.cm.net_latency_mean)
         self.pipeline = pipeline
         self.blocks = BlockFormer(self, "ord:timer")
 

@@ -132,7 +132,7 @@ class OeWorker(WorkerNode):
         observer = self.peer.node_id == self.pipeline.observer_id
         cumulative = 0
         if self.state.ledger is not None:
-            _, size = self.state.ledger.append(block)
+            _, size = self.state.ledger.append(block, payload)
             ledger_cost = self.pipeline.cm.hash_cost(1, size)
             self.charge(ledger_cost)
             cumulative += ledger_cost
@@ -165,7 +165,7 @@ class OrderExecutePipeline(PipelineBase):
         self.build_peers(OePeer, OeWorker)
         self.attach_ordering(
             lambda peer: lambda idx, payload, p=peer: p.to_worker(ApplyTask(payload, p.now)),
-            log=SharedLogService("orderer", ack_delay=self.cm.net_latency_mean),
+            log=SharedLogService("orderer", delivery_delay=self.cm.net_latency_mean),
         )
         self.preload()
         self.schedule_arrivals()

@@ -273,7 +273,7 @@ class StorageReplicatedPipeline(PipelineBase):
         self.chained = cfg.replication_approach is ReplicationApproach.PRIMARY_BACKUP
         self.attach_ordering(
             lambda peer: lambda idx, payload, p=peer: p.to_worker(ApplyOpTask(payload)),
-            log=SharedLogService("oplog", ack_delay=self.cm.net_latency_mean),
+            log=SharedLogService("oplog", delivery_delay=self.cm.net_latency_mean),
         )
         self.preload()
         self._fsm: Dict[int, dict] = {}

@@ -96,6 +96,10 @@ class Node:
     ``set_timer`` for output.  Sends buffered during a handler depart when the
     handler's processing cost has elapsed.  ``set_timer`` returns a handle that
     ``cancel_timer`` takes, also from inside the handler that armed it.
+
+    The simulator delivers through ``receive(msg, kind)``, passing the kind it
+    has already computed for its counters; a node that dispatches on the kind
+    overrides ``receive`` instead of ``on_message``.
     """
 
     def __init__(self, node_id):
@@ -134,6 +138,9 @@ class Node:
 
     def on_message(self, msg) -> int:
         raise NotImplementedError
+
+    def receive(self, msg, kind: str) -> int:
+        return self.on_message(msg)
 
 
 class Simulator:
@@ -377,7 +384,7 @@ class Simulator:
         node._outbox.clear()
         node._in_handler = True
         try:
-            cost = node.on_message(ev.payload) or 0
+            cost = node.receive(ev.payload, kind) or 0
         finally:
             node._in_handler = False
         node.busy_until = self.now + cost

@@ -1,8 +1,8 @@
-"""Reference MPT node encoder for the property tests in ``test_authstore.py``."""
+"""Reference MPT node encoder and node-store walk for the MPT tests."""
 
 from __future__ import annotations
 
-from txsim.authstore.mpt import Extension, Leaf
+from txsim.authstore.mpt import EMPTY_ROOT, Branch, Extension, Leaf
 from txsim.core.encoding import Writer
 
 
@@ -42,3 +42,18 @@ def reference_encode_node(node) -> bytes:
             w.u8(1)
             w.bytes(node.value)
     return w.getvalue()
+
+
+def reachable_digests(trie) -> set:
+    """Digests of the nodes reachable from the trie's root, found by walking it."""
+    seen, stack = set(), [] if trie.root == EMPTY_ROOT else [trie.root]
+    while stack:
+        d = stack.pop()
+        if d not in seen:
+            seen.add(d)
+            node = trie._nodes[d]
+            if isinstance(node, Extension):
+                stack.append(node.child)
+            elif isinstance(node, Branch):
+                stack.extend(c for c in node.children if c is not None)
+    return seen

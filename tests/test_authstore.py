@@ -6,10 +6,10 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpt_reference import reference_encode_node
+from mpt_reference import reachable_digests, reference_encode_node
 from txsim.authstore import (
     EMPTY_ROOT,
     GENESIS_PARENT,
@@ -22,7 +22,7 @@ from txsim.authstore import (
 from txsim.authstore import mbt as mbt_mod
 from txsim.authstore import mpt as mpt_mod
 from txsim.authstore.ledger import LedgerError
-from txsim.core import Block, IndexKind, Transaction, digest
+from txsim.core import Block, IndexKind, Transaction, digest, encode_block
 
 
 class TestVersionedKV:
@@ -260,6 +260,31 @@ class TestMptProperties:
             assert mpt_mod.verify(trie.root, key, value, trie.prove(key))
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_mpt_writes, max_size=24))
+    @example([])
+    @example([(b"", b"only the empty key")])
+    @example([(b"\x01", b"first"), (b"\x01\x10", b"longer"), (b"\x01", b"last wins")])
+    def test_bulk_load_equals_sequential_puts(self, writes):
+        loaded, sequential = MerklePatriciaTrie(), MerklePatriciaTrie()
+        assert loaded.load(writes) == sequential.put_batch(writes)
+        assert loaded.reachable_bytes() == sequential.reachable_bytes()
+        assert loaded.max_path_nibbles() == sequential.max_path_nibbles()
+        # every node stored is reachable: the load leaves no replaced node behind
+        assert set(loaded._nodes) == reachable_digests(loaded) == reachable_digests(sequential)
+        for d, node in loaded._nodes.items():
+            assert digest(_assert_round_trip(node)) == d
+        for key, value in dict(writes).items():
+            assert loaded.get(key) == value
+            assert loaded.prove(key).nodes == sequential.prove(key).nodes
+            assert mpt_mod.verify(loaded.root, key, value, loaded.prove(key))
+
+    def test_bulk_load_needs_an_empty_trie(self):
+        trie = MerklePatriciaTrie()
+        trie.put(b"k", b"v")
+        with pytest.raises(ValueError, match="empty trie"):
+            trie.load([(b"j", b"w")])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_mpt_nodes)
     def test_encoder_matches_the_reference_on_any_node(self, node):
         _assert_round_trip(node)
@@ -392,6 +417,19 @@ class TestLedger:
         assert ledger.verify_chain() is None
         assert ledger.block_bytes > 0
 
+    def test_append_of_the_encoded_bytes_matches_append_of_the_block(self):
+        rng = random.Random(45)
+        encoding, reusing = LedgerStore(), LedgerStore()
+        d = GENESIS_PARENT
+        for h in range(20):
+            block = _block(h, d, n_txns=rng.randint(0, 4), rng=rng)
+            d, size = encoding.append(block)
+            assert reusing.append(block, encode_block(block)) == (d, size)
+            assert size == len(encode_block(block))
+        assert reusing.tip_digest == encoding.tip_digest
+        assert reusing.block_bytes == encoding.block_bytes
+        assert reusing.verify_chain() is None
+
     def test_every_single_byte_mutation_is_located(self):
         ledger = LedgerStore()
         d = GENESIS_PARENT
@@ -475,6 +513,30 @@ def _contents(store, keys):
     )
 
 
+class TestStateStoreLoad:
+    @pytest.mark.parametrize("index", list(IndexKind))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(writes=_store_writes)
+    def test_load_equals_apply_batch_without_metering(self, index, writes):
+        loaded = StateStore(index=index, ledger_enabled=True, bucket_count=8, fanout=2)
+        applied = StateStore(index=index, ledger_enabled=True, bucket_count=8, fanout=2)
+        loaded.load(writes)
+        applied.apply_batch(writes)
+        assert loaded.meter.snapshot() == (0, 0)
+        assert dict(loaded.kv.items()) == dict(applied.kv.items())
+        assert loaded.storage_breakdown() == applied.storage_breakdown()
+        if index is not IndexKind.PLAIN:
+            assert loaded.index_root() == applied.index_root()
+        if index is IndexKind.MPT:
+            assert set(loaded.index._nodes) == reachable_digests(loaded.index)
+
+    def test_load_needs_an_empty_store(self):
+        store = StateStore()
+        store.load([(b"a", b"1")])
+        with pytest.raises(ValueError, match="empty store"):
+            store.load([(b"b", b"2")])
+
+
 class TestStateStoreFork:
     @pytest.mark.parametrize("index", list(IndexKind))
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -482,8 +544,7 @@ class TestStateStoreFork:
     def test_fork_equals_a_fresh_store_and_stays_independent(self, index, initial, later):
         def preloaded():
             store = StateStore(index=index, ledger_enabled=True, bucket_count=8, fanout=2)
-            store.apply_batch(initial)
-            store.meter.ops = store.meter.bytes = 0
+            store.load(initial)
             return store
 
         source, fresh = preloaded(), preloaded()
@@ -531,8 +592,7 @@ class TestMptTransitionSharing:
     def test_shared_forks_match_unshared_tries(self, initial, batches, replicas, order, diverge):
         def preloaded():
             store = StateStore(index=IndexKind.MPT)
-            store.apply_batch(initial)
-            store.meter.ops = store.meter.bytes = 0
+            store.load(initial)
             return store
 
         # one replica (the diverged one) takes a batch of its own mid-way

@@ -17,7 +17,6 @@ from txsim.consensus import QuorumError, QuorumSpec, messages_per_commit, quorum
 from txsim.consensus.pbft import Request
 from txsim.consensus.sharedlog import (
     LogAppend,
-    LogAppendAck,
     LogDeliver,
     SharedLogService,
 )
@@ -234,7 +233,9 @@ class TestSharedLog:
         sim = Simulator(
             rng=seeded_rng(seed, "net"), latency_fn=cm.net_delay, trace=True
         )
-        log = sim.add_node(SharedLogService(ack_delay=cm.net_latency_mean, append_cost=append_cost))
+        log = sim.add_node(
+            SharedLogService(delivery_delay=cm.net_latency_mean, append_cost=append_cost)
+        )
         client = sim.add_node(_Counter("client"))
         subs = [sim.add_node(_Counter(f"c{i}")) for i in range(consumers)]
         for sub in subs:
@@ -242,19 +243,22 @@ class TestSharedLog:
         return sim, log, client, subs
 
     def test_appends_get_dense_sequence_numbers(self):
-        sim, log, client, _ = self._make()
-        sim.schedule("shared_log", LogAppend(b"x", "client"), delay=0, src="client")
-        sim.schedule("shared_log", LogAppend(b"y", "client"), delay=1, src="client")
+        sim, log, client, subs = self._make()
+        sim.schedule("shared_log", LogAppend(b"x"), delay=0, src="client")
+        sim.schedule("shared_log", LogAppend(b"y"), delay=1, src="client")
         sim.run()
-        acks = [m.seq for _, m in client.seen if isinstance(m, LogAppendAck)]
-        assert sorted(acks) == [1, 2]
+        for sub in subs:
+            delivered = sorted((m.seq, m.entry) for _, m in sub.seen if isinstance(m, LogDeliver))
+            assert delivered == [(1, b"x"), (2, b"y")]
+        # appends are not acknowledged: the producer hears nothing back
+        assert client.seen == []
 
     def test_read_returns_prefix_consistent_slice(self):
         from txsim.consensus.sharedlog import LogEntries, LogRead
 
         sim, log, client, _ = self._make()
         for i in range(5):
-            sim.schedule("shared_log", LogAppend(f"e{i}".encode(), None), delay=i, src="client")
+            sim.schedule("shared_log", LogAppend(f"e{i}".encode()), delay=i, src="client")
         sim.schedule("shared_log", LogRead(2, "client"), delay=100, src="client")
         sim.run()
         slices = [m for _, m in client.seen if isinstance(m, LogEntries)]
@@ -263,7 +267,7 @@ class TestSharedLog:
     def test_consumers_see_identical_order(self):
         sim, log, client, subs = self._make(consumers=3)
         for i in range(10):
-            sim.schedule("shared_log", LogAppend(f"e{i}".encode(), None), delay=i * 7, src="client")
+            sim.schedule("shared_log", LogAppend(f"e{i}".encode()), delay=i * 7, src="client")
         sim.run()
         orders = [
             [(m.seq, m.entry) for _, m in sub.seen if isinstance(m, LogDeliver)]
@@ -278,7 +282,7 @@ class TestSharedLog:
         for consumers in (3, 9, 19):
             sim, log, client, subs = self._make(consumers=consumers, append_cost=30)
             for i in range(100):
-                sim.schedule("shared_log", LogAppend(b"e", None), delay=i * 50, src="client")
+                sim.schedule("shared_log", LogAppend(b"e"), delay=i * 50, src="client")
             sim.run()
             assert len(log.entries) == 100
             # producer-side span: when the last append was sequenced

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txsim.core import (
     Block,
@@ -97,6 +99,23 @@ def _random_txn(rng: random.Random, outcome=TxnOutcome.PENDING) -> Transaction:
     )
 
 
+_u64 = st.integers(0, 2**64 - 1)
+_txns = st.builds(
+    Transaction,
+    id=_u64,
+    read_set=st.lists(st.tuples(st.binary(max_size=6), st.none() | _u64), max_size=3).map(tuple),
+    write_set=st.lists(st.tuples(st.binary(max_size=6), st.binary(max_size=10)), max_size=3).map(
+        tuple
+    ),
+    op_count=st.integers(0, 2**32 - 1),
+    submit_time=st.none() | _u64,
+    order_time=st.none() | _u64,
+    commit_time=st.none() | _u64,
+    outcome=st.sampled_from(TxnOutcome),
+    app_abort=st.booleans(),
+)
+
+
 class TestCanonicalEncoding:
     def test_transaction_round_trip(self):
         rng = random.Random(7)
@@ -117,6 +136,21 @@ class TestCanonicalEncoding:
             )
             assert decode_block(encode_block(block)) == block
             parent = block_digest(block)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.builds(
+        Block,
+        height=_u64,
+        parent_digest=st.binary(min_size=32, max_size=32),
+        txn_list=st.lists(_txns, max_size=4).map(tuple),
+        proposer=_u64,
+        state_root=st.none() | st.binary(min_size=32, max_size=32),
+    ))
+    def test_encoded_block_survives_decode_and_encode(self, block):
+        # replicas hand the ordered bytes to the ledger in place of re-encoding
+        # the decoded block, so the two must be the same bytes
+        enc = encode_block(block)
+        assert encode_block(decode_block(enc)) == enc
 
     def test_injective_on_distinct_values(self):
         rng = random.Random(9)

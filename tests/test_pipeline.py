@@ -2,9 +2,12 @@
 
 import dataclasses
 import importlib
+import sys
 
 import pytest
 
+from mpt_reference import reachable_digests
+from txsim import simnet
 from txsim.authstore import MerklePatriciaTrie
 from txsim.core import (
     ConcurrencyMode,
@@ -17,6 +20,7 @@ from txsim.core import (
     TxnOutcome,
     validate_config,
 )
+from txsim.core.encoding import block_digest
 from txsim.pipeline import (
     Arrival,
     latency_breakdown,
@@ -111,6 +115,29 @@ class TestOrderExecute:
         )
         assert len(set(res.fingerprints)) == 1
         assert len(set(res.roots)) == 1
+
+    def test_replicas_agree_on_the_ledger_built_from_ordered_bytes(self):
+        pipeline = OrderExecutePipeline(
+            oe_config(), update_spec(txn_count=150), Arrival.open_loop(2000), seed=8
+        )
+        assert not pipeline.drive()
+        ledgers = [p.state.ledger for p in pipeline.peers]
+        assert len(ledgers[0]) > 1
+        assert len({ledger.tip_digest for ledger in ledgers}) == 1
+        assert ledgers[0].tip_digest == block_digest(ledgers[0].blocks[-1])
+        assert [ledger.verify_chain() for ledger in ledgers] == [None] * len(ledgers)
+
+    def test_mpt_preload_stores_only_reachable_nodes(self):
+        # the records of the oe_raft_mpt benchmark cell: 1000 keys, 1000-byte values
+        spec = WorkloadSpec(kind=WorkloadKind.YCSB_UPDATE, txn_count=100, seed=7)
+        cfg = oe_config(index=IndexKind.MPT)
+        pipeline = OrderExecutePipeline(cfg, spec, Arrival.closed_loop(16), seed=7)
+        for peer in pipeline.peers:
+            trie = peer.state.index
+            # inserting the records one by one stored 4000 nodes
+            assert len(trie._nodes) == len(reachable_digests(trie)) == 1273
+        assert not pipeline.drive()
+        assert len({peer.state.index_root() for peer in pipeline.peers}) == 1
 
     def test_shared_log_ordering_variant(self):
         cfg = oe_config(replication_approach=ReplicationApproach.SHARED_LOG)
@@ -375,6 +402,17 @@ class TestStorageReplicated:
         res = run_pipeline(cfg, occ_spec(txn_count=150), Arrival.closed_loop(8), seed=22)
         assert res.committed > 100
         assert len(set(res.fingerprints)) == 1
+
+    def test_each_delivery_computes_its_kind_once(self, monkeypatch):
+        kind_of, calls = simnet.payload_kind, []
+        # count calls through every txsim module that holds the function
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("txsim") and vars(module).get("payload_kind") is kind_of:
+                monkeypatch.setattr(module, "payload_kind", lambda p: calls.append(p) or kind_of(p))
+        cfg = db_config(failure_model=FailureModel.BFT, node_count=4, tolerated_failures=1)
+        res = run_pipeline(cfg, occ_spec(txn_count=60), Arrival.closed_loop(8), seed=22)
+        # the simulator's kind reaches the host's dispatch; nothing computes it again
+        assert len(calls) == sum(res.delivered_counts.values()) > 0
 
 
 class TestOccValidate:
