@@ -12,16 +12,20 @@ bottlenecks without any extra machinery.
 
 Waiting is keyed exactly as if each event that comes up while its node is
 busy were pushed back onto the queue at the node's ``busy_until`` with a fresh
-seq, every time.  Such events are held in groups instead.  A group stands for
-the keys ``(busy_until, s), (busy_until, s+1), ..., (busy_until, s+n-1)`` and
-takes one queue entry; waiting events whose fresh keys continue the latest
-group's run join it.  No other event can own a key inside a group's run, so
-push-back would pop its members back to back, and one step does the same: it
-delivers (or drops) members while the node is free, drops members that can no
-longer be delivered, and re-keys the rest at the new ``busy_until`` with the
+seq, every time.  Such events are held in groups instead; a group takes one
+queue entry for its members' keys ``(busy_until, s1) < (busy_until, s2) ...``.
+A waiting event joins the group its node queued last when that group is keyed
+at the node's ``busy_until`` and no other entry was queued at that fire time
+since the group's last seq; a map from each fire time still ahead to the last
+seq queued at it tells which.  No other entry can then own a key between two
+members, so push-back would pop them back to back, and one step does the same:
+it delivers (or drops) members while the node is free, drops members that can
+no longer be delivered, and re-keys the rest at the new ``busy_until`` with the
 next seqs, one each.  Seqs, the trace and every delivery time therefore match
 the per-event push-back, while the queue sees one entry per group instead of
-one per waiting event per busy period.
+one per waiting event per busy period.  ``Simulator.run`` is the one event
+loop: a popped event is a run of one, delivered or made to wait by the code
+that fires a group, and ``step`` is ``run`` with a budget of one entry.
 
 A timer can be cancelled.  Cancellation is lazy: the event keeps its key
 (and the seq it took) and is discarded when it comes up, or when the group it
@@ -40,7 +44,7 @@ first fault change on, every check runs as it would without the shortcut.
 from __future__ import annotations
 
 import enum
-import heapq
+from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -52,6 +56,7 @@ class FaultKind(enum.Enum):
     BYZANTINE_SILENT = "byzantine_silent"
 
 BYZANTINE_KINDS = frozenset({FaultKind.BYZANTINE_EQUIVOCATE, FaultKind.BYZANTINE_SILENT})
+_MUTE = (FaultKind.BYZANTINE_SILENT, FaultKind.CRASHED)  # senders that emit nothing
 
 
 class SimError(Exception):
@@ -108,6 +113,7 @@ class Node:
         self.busy_until = 0
         self._outbox: List[tuple] = []
         self._in_handler = False
+        self._group: Optional[_Waiting] = None  # the group queued behind it last
 
     @property
     def now(self) -> int:
@@ -157,11 +163,11 @@ class Simulator:
         self.allow_byzantine = allow_byzantine
         self._queue: List[tuple] = []
         self._seq = 0
+        self._last_at: Dict[int, int] = {}  # fire time -> last seq queued at it, times still ahead
         self._grouped = 0  # waiting events beyond the first of each group entry
-        self._tail: Optional[_Waiting] = None  # the queued group keyed last
+        self._fired: Optional[Event] = None  # the event of the last step taken
         self._cancelled = 0  # cancelled events still queued or waiting
         self._cancelled_waiting = 0  # those of them that wait in a group
-        self._discarded = 0  # queue entries that were cancelled events
         self.nodes: Dict[object, Node] = {}
         self._faults: Dict[object, NodeFault] = {}
         self._partition: Optional[Dict[object, int]] = None
@@ -221,17 +227,15 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
 
     def _schedule_at(self, fire_time: int, src, target, payload) -> int:
-        self._seq += 1
-        ev = Event(fire_time, self._seq, src, target, payload)
-        heapq.heappush(self._queue, (fire_time, self._seq, ev))
-        return self._seq
+        ev = Event(fire_time, 0, src, target, payload)
+        self._push(ev)
+        return ev.seq
 
     def _push(self, ev: Event) -> None:
         self._seq += 1
         ev.seq = self._seq
-        # a timer cancelled inside the handler that armed it takes its seq only
-        if ev.state == _QUEUED:
-            heapq.heappush(self._queue, (ev.fire_time, self._seq, ev))
+        heappush(self._queue, (ev.fire_time, self._seq, ev))
+        self._last_at[ev.fire_time] = self._seq
 
     def cancel(self, ev: Event) -> None:
         """Keep ``ev`` from being delivered; a no-op once it was delivered or dropped."""
@@ -252,7 +256,7 @@ class Simulator:
 
     def send(self, src, dst, payload, extra_delay: int = 0) -> Optional[int]:
         """Message send with a fresh latency draw; silent senders emit nothing."""
-        if self._lossy and self.fault_of(src) in (FaultKind.BYZANTINE_SILENT, FaultKind.CRASHED):
+        if self._lossy and self.fault_of(src) in _MUTE:
             return None
         delay = extra_delay + self._latency_fn(self.rng)
         return self._schedule_at(self.now + delay, src, dst, payload)
@@ -275,149 +279,141 @@ class Simulator:
         return True
 
     def step(self) -> Optional[Event]:
-        """Fire the minimal (fire_time, seq) queue entry; None when exhausted.
+        """``run`` with a budget of one queue entry; None when none is left.
 
-        An entry is one event (delivered, dropped, made to wait, discarded as
-        cancelled, or a fault change) or one group waiting behind a busy node,
-        whose members are delivered or dropped while the node is free and
-        re-keyed together once it is busy again.  Returns the event, or the
-        group's first member.
+        Cancelled events ahead of that entry are discarded on the way.
+        Returns the entry's event, or a group's first member.
         """
-        if not self._queue:
-            return None
-        fire_time, _, ev = heapq.heappop(self._queue)
-        assert fire_time >= self.now, "virtual clock would go backwards"
-        self.now = fire_time
-
-        if ev.__class__ is _Waiting:
-            return self._fire_waiting(ev)
-        if ev.state == _CANCELLED:
-            self._cancelled -= 1
-            self._discarded += 1
-            return ev
-
-        if isinstance(ev.payload, _FaultChange):
-            change = ev.payload
-            self._faults[change.node_id] = NodeFault(change.node_id, change.fault, self.now)
-            self._lossy = True
-            return ev
-
-        node = self.nodes.get(ev.target)
-        if node is None or not self._deliverable(ev):
-            ev.state = _DROPPED
-            self.dropped_count += 1
-            return ev
-
-        if node.busy_until > self.now:
-            ev.state = _WAITING
-            self._wait(node, [ev])
-            return ev
-
-        self._deliver(node, ev)
-        return ev
-
-    def _wait(self, node: Node, events: List[Event]) -> None:
-        """Queue ``events`` behind ``node`` at its busy_until, one fresh seq each."""
-        until = node.busy_until
-        tail = self._tail
-        if (tail is not None and tail.last_seq == self._seq and tail.node is node
-                and tail.fire_time == until):
-            # the keys continue the tail group's run, so they join it; the
-            # tail is still queued, as until > now >= any fired group's time
-            tail.events.extend(events)
-            self._grouped += len(events)
-        else:
-            tail = self._tail = _Waiting(node, until, events)
-            heapq.heappush(self._queue, (until, self._seq + 1, tail))
-            self._grouped += len(events) - 1
-        self._seq += len(events)
-        tail.last_seq = self._seq
-
-    def _fire_waiting(self, group: "_Waiting") -> Event:
-        node = group.node
-        events = group.events
-        self._grouped -= len(events) - 1
-        fired = 0
-        while fired < len(events) and node.busy_until <= self.now:
-            ev = events[fired]
-            fired += 1
-            if ev.state == _CANCELLED:
-                self._cancelled -= 1
-                self._cancelled_waiting -= 1
-                continue
-            ev.fire_time = self.now
-            if self._deliverable(ev):
-                self._deliver(node, ev)
-            else:
-                ev.state = _DROPPED
-                self.dropped_count += 1
-        head = events[0]
-        del events[:fired]
-        if events:
-            # only a partition or a crashed node makes an event undeliverable
-            lossy = self._lossy and (self._partition is not None or any(
-                f.kind is FaultKind.CRASHED for f in self._faults.values()
-            ))
-            if lossy or self._cancelled_waiting:
-                kept = []
-                for ev in events:
-                    if ev.state == _CANCELLED:
-                        self._cancelled -= 1
-                        self._cancelled_waiting -= 1
-                    elif lossy and not self._deliverable(ev):
-                        ev.state = _DROPPED
-                        self.dropped_count += 1
-                    else:
-                        kept.append(ev)
-                events = kept
-            if events:
-                self._wait(node, events)
-        return head
-
-    def _deliver(self, node: Node, ev: Event) -> None:
-        ev.state = _DELIVERED
-        kind = payload_kind(ev.payload)
-        self.delivered_counts[kind] = self.delivered_counts.get(kind, 0) + 1
-        if self.trace is not None:
-            self.trace.append((self.now, ev.seq, ev.src, ev.target, kind))
-
-        node._outbox.clear()
-        node._in_handler = True
-        try:
-            cost = node.receive(ev.payload, kind) or 0
-        finally:
-            node._in_handler = False
-        node.busy_until = self.now + cost
-        for out in node._outbox:
-            if out.__class__ is Event:
-                self._push(out)
-            else:
-                dst, payload, extra = out
-                self.send(node.node_id, dst, payload, extra_delay=extra + cost)
-        node._outbox.clear()
+        return self._fired if self.run(max_events=1) else None
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Drain the queue up to a virtual-time / step budget; returns steps taken.
 
-        A step is one queue entry (see ``step``), so ``max_events`` bounds
-        deliveries, drops, fault changes and waiting groups re-keyed together,
-        and one step can deliver several events.  Discarding a cancelled event
-        is not a step.
+        A step is one queue entry: an event (delivered, dropped, made to wait,
+        or a fault change) or a group of waiting events, which the step
+        delivers or drops while the node is free and re-keys together once it
+        is busy again.  ``max_events`` therefore counts queue entries, and one
+        entry can cover many events.  Discarding a cancelled event is not a
+        step.
         """
-        fired = 0
-        discarded = self._discarded
-        while self._queue:
-            if until is not None and self._queue[0][0] > until:
+        queue, nodes, last_at = self._queue, self.nodes, self._last_at
+        counts, trace = self.delivered_counts, self.trace
+        latency, rng = self._latency_fn, self.rng
+        budget = -1 if max_events is None else max_events
+        now = self.now
+        steps = 0
+        head = None
+        while queue and steps != budget:
+            fire_time, _, entry = queue[0]
+            if until is not None and fire_time > until:
                 break
-            if max_events is not None and fired - (self._discarded - discarded) >= max_events:
-                break
-            self.step()
-            fired += 1
-        if until is not None and self.now < until and (
-            not self._queue or self._queue[0][0] > until
-        ):
+            heappop(queue)
+            if fire_time != now:
+                assert fire_time > now, "virtual clock would go backwards"
+                last_at.pop(now, None)
+                now = self.now = fire_time
+            if entry.__class__ is _Waiting:
+                node, events = entry.node, entry.events
+                n = len(events)
+                self._grouped -= n - 1
+                head = events[0]
+            elif entry.state == _CANCELLED:
+                self._cancelled -= 1
+                continue
+            else:
+                head, n = entry, 0
+                if entry.payload.__class__ is _FaultChange:
+                    change = entry.payload
+                    self._faults[change.node_id] = NodeFault(change.node_id, change.fault, now)
+                    self._lossy = True
+                elif (node := nodes.get(entry.target)) is None:
+                    entry.state = _DROPPED
+                    self.dropped_count += 1
+                else:  # a run of one: delivered now, or made to wait below
+                    entry.state = _WAITING
+                    events, n = [entry], 1
+            steps += 1
+            fired = 0
+            while fired < n and node.busy_until <= now:
+                ev = events[fired]
+                fired += 1
+                if ev.state == _CANCELLED:
+                    self._cancelled -= 1
+                    self._cancelled_waiting -= 1
+                    continue
+                ev.fire_time = now
+                if self._lossy and not self._deliverable(ev):
+                    ev.state = _DROPPED
+                    self.dropped_count += 1
+                    continue
+                ev.state = _DELIVERED
+                kind = payload_kind(ev.payload)
+                counts[kind] = counts.get(kind, 0) + 1
+                if trace is not None:
+                    trace.append((now, ev.seq, ev.src, ev.target, kind))
+                outbox = node._outbox
+                outbox.clear()  # of sends left by a handler that raised
+                node._in_handler = True
+                try:
+                    cost = node.receive(ev.payload, kind) or 0
+                finally:
+                    node._in_handler = False
+                node.busy_until = now + cost
+                if outbox:
+                    seq = self._seq
+                    for out in outbox:
+                        if out.__class__ is Event:
+                            seq += 1
+                            out.seq = seq
+                            # a timer cancelled inside the handler that armed it takes its seq only
+                            if out.state == _QUEUED:
+                                heappush(queue, (out.fire_time, seq, out))
+                                last_at[out.fire_time] = seq
+                        elif not self._lossy or self.fault_of(node.node_id) not in _MUTE:
+                            dst, payload, extra = out
+                            at = now + extra + cost + latency(rng)
+                            seq += 1
+                            heappush(queue, (at, seq, Event(at, seq, node.node_id, dst, payload)))
+                            last_at[at] = seq
+                    self._seq = seq
+                    outbox.clear()
+
+            if fired < n:
+                if fired:
+                    del events[:fired]
+                if self._lossy or self._cancelled_waiting:
+                    kept = []
+                    for ev in events:
+                        if ev.state == _CANCELLED:
+                            self._cancelled -= 1
+                            self._cancelled_waiting -= 1
+                        elif not self._deliverable(ev):
+                            ev.state = _DROPPED
+                            self.dropped_count += 1
+                        else:
+                            kept.append(ev)
+                    events = kept
+                n = len(events)
+                if n:
+                    # wait at busy_until: join the node's group when it is keyed
+                    # there and no other entry has been queued at that time since
+                    until_free = node.busy_until
+                    group = node._group
+                    if (group is not None and group.fire_time == until_free
+                            and last_at[until_free] == group.last_seq):
+                        group.events += events
+                        self._grouped += n
+                    else:
+                        group = node._group = _Waiting(node, until_free, events)
+                        heappush(queue, (until_free, self._seq + 1, group))
+                        self._grouped += n - 1
+                    self._seq += n
+                    last_at[until_free] = group.last_seq = self._seq
+        if until is not None and now < until and (not queue or queue[0][0] > until):
+            last_at.pop(now, None)
             self.now = until
-        return fired - (self._discarded - discarded)
+        self._fired = head
+        return steps
 
     def pending(self) -> int:
         """Events still queued, waiting ones included (not queue entries nor cancelled events)."""
@@ -440,16 +436,14 @@ class _FaultChange:
     kind: str = field(default="__fault__", init=False)
 
 
+@dataclass(slots=True, eq=False)
 class _Waiting:
-    """Events waiting behind ``node``, keyed (fire_time, s), ..., (fire_time, last_seq)."""
+    """Events waiting behind ``node`` at ``fire_time``; the last took seq ``last_seq``."""
 
-    __slots__ = ("node", "fire_time", "last_seq", "events")
-
-    def __init__(self, node: Node, fire_time: int, events: List[Event]):
-        self.node = node
-        self.fire_time = fire_time
-        self.last_seq = 0
-        self.events = events
+    node: Node
+    fire_time: int
+    events: List[Event]
+    last_seq: int = 0
 
 
 MAX_VIRTUAL = 600_000_000  # a driven run stops here, settled or not

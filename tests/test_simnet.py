@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from simnet_reference import ReferenceSimulator
 from txsim.core import CostModel, seeded_rng
 from txsim.pipeline.base import PipelineBase
-from txsim.simnet import FaultKind, Node, SimError, Simulator
+from txsim.simnet import FaultKind, Node, SimError, Simulator, run_until_settled
 
 
 @dataclass
@@ -309,14 +309,45 @@ class TestBusyNodes:
         assert sim.pending() == 4 and len(sim._queue) == 1
         sim.schedule("a", Ping(0), delay=0)  # takes the seq after the group's
         assert sim.pending() == 5
-        sim.step()  # so it waits in a second group of its own
-        assert sim.pending() == 5 and len(sim._queue) == 2
-        sim.step()  # first group: one delivered, three re-keyed to t=20
-        assert sim.pending() == 4 and len(sim._queue) == 2 and sim.now == 10
-        sim.step()  # second group follows their seqs at t=20 and joins them
-        assert sim.pending() == 4 and len(sim._queue) == 1
+        sim.step()  # nothing else was queued at t=10 since, so it joins the group
+        assert sim.pending() == 5 and len(sim._queue) == 1
+        sim.step()  # the group: one delivered, four re-keyed to t=20
+        assert sim.pending() == 4 and len(sim._queue) == 1 and sim.now == 10
         sim.run()
         assert sim.pending() == 0 and sim.delivered_counts == {"ping": 6}
+
+    def test_entry_queued_at_the_groups_fire_time_starts_a_second_group(self):
+        def play(sim_cls):
+            sim = sim_cls(trace=True)
+            sim.add_node(Recorder("a", cost=10))
+            for delay in (0, 1, 1, 2):
+                sim.schedule("a", Ping(0), delay=delay)
+            sim.run(until=5)  # one delivered, three waiting in one group at t=10
+            sim.schedule("a", Ping(1), delay=5)  # queued at t=10, after the group
+            sim.schedule("a", Ping(2), delay=0)
+            sim.run(max_events=1)  # must not join the group across Ping(1)'s key
+            queued = len(sim._queue)
+            sim.run()
+            return queued, sim.pending(), sim.dump_trace()
+
+        ours, reference = play(Simulator), play(ReferenceSimulator)
+        assert ours[0] == 3  # the group, Ping(1), a second group
+        assert ours[1:] == reference[1:]
+
+    def test_fire_time_map_holds_only_times_ahead_of_the_clock(self):
+        sim = _sim(4)
+        sim.add_node(Recorder("w", forward_to="z", cost=300, max_hops=40))
+        sim.add_node(Recorder("z", forward_to="w", cost=0, max_hops=40))
+        for delay in range(0, 5_000, 250):
+            sim.schedule("w", Ping(0), delay=delay)
+        seen = sim.nodes["z"].seen
+        stalled = run_until_settled(sim, lambda: len(seen) >= 100, lambda: len(seen), 10**6)
+        assert not stalled and sim.pending() > 0
+        ahead = {t for t, _, _ in sim._queue if t > sim.now}
+        assert min(sim._last_at) >= sim.now
+        assert set(sim._last_at) - {sim.now} == ahead
+        sim.run()
+        assert set(sim._last_at) <= {sim.now}
 
 
 class Arming(Recorder):
