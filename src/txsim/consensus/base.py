@@ -19,6 +19,11 @@ class ProtocolHost(Node):
         super().__init__(node_id)
         self._handlers = {}
         self._routes = {}  # message kind -> the handler registered for its prefix
+        self._pending_cost = 0
+
+    def charge(self, cost: int) -> None:
+        """Add ``cost`` to what the delivery being handled costs."""
+        self._pending_cost += cost
 
     def register(self, prefix: str, handler) -> None:
         if prefix in self._handlers:
@@ -32,7 +37,11 @@ class ProtocolHost(Node):
             if handler is None:
                 raise ValueError(f"node {self.node_id!r} has no handler for {kind!r}")
             self._routes[kind] = handler
-        return handler(msg) or 0
+        cost = handler(msg) or 0
+        if self._pending_cost:
+            cost += self._pending_cost
+            self._pending_cost = 0
+        return cost
 
 
 class Component:

@@ -121,17 +121,7 @@ class BlockFormer:
         return block
 
 
-class CostMixin:
-    def charge(self, cost: int) -> None:
-        self._pending_cost += cost
-
-    def receive(self, msg, kind: str) -> int:
-        cost = super().receive(msg, kind)
-        extra, self._pending_cost = self._pending_cost, 0
-        return cost + extra
-
-
-class PeerNode(CostMixin, ProtocolHost):
+class PeerNode(ProtocolHost):
     """A replica's protocol lane: consensus and request handling.
 
     Execution work (block application, validation) runs on the peer's worker
@@ -146,20 +136,18 @@ class PeerNode(CostMixin, ProtocolHost):
         self.state = None  # set by preload
         self.worker = None  # twin execution node, set by build_peers
         self.ordering = None  # propose/is_leader handle, set by attach_ordering
-        self._pending_cost = 0
 
     def to_worker(self, payload) -> None:
         self.local(self.worker.node_id, payload)
 
 
-class WorkerNode(CostMixin, ProtocolHost):
+class WorkerNode(ProtocolHost):
     """A replica's execution lane; shares the peer's state store."""
 
     def __init__(self, peer: PeerNode):
         super().__init__(("exec", peer.node_id))
         self.peer = peer
         self.pipeline = peer.pipeline
-        self._pending_cost = 0
 
     @property
     def state(self):
