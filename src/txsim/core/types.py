@@ -82,12 +82,16 @@ class CostModel:
     def net_delay(self, rng) -> int:
         """One latency draw: uniform over [min, 2*mean - min].
 
-        ``randrange(lo, hi + 1)`` is the call ``randint(lo, hi)`` makes, so the
-        draws are the same, one Python frame cheaper.
+        This is the ``getrandbits`` rejection loop that ``randint`` runs, so
+        the draws are the same, without its argument checks and call frames.
         """
-        return rng.randrange(
-            self.net_latency_min, 2 * self.net_latency_mean - self.net_latency_min + 1
-        )
+        lo = self.net_latency_min
+        n = 2 * (self.net_latency_mean - lo) + 1
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return lo + r
 
     def violations(self):
         out = []

@@ -80,6 +80,20 @@ class TestSeededRng:
         ]
 
 
+class TestNetDelay:
+    # (min, mean): the defaults, a one-value range, powers of two either side
+    # of the draw width, and a zero minimum
+    @pytest.mark.parametrize("lo, mean", [(200, 500), (300, 300), (0, 0), (0, 1), (5, 9),
+                                          (100, 164), (100, 163), (0, 512)])
+    def test_draws_equal_randint(self, lo, mean):
+        cm = CostModel(net_latency_min=lo, net_latency_mean=mean)
+        for seed in (0, 1, 7, 42):
+            ours, theirs = seeded_rng(seed, "net"), seeded_rng(seed, "net")
+            draws = [cm.net_delay(ours) for _ in range(500)]
+            assert draws == [theirs.randint(lo, 2 * mean - lo) for _ in range(500)]
+            assert ours.getstate() == theirs.getstate()
+
+
 def _random_txn(rng: random.Random, outcome=TxnOutcome.PENDING) -> Transaction:
     keys = [f"k{rng.randint(0, 99):03d}".encode() for _ in range(rng.randint(0, 4))]
     read_set = tuple((k, rng.choice([None, rng.randint(0, 50)])) for k in keys)
