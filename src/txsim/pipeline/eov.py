@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from ..consensus.sharedlog import SharedLogService
-from ..core.encoding import Reader, Writer
+from ..core.encoding import Reader, Writer, encode_block
 from ..core.types import Block, ReplicationApproach, TxnOutcome
 from ..simnet import Event
 from .base import Arrival, BlockFormer, BlockTimer, PeerNode, PipelineBase, Retry, WorkerNode
@@ -176,7 +176,8 @@ class EovWorker(WorkerNode):
         self.send("clients", EndorseResp(txn_id, self.peer.node_id, reads))
 
     def validate_block(self, payload: bytes) -> None:
-        entries = self.pipeline.decoded(payload, decode_entries)
+        # decoded once for every peer, with a memo of the block encodings they build
+        entries, encodings = self.pipeline.decoded(payload, lambda p: (decode_entries(p), {}))
         observer = self.peer.node_id == self.pipeline.observer_id
         cm = self.pipeline.cm
         cumulative = 0
@@ -213,7 +214,11 @@ class EovWorker(WorkerNode):
                 proposer=0,
                 state_root=self.state.index_root() if self.state.index else None,
             )
-            _, size = self.state.ledger.append(block)
+            # peers that build the same block from the payload share its encoding
+            built = (block.height, block.parent_digest, block.state_root)
+            if built not in encodings:
+                encodings[built] = encode_block(block)
+            _, size = self.state.ledger.append(block, encodings[built])
             self.charge(cm.hash_cost(1, size))
         if observer:
             self.pipeline.block_log.append(tuple(block_log))

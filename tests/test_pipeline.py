@@ -10,6 +10,7 @@ from mpt_reference import reachable_digests
 from txsim import simnet
 from txsim.authstore import MerklePatriciaTrie
 from txsim.core import (
+    Block,
     ConcurrencyMode,
     CostModel,
     DesignConfig,
@@ -20,6 +21,7 @@ from txsim.core import (
     TxnOutcome,
     validate_config,
 )
+from txsim.core import encoding
 from txsim.core.encoding import block_digest
 from txsim.pipeline import (
     Arrival,
@@ -284,6 +286,41 @@ class TestExecuteOrderValidate:
         res = run_pipeline(cfg, update_spec(txn_count=200), Arrival.open_loop(2000), seed=13)
         assert res.committed > 150
         assert len(set(res.fingerprints)) == 1
+
+    @staticmethod
+    def _count_block_encodes(monkeypatch):
+        encode, calls = encoding.encode_block, []
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("txsim") and vars(module).get("encode_block") is encode:
+                monkeypatch.setattr(module, "encode_block", lambda b: calls.append(b) or encode(b))
+        return calls
+
+    def _saturated_raft_pipeline(self):
+        cfg = eov_config(replication_approach=ReplicationApproach.CONSENSUS)
+        spec = update_spec(theta=0.6, txn_count=300)
+        return ExecuteOrderValidatePipeline(cfg, spec, Arrival.open_loop(2500), seed=7)
+
+    def test_each_block_is_encoded_once_for_all_peers(self, monkeypatch):
+        calls = self._count_block_encodes(monkeypatch)
+        pipeline = self._saturated_raft_pipeline()
+        assert not pipeline.drive()
+        ledgers = [peer.state.ledger for peer in pipeline.peers]
+        blocks = len(ledgers[0])
+        assert blocks > 5 and all(len(ledger) == blocks for ledger in ledgers)
+        assert len(calls) == blocks and pipeline._decoded == {}
+        assert len({ledger.tip_digest for ledger in ledgers}) == 1
+
+    def test_replica_with_a_diverging_tip_encodes_its_own_blocks(self, monkeypatch):
+        calls = self._count_block_encodes(monkeypatch)
+        pipeline = self._saturated_raft_pipeline()
+        odd = pipeline.peers[3].state.ledger
+        odd.append(Block(height=0, parent_digest=odd.tip_digest, txn_list=(), proposer=9))
+        assert not pipeline.drive()
+        ledgers = [peer.state.ledger for peer in pipeline.peers]
+        blocks = len(ledgers[0])
+        assert len(odd) == blocks + 1 and len(calls) >= 2 * blocks
+        assert all(ledger.verify_chain() is None for ledger in ledgers)
+        assert len({ledger.tip_digest for ledger in ledgers}) == 2
 
     def test_k_of_n_endorsement_tolerates_a_crashed_peer(self):
         cfg = eov_config()
