@@ -85,13 +85,12 @@ class RaftTiming:
 class RaftComponent(Component):
     prefix = "raft"
 
-    def __init__(self, replicas: List, timing: RaftTiming, rng, on_commit=None, msg_cost: int = 0):
+    def __init__(self, replicas: List, timing: RaftTiming, rng, on_commit=None):
         super().__init__()
         self.replicas = list(replicas)
         self.timing = timing
         self.rng = rng
         self.on_commit = on_commit
-        self.msg_cost = msg_cost
 
         self.term = 0
         self.voted_for = None
@@ -178,7 +177,7 @@ class RaftComponent(Component):
             self._on_append(msg)
         elif isinstance(msg, AppendReply):
             self._on_append_reply(msg)
-        return self.msg_cost
+        return 0
 
     # -- elections ---------------------------------------------------------------
 

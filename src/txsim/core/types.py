@@ -203,18 +203,6 @@ class TxnOutcome(enum.Enum):
     ABORTED_APPLICATION = 6
 
 
-TERMINAL_OUTCOMES = frozenset(o for o in TxnOutcome if o is not TxnOutcome.PENDING)
-
-CONFLICT_ABORTS = frozenset(
-    {
-        TxnOutcome.ABORTED_RW,
-        TxnOutcome.ABORTED_WW,
-        TxnOutcome.ABORTED_INCONSISTENT_READ,
-        TxnOutcome.ABORTED_BLOCKED,
-    }
-)
-
-
 @dataclass(frozen=True)
 class Transaction:
     """A read/write set over keys; immutable, updates go through ``evolve``.

@@ -8,6 +8,7 @@ from .experiment import (
     sweep,
     sweep_cells_from_grid,
     table2_cells,
+    vary,
 )
 from .forecast import (
     ConsistencyReport,
@@ -16,7 +17,7 @@ from .forecast import (
     corner_configs,
     forecast_band,
 )
-from .csvout import CSV_COLUMNS, STORAGE_COLUMNS, emit_csv, emit_storage_csv, run_row
+from .csvout import CSV_COLUMNS, emit_csv, run_row
 from .trends import (
     authenticated_ledger_slows_large_records,
     ops_slow_throughput,
@@ -28,14 +29,12 @@ __all__ = [
     "ConsistencyReport",
     "ForecastBand",
     "Metrics",
-    "STORAGE_COLUMNS",
     "authenticated_ledger_slows_large_records",
     "check_forecast_consistency",
     "ops_slow_throughput",
     "skew_slows_throughput",
     "corner_configs",
     "emit_csv",
-    "emit_storage_csv",
     "find_saturation_rate",
     "forecast_band",
     "parse_arrival",
@@ -45,4 +44,5 @@ __all__ = [
     "sweep",
     "sweep_cells_from_grid",
     "table2_cells",
+    "vary",
 ]

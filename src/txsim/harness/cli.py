@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..core.configio import ConfigError, config_from_file
+from ..core.configio import config_from_file
 from ..core.types import InvalidConfig, check_config
 from ..workload import workload_from_file
 from .csvout import emit_csv, run_row
@@ -80,7 +80,7 @@ def main(argv=None) -> int:
         for v in exc.violations:
             print(f"config error: {v}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -2,68 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 from typing import Iterable
 
-from ..core.configio import config_to_dict
 from ..core.types import DesignConfig
 from ..pipeline import Arrival
 from ..workload import WorkloadSpec
 from .metrics import Metrics
 
-CSV_COLUMNS = [
-    "replication_model",
-    "replication_approach",
-    "failure_model",
-    "concurrency_mode",
-    "ledger_enabled",
-    "index",
-    "sharding_mode",
-    "node_count",
-    "tolerated_failures",
-    "workload_kind",
-    "record_count",
-    "record_size_bytes",
-    "theta",
-    "ops_per_txn",
-    "txn_count",
-    "arrival",
-    "seed",
-    "submitted",
-    "committed",
-    "aborted_rw",
-    "aborted_ww",
-    "aborted_inconsistent_read",
-    "aborted_blocked",
-    "aborted_application",
-    "dropped",
-    "pending",
-    "span_us",
-    "throughput_tps",
-    "latency_p50_us",
-    "latency_p95_us",
-    "latency_p99_us",
-    "mean_execute_us",
-    "mean_order_us",
-    "mean_validate_us",
-    "messages_total",
-    "messages_per_commit",
-    "state_bytes",
-    "block_bytes",
-    "index_overhead_per_record",
-    "shard_count",
-    "cross_shard_ratio",
-    "blocked_count",
-    "reconfig_interval",
-    "stalled",
-]
-
-STORAGE_COLUMNS = [
-    "records",
-    "record_bytes",
-    "state_bytes",
-    "block_bytes",
-    "index_overhead_per_record",
-]
+# the run reports its reconfiguration interval (``reconfig_interval``); the
+# cost model is not a column
+_DESIGN_COLUMNS = tuple(
+    f.name
+    for f in dataclasses.fields(DesignConfig)
+    if f.name not in ("reconfiguration_interval", "cost_model")
+)
 
 
 def _fmt(value) -> str:
@@ -71,30 +25,23 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".6g")
+    if isinstance(value, enum.Enum):
+        return value.value
     return str(value)
 
 
 def run_row(
     cfg: DesignConfig, spec: WorkloadSpec, arrival: Arrival, seed: int, metrics: Metrics
 ) -> dict:
-    cfg_dict = config_to_dict(cfg)
+    """One CSV row: the design, the workload cell, then every ``Metrics`` field."""
     arrival_s = (
         f"open_loop:{_fmt(arrival.rate_tps)}"
         if arrival.mode == "open_loop"
         else f"closed_loop:{arrival.clients}"
     )
-    aborts = metrics.abort_counts
     return {
-        "replication_model": cfg_dict["replication_model"],
-        "replication_approach": cfg_dict["replication_approach"],
-        "failure_model": cfg_dict["failure_model"],
-        "concurrency_mode": cfg_dict["concurrency_mode"],
-        "ledger_enabled": cfg.ledger_enabled,
-        "index": cfg_dict["index"],
-        "sharding_mode": cfg_dict["sharding_mode"],
-        "node_count": cfg.node_count,
-        "tolerated_failures": cfg.tolerated_failures,
-        "workload_kind": spec.kind.value,
+        **{name: getattr(cfg, name) for name in _DESIGN_COLUMNS},
+        "workload_kind": spec.kind,
         "record_count": spec.record_count,
         "record_size_bytes": spec.effective_record_size,
         "theta": spec.theta,
@@ -102,57 +49,26 @@ def run_row(
         "txn_count": spec.txn_count,
         "arrival": arrival_s,
         "seed": seed,
-        "submitted": metrics.submitted,
-        "committed": metrics.committed,
-        "aborted_rw": aborts.get("aborted_rw", 0),
-        "aborted_ww": aborts.get("aborted_ww", 0),
-        "aborted_inconsistent_read": aborts.get("aborted_inconsistent_read", 0),
-        "aborted_blocked": aborts.get("aborted_blocked", 0),
-        "aborted_application": aborts.get("aborted_application", 0),
-        "dropped": metrics.dropped,
-        "pending": metrics.pending,
-        "span_us": metrics.span_us,
-        "throughput_tps": metrics.throughput_tps,
-        "latency_p50_us": metrics.latency_p50_us,
-        "latency_p95_us": metrics.latency_p95_us,
-        "latency_p99_us": metrics.latency_p99_us,
-        "mean_execute_us": metrics.mean_execute_us,
-        "mean_order_us": metrics.mean_order_us,
-        "mean_validate_us": metrics.mean_validate_us,
-        "messages_total": metrics.messages_total,
-        "messages_per_commit": metrics.messages_per_commit,
-        "state_bytes": metrics.state_bytes,
-        "block_bytes": metrics.block_bytes,
-        "index_overhead_per_record": metrics.index_overhead_per_record,
-        "shard_count": metrics.shard_count,
-        "cross_shard_ratio": metrics.cross_shard_ratio,
-        "blocked_count": metrics.blocked_count,
-        "reconfig_interval": metrics.reconfig_interval,
-        "stalled": metrics.stalled,
+        **dataclasses.asdict(metrics),
     }
 
 
-def _emit(rows: Iterable[dict], columns, path) -> None:
-    lines = [",".join(columns)]
+# the header is the keys of any row, here one of defaults
+CSV_COLUMNS = list(run_row(DesignConfig(), WorkloadSpec(), Arrival.closed_loop(1), 0, Metrics()))
+
+
+def emit_csv(rows: Iterable[dict], path) -> None:
+    lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        missing = set(columns) - set(row)
+        missing = set(CSV_COLUMNS) - set(row)
         if missing:
             raise ValueError(f"row is missing columns: {sorted(missing)}")
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+        lines.append(",".join(_fmt(row[c]) for c in CSV_COLUMNS))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def emit_csv(rows: Iterable[dict], path) -> None:
-    _emit(rows, CSV_COLUMNS, path)
-
-
-def emit_storage_csv(rows: Iterable[dict], path) -> None:
-    """Storage-breakdown report rows (one per populated store)."""
-    _emit(rows, STORAGE_COLUMNS, path)
 
 
 def parse_csv(text: str):

@@ -11,17 +11,15 @@ per-cell failures become stalled rows rather than aborting the sweep.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import statistics
 from typing import List, Optional, Tuple
 
-from ..core.configio import _build_config
+from ..core.configio import ConfigError, from_fields, with_field
 from ..core.types import DesignConfig, ShardingMode, check_config
 from ..pipeline import Arrival, run_pipeline, txn_report
 from ..sharding import ShardedRun
 from ..workload import WorkloadSpec
-from ..workload.spec import _build_spec
 from .metrics import Metrics, metrics_from_run
 
 
@@ -51,11 +49,25 @@ def run_experiment(
 
 # -- sweeps ----------------------------------------------------------------------
 
+def vary(cfg: DesignConfig, spec: WorkloadSpec, axis: str, value):
+    """The cell with one axis set to ``value``, written as in a config or workload file.
+
+    An axis is ``config.F``, ``config.cost_model.F`` or ``workload.F`` for
+    any field F of ``DesignConfig``, ``CostModel`` or ``WorkloadSpec``.
+    """
+    scope, _, path = axis.partition(".")
+    if scope == "config":
+        return with_field(cfg, path, value), spec
+    if scope == "workload":
+        return cfg, with_field(spec, path, value)
+    raise ConfigError(f"axis must start with workload. or config., got {axis!r}")
+
+
 TABLE2_AXES = {
-    "record_size_bytes": [10, 100, 1000, 5000],
-    "theta": [0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
-    "ops_per_txn": [1, 2, 4, 6, 8, 10],
-    "node_count": [3, 5, 7, 11, 15, 19],
+    "record_size_bytes": ("workload", [10, 100, 1000, 5000]),
+    "theta": ("workload", [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]),
+    "ops_per_txn": ("workload", [1, 2, 4, 6, 8, 10]),
+    "node_count": ("config", [3, 5, 7, 11, 15, 19]),
 }
 # defaults mirror the underlined values: 1000-byte records, theta 0, 1 op, 5 nodes
 
@@ -64,16 +76,8 @@ def table2_cells(axis: str, cfg: DesignConfig, spec: WorkloadSpec, arrival: Arri
     """Cells varying one Table-2 axis, defaults for everything else."""
     if axis not in TABLE2_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; one of {sorted(TABLE2_AXES)}")
-    cells = []
-    for value in TABLE2_AXES[axis]:
-        if axis == "node_count":
-            cell_cfg = dataclasses.replace(cfg, node_count=value)
-            cell_spec = spec
-        else:
-            cell_cfg = cfg
-            cell_spec = dataclasses.replace(spec, **{axis: value})
-        cells.append((cell_cfg, cell_spec, arrival, seed))
-    return cells
+    scope, values = TABLE2_AXES[axis]
+    return [(*vary(cfg, spec, f"{scope}.{axis}", v), arrival, seed) for v in values]
 
 
 def sweep(cells) -> List[Tuple[DesignConfig, WorkloadSpec, Arrival, int, Metrics]]:
@@ -86,33 +90,9 @@ def sweep(cells) -> List[Tuple[DesignConfig, WorkloadSpec, Arrival, int, Metrics
         try:
             metrics = run_experiment(cfg, spec, arrival, seed)
         except Exception:
-            metrics = _failed_metrics(spec)
+            metrics = Metrics(submitted=spec.txn_count, pending=spec.txn_count, stalled=True)
         out.append((cfg, spec, arrival, seed, metrics))
     return out
-
-
-def _failed_metrics(spec: WorkloadSpec) -> Metrics:
-    return Metrics(
-        submitted=spec.txn_count,
-        committed=0,
-        abort_counts={},
-        dropped=0,
-        pending=spec.txn_count,
-        span_us=0,
-        throughput_tps=0.0,
-        latency_p50_us=0,
-        latency_p95_us=0,
-        latency_p99_us=0,
-        mean_execute_us=0.0,
-        mean_order_us=0.0,
-        mean_validate_us=0.0,
-        messages_total=0,
-        messages_per_commit=0.0,
-        state_bytes=0,
-        block_bytes=0,
-        index_overhead_per_record=0.0,
-        stalled=True,
-    )
 
 
 def parse_arrival(data) -> Arrival:
@@ -135,31 +115,23 @@ def parse_arrival(data) -> Arrival:
     raise ValueError(f"arrival mode must be open_loop or closed_loop, got {mode!r}")
 
 
+_GRID_KEYS = ("config", "workload", "arrival", "seed", "axis", "values")
+
+
 def sweep_cells_from_grid(text: str):
     """Parse a JSON grid file: base config/workload plus one varied axis."""
     data = json.loads(text)
-    cfg = _build_config(dict(data.get("config", {})), dict(data.get("cost_model", {})))
-    spec = _build_spec(dict(data.get("workload", {})))
+    if not isinstance(data, dict) or set(data) - set(_GRID_KEYS):
+        raise ConfigError(f"a grid is one JSON object with keys from: {', '.join(_GRID_KEYS)}")
+    cfg = from_fields(DesignConfig, data.get("config", {}))
+    spec = from_fields(WorkloadSpec, data.get("workload", {}))
     arrival = parse_arrival(data.get("arrival"))
     seed = int(data.get("seed", 0))
     axis = data.get("axis")
     values = data.get("values", [])
     if axis is None or not values:
         raise ValueError("grid file needs 'axis' and a non-empty 'values' list")
-    cells = []
-    for value in values:
-        scope, _, name = axis.partition(".")
-        if scope == "workload":
-            cell_cfg, cell_spec = cfg, dataclasses.replace(spec, **{name: value})
-        elif scope == "config" and name.startswith("cost_model."):
-            cm = dataclasses.replace(cfg.cost_model, **{name.split(".", 1)[1]: value})
-            cell_cfg, cell_spec = dataclasses.replace(cfg, cost_model=cm), spec
-        elif scope == "config":
-            cell_cfg, cell_spec = dataclasses.replace(cfg, **{name: value}), spec
-        else:
-            raise ValueError(f"axis must start with workload. or config., got {axis!r}")
-        cells.append((cell_cfg, cell_spec, arrival, seed))
-    return cells
+    return [(*vary(cfg, spec, axis, value), arrival, seed) for value in values]
 
 
 # -- saturation ---------------------------------------------------------------------

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+
+from ..core.types import TxnOutcome
 
 
 def percentile(sorted_values, q: float):
@@ -15,31 +16,46 @@ def percentile(sorted_values, q: float):
     return sorted_values[rank - 1]
 
 
+_ABORT_FIELDS = tuple(o.name.lower() for o in TxnOutcome if o.name.startswith("ABORTED_"))
+
+
 @dataclass(frozen=True)
 class Metrics:
-    submitted: int
-    committed: int
-    abort_counts: Dict[str, int]
-    dropped: int
-    pending: int
-    span_us: int
-    throughput_tps: float
-    latency_p50_us: int
-    latency_p95_us: int
-    latency_p99_us: int
-    mean_execute_us: float
-    mean_order_us: float
-    mean_validate_us: float
-    messages_total: int
-    messages_per_commit: float
-    state_bytes: int
-    block_bytes: int
-    index_overhead_per_record: float
-    stalled: bool
+    """The measured surface of one run; its fields are the CSV's metric columns, in order.
+
+    Every field but ``shard_count`` (a flat cell is one shard) defaults to
+    zero, so a cell that failed to run is
+    ``Metrics(submitted=n, pending=n, stalled=True)``.
+    There is one ``aborted_*`` count per ``ABORTED_*`` transaction outcome.
+    """
+
+    submitted: int = 0
+    committed: int = 0
+    aborted_rw: int = 0
+    aborted_ww: int = 0
+    aborted_inconsistent_read: int = 0
+    aborted_blocked: int = 0
+    aborted_application: int = 0
+    dropped: int = 0
+    pending: int = 0
+    span_us: int = 0
+    throughput_tps: float = 0.0
+    latency_p50_us: int = 0
+    latency_p95_us: int = 0
+    latency_p99_us: int = 0
+    mean_execute_us: float = 0.0
+    mean_order_us: float = 0.0
+    mean_validate_us: float = 0.0
+    messages_total: int = 0
+    messages_per_commit: float = 0.0
+    state_bytes: int = 0
+    block_bytes: int = 0
+    index_overhead_per_record: float = 0.0
     shard_count: int = 1
     cross_shard_ratio: float = 0.0
     blocked_count: int = 0
     reconfig_interval: int = 0
+    stalled: bool = False
 
     def __post_init__(self):
         accounted = self.committed + self.aborted + self.pending + self.dropped
@@ -51,12 +67,7 @@ class Metrics:
 
     @property
     def aborted(self) -> int:
-        return sum(self.abort_counts.values())
-
-    @property
-    def abort_rate(self) -> float:
-        settled = self.committed + self.aborted
-        return self.aborted / settled if settled else 0.0
+        return sum(getattr(self, name) for name in _ABORT_FIELDS)
 
 
 def metrics_from_run(res) -> Metrics:
@@ -67,7 +78,7 @@ def metrics_from_run(res) -> Metrics:
     return Metrics(
         submitted=res.submitted,
         committed=res.committed,
-        abort_counts=res.abort_counts(),
+        **res.abort_counts(),
         dropped=len(res.dropped),
         pending=res.pending,
         span_us=res.span,

@@ -39,6 +39,7 @@ from .core.types import ShardingMode, TxnOutcome
 from .pipeline.base import Arrival, PipelineBase
 from .pipeline.records import TxnRecord
 from .pipeline.run import RunResult, run_span
+from .simnet import FaultKind
 
 NODES_PER_SHARD = 3  # a sharded cell seats node_count // 3 shards
 
@@ -389,10 +390,22 @@ class ShardedRun(PipelineBase):
 
     # -- reconfiguration ----------------------------------------------------------
 
+    def _coordinators_can_decide(self) -> bool:
+        """Whether the coordinators can still decide a record.
+
+        The trusted coordinator cannot once it has crashed, and the BFT
+        coordinator shard cannot once more than f of its replicas have.
+        """
+        crashed = sum(1 for c in self.coordinator_ids if self.sim.fault_of(c) is FaultKind.CRASHED)
+        return crashed <= (len(self.coordinator_ids) - 1) // 3
+
     def _try_pause(self) -> None:
-        """Pause every shard and reseat them, once no cross-shard record is in flight."""
-        if any(r.decision is None for r in self.tpc_records.values()):
-            # in-flight cross-shard records drain before the pause
+        """Pause every shard and reseat them, once no decidable record is in flight."""
+        if self._coordinators_can_decide() and any(
+            r.decision is None for r in self.tpc_records.values()
+        ):
+            # in-flight cross-shard records drain before the pause; records
+            # no live coordinator can decide would hold it off for good
             self.sim.schedule(self.clients.node_id, ReconfigTimer(), 5_000)
             return
         pause = self.cm.reconfig_pause

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import configparser
 import enum
-import json
 from dataclasses import dataclass
+
+from ..core.configio import from_fields, read_fields
 
 
 class WorkloadKind(enum.Enum):
@@ -47,46 +47,9 @@ class WorkloadSpec:
         return self.record_size_bytes
 
 
-_INT_FIELDS = {
-    "record_count",
-    "record_size_bytes",
-    "ops_per_txn",
-    "txn_count",
-    "seed",
-    "constant_total_bytes",
-}
-_FLOAT_FIELDS = {"theta", "read_fraction"}
-
-
-def _build_spec(data: dict) -> WorkloadSpec:
-    kwargs = {}
-    for key, raw in data.items():
-        if key == "kind":
-            kwargs[key] = WorkloadKind(str(raw).strip().lower())
-        elif key in _INT_FIELDS:
-            kwargs[key] = int(raw)
-        elif key in _FLOAT_FIELDS:
-            kwargs[key] = float(raw)
-        elif key == "smallbank_mix":
-            if isinstance(raw, str):
-                pairs = [p.split(":") for p in raw.split(",") if p.strip()]
-                kwargs[key] = tuple((name.strip(), float(w)) for name, w in pairs)
-            else:
-                kwargs[key] = tuple((str(n), float(w)) for n, w in raw)
-        else:
-            raise ValueError(f"unknown workload field: {key}")
-    return WorkloadSpec(**kwargs)
-
-
 def workload_from_text(text: str) -> WorkloadSpec:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _build_spec(json.loads(text))
-    parser = configparser.ConfigParser()
-    parser.read_string(text)
-    if not parser.has_section("workload"):
-        raise ValueError("workload file needs a [workload] section")
-    return _build_spec(dict(parser["workload"]))
+    """Parse a ``[workload]`` section or its JSON object into a ``WorkloadSpec``."""
+    return from_fields(WorkloadSpec, read_fields(text, "workload"))
 
 
 def workload_from_file(path) -> WorkloadSpec:

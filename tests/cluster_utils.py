@@ -15,8 +15,7 @@ from txsim.simnet import Simulator
 
 
 class RaftHarness:
-    def __init__(self, n: int, seed: int, cost_model: CostModel = None, msg_cost: int = 0,
-                 trace: bool = False):
+    def __init__(self, n: int, seed: int, cost_model: CostModel = None, trace: bool = False):
         self.cm = cost_model or CostModel()
         self.sim = Simulator(rng=seeded_rng(seed, "net"), latency_fn=self.cm.net_delay,
                              trace=trace)
@@ -30,7 +29,6 @@ class RaftHarness:
                 timing,
                 seeded_rng(seed, f"raft-timeout-{i}"),
                 on_commit=(lambda idx, p, i=i: self.commits[i].append((idx, p))),
-                msg_cost=msg_cost,
             )
             comp.attach(host)
             self.comps[i] = comp

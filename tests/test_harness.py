@@ -1,9 +1,14 @@
 """Experiment harness: runs, sweeps, CSV stability, forecast, CLI."""
 
+import dataclasses
+import enum
 import hashlib
 import json
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txsim.core import (
     ConcurrencyMode,
@@ -11,13 +16,15 @@ from txsim.core import (
     IndexKind,
     ReplicationModel,
     ShardingMode,
+    config_from_text,
+    config_to_dict,
 )
+from txsim.core.configio import ConfigError
 from txsim.harness import (
     CSV_COLUMNS,
     check_forecast_consistency,
     corner_configs,
     emit_csv,
-    emit_storage_csv,
     find_saturation_rate,
     forecast_band,
     parse_arrival,
@@ -32,7 +39,7 @@ from txsim.harness.csvout import parse_csv
 from txsim.pipeline import Arrival
 from txsim.sharding import ShardedRun
 from txsim.simnet import FaultKind
-from txsim.workload import WorkloadSpec, WorkloadKind
+from txsim.workload import SMALLBANK_PROCEDURES, WorkloadSpec, WorkloadKind, workload_from_text
 
 
 def trivial_config():
@@ -216,6 +223,119 @@ class TestSweep:
             sweep_cells_from_grid('{"workload": {}, "values": []}')
 
 
+# a strategy per field type; the WorkloadSpec fields it validates get their own
+_BY_TYPE = {
+    bool: st.booleans(),
+    int: st.integers(0, 10**6),
+    float: st.floats(0, 1e6, allow_nan=False),
+}
+
+
+def _fields_of(cls, **special):
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        if f.name in special:
+            out[f.name] = special[f.name]
+        elif isinstance(kind, type) and issubclass(kind, enum.Enum):
+            out[f.name] = st.sampled_from(kind)
+        elif dataclasses.is_dataclass(kind):
+            out[f.name] = st.builds(kind, **_fields_of(kind))
+        else:
+            out[f.name] = _BY_TYPE[kind]
+    return out
+
+
+_configs = st.builds(DesignConfig, **_fields_of(DesignConfig))
+_specs = st.builds(
+    WorkloadSpec,
+    **_fields_of(
+        WorkloadSpec,
+        record_count=st.integers(1, 10**6),
+        record_size_bytes=st.integers(1, 10**6),
+        txn_count=st.integers(1, 10**6),
+        ops_per_txn=st.integers(1, 10),
+        read_fraction=st.floats(0, 1),
+        smallbank_mix=st.lists(
+            st.tuples(st.sampled_from(SMALLBANK_PROCEDURES), st.floats(0, 100)), max_size=3
+        ).map(tuple),
+    ),
+)
+
+
+def _text(value) -> str:
+    """A field value as an INI file writes it."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(f"{name}:{weight!r}" for name, weight in value)
+    return repr(value)
+
+
+def _ini(section: str, obj) -> str:
+    lines, nested = [f"[{section}]"], []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            nested.append(_ini(f.name, value))
+        else:
+            lines.append(f"{f.name} = {_text(value)}")
+    return "\n".join(lines + nested) + "\n"
+
+
+def _axes(prefix: str, obj, as_json: dict):
+    """(axis, value, [INI form, JSON form]) for every leaf field of ``obj``."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _axes(f"{prefix}{f.name}.", value, as_json[f.name])
+        else:
+            yield f"{prefix}{f.name}", value, [_text(value), as_json[f.name]]
+
+
+class TestFieldSchemas:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(cfg=_configs, spec=_specs)
+    def test_every_field_round_trips_through_ini_json_and_a_grid_axis(self, cfg, spec):
+        cfg_json = json.loads(json.dumps(config_to_dict(cfg)))
+        spec_json = json.loads(json.dumps(config_to_dict(spec)))
+        assert config_from_text(_ini("design", cfg)) == cfg
+        assert config_from_text(json.dumps(cfg_json)) == cfg
+        assert workload_from_text(_ini("workload", spec)) == spec
+        assert workload_from_text(json.dumps(spec_json)) == spec
+        axes = [*_axes("config.", cfg, cfg_json), *_axes("workload.", spec, spec_json)]
+        for axis, value, forms in axes:
+            scope, _, path = axis.partition(".")
+            for written in forms:
+                grid = {"axis": axis, "values": [written]}
+                cell_cfg, cell_spec, _, _ = sweep_cells_from_grid(json.dumps(grid))[0]
+                got = cell_cfg if scope == "config" else cell_spec
+                for name in path.split("."):
+                    got = getattr(got, name)
+                assert got == value, (axis, written)
+
+    @pytest.mark.parametrize(
+        "axis, value, match",
+        [
+            ("config.index", "btree", "plain, mpt, mbt"),
+            ("config.node_count", "five", "node_count"),
+            ("config.cost_model.sig_verify", 1, "unknown CostModel field"),
+            ("workload.theta", [0.5], "theta"),
+            ("db.node_count", 3, "axis must start"),
+        ],
+    )
+    def test_bad_axis_or_value_is_a_config_error(self, axis, value, match):
+        with pytest.raises(ConfigError, match=match):
+            sweep_cells_from_grid(json.dumps({"axis": axis, "values": [value]}))
+
+    def test_unknown_grid_key_is_rejected(self):
+        with pytest.raises(ConfigError, match="keys from"):
+            sweep_cells_from_grid('{"cost_model": {}, "axis": "workload.theta", "values": [0]}')
+
+
 class TestCsv:
     def test_zero_rows_yields_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -253,22 +373,6 @@ class TestCsv:
         emit_csv([run_row(cfg, spec, arrival, 6, metrics)], path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "611b240d41119f795a9c4ea513199d6f16677367951dff79188e754233726822"
-
-    def test_storage_report(self, tmp_path):
-        rows = [
-            {
-                "records": 10,
-                "record_bytes": 100,
-                "state_bytes": 1160,
-                "block_bytes": 0,
-                "index_overhead_per_record": 4.25,
-            }
-        ]
-        path = tmp_path / "storage.csv"
-        emit_storage_csv(rows, path)
-        text = path.read_text()
-        assert text.startswith("records,record_bytes,state_bytes,block_bytes,")
-        assert "4.25" in text
 
 
 class TestForecast:
@@ -412,7 +516,7 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_sweep_subcommand(self, tmp_path):
+    def sweep_rows(self, tmp_path, axis, values):
         grid = {
             "config": {
                 "concurrency_mode": "serial",
@@ -423,14 +527,38 @@ class TestCli:
             },
             "workload": {"kind": "ycsb_update", "record_count": 50, "txn_count": 20, "seed": 4},
             "arrival": {"mode": "open_loop", "rate_tps": 2000},
-            "axis": "workload.theta",
-            "values": [0.0, 0.5, 1.0],
+            "axis": axis,
+            "values": values,
         }
         grid_file = tmp_path / "grid.json"
         grid_file.write_text(json.dumps(grid))
         out = tmp_path / "sweep.csv"
         assert cli_main(["sweep", "--grid", str(grid_file), "--out", str(out)]) == 0
-        assert len(parse_csv(out.read_text())) == 3
+        return parse_csv(out.read_text())
+
+    def test_sweep_subcommand(self, tmp_path):
+        assert len(self.sweep_rows(tmp_path, "workload.theta", [0.0, 0.5, 1.0])) == 3
+
+    def test_sweep_over_index_builds_each_index(self, tmp_path):
+        rows = self.sweep_rows(tmp_path, "config.index", ["plain", "mpt", "mbt"])
+        assert [r["index"] for r in rows] == ["plain", "mpt", "mbt"]
+        overhead = [float(r["index_overhead_per_record"]) for r in rows]
+        assert overhead[0] == 0 and overhead[1] > 0 and overhead[2] > 0
+
+    def test_sweep_reads_axis_values_as_a_file_writes_them(self, tmp_path):
+        rows = self.sweep_rows(tmp_path, "workload.theta", ["0.5"])
+        assert rows[0]["theta"] == "0.5"
+
+    def test_workload_file_without_section_header_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(CONFIG_INI)
+        wl_file = tmp_path / "wl.ini"
+        wl_file.write_text("kind = ycsb_update\ntxn_count = 30\n")
+        code = cli_main(
+            ["run", "--config", str(cfg_file), "--workload", str(wl_file), "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_forecast_subcommand(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.ini"

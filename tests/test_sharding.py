@@ -221,3 +221,16 @@ class TestReconfiguration:
         # nothing may be stuck holding locks across a pause
         assert res.blocked_count == 0
         assert res.atomicity_violations() == []
+
+    def test_crashed_coordinator_does_not_hold_off_reconfiguration(self):
+        # the dead coordinator leaves records no one can decide; waiting for
+        # them would park every later submission until the stall window ends
+        run = sharded_run(
+            spec_2keys(txn_count=300), shards=4, reconfiguration_interval=30_000, seed=33
+        )
+        run.sim.inject_fault("coord", FaultKind.CRASHED, at_time=20_000)
+        res = run.run()
+        assert res.pauses > 0
+        assert run.drained_submissions == []
+        assert res.committed > 34
+        assert res.atomicity_violations() == []
