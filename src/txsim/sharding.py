@@ -13,9 +13,10 @@ commit under one of two coordinators:
   so it survives up to f coordinator-replica crashes at the price of the
   extra protocol traffic.
 
-Reconfiguration drains in-flight 2PC, pauses every shard for the configured
-time, then reshuffles the node-to-shard seating under a seeded permutation;
-the key-to-shard map itself is stable (the measured cost is the pause).
+Reconfiguration drains in-flight 2PC, then pauses every shard together for
+the configured time; submissions that arrive meanwhile wait and are
+submitted when the pause ends.  The key-to-shard map does not change, so the
+pause is the whole cost of a reconfiguration.
 
 ``ShardedRun`` is a pipeline (``PipelineBase``), built from the
 ``DesignConfig`` as the flat ones are.  It shares their simulator, records,
@@ -34,7 +35,6 @@ from typing import Dict, List, Optional, Tuple
 from .consensus import PbftComponent, PbftTiming, ProtocolHost
 from .consensus.pbft import Request
 from .core.encoding import digest
-from .core.rng import seeded_rng
 from .core.types import ShardingMode, TxnOutcome
 from .pipeline.base import Arrival, PipelineBase
 from .pipeline.records import TxnRecord
@@ -44,41 +44,18 @@ from .simnet import FaultKind
 NODES_PER_SHARD = 3  # a sharded cell seats node_count // 3 shards
 
 
-class ShardScheme(enum.Enum):
-    HASH = "hash"
-    RANGE = "range"
-
-
-@dataclass
+@dataclass(frozen=True)
 class ShardMap:
+    """Hash partitioning of the key space over ``shard_count`` shards."""
+
     shard_count: int
-    scheme: ShardScheme = ShardScheme.HASH
-    epoch: int = 0
-    # which simulated machine hosts each shard; reshuffled by reconfiguration
-    seating: Tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.shard_count < 1:
             raise ValueError("shard_count must be >= 1")
-        if not self.seating:
-            self.seating = tuple(range(self.shard_count))
 
     def assign(self, key: bytes) -> int:
-        if self.scheme is ShardScheme.HASH:
-            return int.from_bytes(digest(key), "big") % self.shard_count
-        # range partitioning: contiguous intervals over the 2-byte key prefix
-        prefix = int.from_bytes((key + b"\x00\x00")[:2], "big")
-        return min(self.shard_count - 1, prefix * self.shard_count // 65536)
-
-    def reconfigure(self, rng) -> "ShardMap":
-        seating = list(self.seating)
-        rng.shuffle(seating)
-        return ShardMap(
-            shard_count=self.shard_count,
-            scheme=self.scheme,
-            epoch=self.epoch + 1,
-            seating=tuple(seating),
-        )
+        return int.from_bytes(digest(key), "big") % self.shard_count
 
 
 class TpcDecision(enum.Enum):
@@ -91,7 +68,6 @@ class TpcDecision(enum.Enum):
 class TwoPcRecord:
     txn_id: int
     participants: Tuple[int, ...]
-    votes: Dict[int, Optional[bool]] = field(default_factory=dict)
     decision: Optional[TpcDecision] = None
     stuck: Tuple[int, ...] = ()  # shards still holding prepared locks at run end
 
@@ -116,7 +92,6 @@ class ShardExecDone:
 class TpcPrepare:
     txn_id: int
     writes: tuple
-    reply_to: tuple  # coordinator node ids expecting the vote
     kind: str = field(default="2pc:prepare", init=False)
 
 
@@ -163,7 +138,6 @@ class ShardNode(ProtocolHost):
         self.locks: Dict[bytes, int] = {}
         self.prepared: Dict[int, tuple] = {}  # txn_id -> writes awaiting decision
         self.applied_txns: set = set()  # cross-shard txns committed here
-        self.paused_until = 0
         self.register("sh", self.handle_shard)
         self.register("2pc", self.handle_tpc)
 
@@ -177,7 +151,6 @@ class ShardNode(ProtocolHost):
             self.send(self.runner.clients.node_id, ShardExecDone(msg.txn_id))
             return self.exec_cost(msg.writes)
         if isinstance(msg, VoteReady):
-            self.runner.tpc_records[msg.txn_id].votes[self.shard_id] = msg.yes
             for dst in self.runner.coordinator_ids:
                 self.send(dst, TpcVote(msg.txn_id, self.shard_id, msg.yes))
             return 0
@@ -210,64 +183,67 @@ class ShardNode(ProtocolHost):
         raise ValueError(f"shard cannot handle {msg!r}")
 
 
-class TrustedCoordinator(ProtocolHost):
-    def __init__(self, runner):
-        super().__init__("coord")
+class Coordinator(ProtocolHost):
+    """A 2PC coordinator: tallies the shards' votes and announces the decision.
+
+    Every shard votes once per prepare, to every coordinator node, so a
+    node's tally of a transaction completes exactly once.
+    """
+
+    def __init__(self, node_id, runner):
+        super().__init__(node_id)
         self.runner = runner
-        self.votes: Dict[int, Dict[int, bool]] = {}
+        self.votes: Dict[int, Dict[int, bool]] = {}  # txn_id -> shard -> yes
         self.register("2pc", self.handle)
 
-    def handle(self, msg) -> int:
-        if isinstance(msg, TpcVote):
-            record = self.runner.tpc_records[msg.txn_id]
-            if record.decision is not None:
-                return 0
-            table = self.votes.setdefault(msg.txn_id, {})
-            table[msg.shard] = msg.yes
-            if len(table) == len(record.participants):
-                commit = all(table.values())
-                record.decision = TpcDecision.COMMIT if commit else TpcDecision.ABORT
-                for shard in record.participants:
-                    self.send(self.runner.shard_node_id(shard), TpcDecide(msg.txn_id, commit))
-                self.send(self.runner.clients.node_id, ShardExecDone(msg.txn_id))
+    def tally(self, msg: TpcVote, record: TwoPcRecord) -> Optional[bool]:
+        """Count one vote; the decision (commit or not) once every participant has voted."""
+        table = self.votes.setdefault(msg.txn_id, {})
+        table[msg.shard] = msg.yes
+        if len(table) == len(record.participants):
+            return all(table.values())
+        return None
+
+    def announce(self, record: TwoPcRecord, commit: bool) -> None:
+        """Record the decision, if no replica has yet, and send it to the shards and the client."""
+        if record.decision is None:
+            record.decision = TpcDecision.COMMIT if commit else TpcDecision.ABORT
+        for shard in record.participants:
+            self.send(self.runner.shard_node_id(shard), TpcDecide(record.txn_id, commit))
+        self.send(self.runner.clients.node_id, ShardExecDone(record.txn_id))
+
+
+class TrustedCoordinator(Coordinator):
+    def __init__(self, runner):
+        super().__init__("coord", runner)
+
+    def handle(self, msg: TpcVote) -> int:
+        record = self.runner.tpc_records[msg.txn_id]
+        commit = self.tally(msg, record)
+        if commit is not None:
+            self.announce(record, commit)
         return 0
 
 
-class BftCoordinatorReplica(ProtocolHost):
+class BftCoordinatorReplica(Coordinator):
     """2PC coordinator as a replicated state machine in a BFT shard."""
 
     def __init__(self, index: int, runner):
-        super().__init__(("coord", index))
-        self.index = index
-        self.runner = runner
-        self.votes: Dict[int, Dict[int, bool]] = {}
-        self.proposed: set = set()
-        self.register("2pc", self.handle)
+        super().__init__(("coord", index), runner)
         self.pbft: Optional[PbftComponent] = None
 
-    def handle(self, msg) -> int:
-        if isinstance(msg, TpcVote):
-            record = self.runner.tpc_records[msg.txn_id]
-            table = self.votes.setdefault(msg.txn_id, {})
-            table[msg.shard] = msg.yes
-            if len(table) == len(record.participants) and msg.txn_id not in self.proposed:
-                self.proposed.add(msg.txn_id)
-                commit = all(table.values())
-                payload = b"decide:%d:%d" % (msg.txn_id, 1 if commit else 0)
-                # the request path arms progress timers, so a crashed primary
-                # is replaced by view change and the decision still commits
-                self.pbft.handle(Request(payload))
+    def handle(self, msg: TpcVote) -> int:
+        commit = self.tally(msg, self.runner.tpc_records[msg.txn_id])
+        if commit is not None:
+            payload = b"decide:%d:%d" % (msg.txn_id, 1 if commit else 0)
+            # the request path arms progress timers, so a crashed primary
+            # is replaced by view change and the decision still commits
+            self.pbft.handle(Request(payload))
         return 0
 
     def on_decided(self, seq: int, payload: bytes) -> None:
         _, txn_s, commit_s = payload.split(b":")
-        txn_id, commit = int(txn_s), bool(int(commit_s))
-        record = self.runner.tpc_records[txn_id]
-        if record.decision is None:
-            record.decision = TpcDecision.COMMIT if commit else TpcDecision.ABORT
-        for shard in record.participants:
-            self.send(self.runner.shard_node_id(shard), TpcDecide(txn_id, commit))
-        self.send(self.runner.clients.node_id, ShardExecDone(txn_id))
+        self.announce(self.runner.tpc_records[int(txn_s)], bool(int(commit_s)))
 
 
 class ShardedRun(PipelineBase):
@@ -288,8 +264,8 @@ class ShardedRun(PipelineBase):
         self.shard_map = ShardMap(max(1, cfg.node_count // NODES_PER_SHARD))
         self.vote_durability_delay = 2 * self.cm.net_latency_mean
         self.tpc_records: Dict[int, TwoPcRecord] = {}
-        self.reconfig_rng = seeded_rng(seed, "reconfig")
         self.draining = False
+        self.paused_until = 0  # every shard pauses together
         self.drained_submissions: List[int] = []
         self.pauses = 0
 
@@ -326,9 +302,6 @@ class ShardedRun(PipelineBase):
         groups: Dict[int, list] = {}
         for key, value in txn.write_set:
             groups.setdefault(self.shard_map.assign(key), []).append((key, value))
-        if not groups:
-            for key, _ in txn.read_set:
-                groups.setdefault(self.shard_map.assign(key), [])
         return {s: tuple(w) for s, w in groups.items()}
 
     # -- client behavior -----------------------------------------------------------
@@ -340,7 +313,7 @@ class ShardedRun(PipelineBase):
         self.submit(txn_id)
 
     def submit(self, txn_id: int) -> None:
-        if self.draining or self._paused():
+        if self.draining or self.paused_until > self.sim.now:
             self.drained_submissions.append(txn_id)
             return
         record = self.records[txn_id]
@@ -357,10 +330,7 @@ class ShardedRun(PipelineBase):
             return
         self.tpc_records[txn_id] = TwoPcRecord(txn_id, participants=tuple(sorted(groups)))
         for shard, writes in groups.items():
-            self.clients.send(
-                self.shard_node_id(shard),
-                TpcPrepare(txn_id, writes, tuple(self.coordinator_ids)),
-            )
+            self.clients.send(self.shard_node_id(shard), TpcPrepare(txn_id, writes))
 
     def client_message(self, msg) -> None:
         if isinstance(msg, ShardExecDone):
@@ -370,9 +340,6 @@ class ShardedRun(PipelineBase):
             self._try_pause()
         elif isinstance(msg, PauseOver):
             self.resume_drained()
-
-    def _paused(self) -> bool:
-        return any(s.paused_until > self.sim.now for s in self.shards)
 
     def finish(self, txn_id: int) -> None:
         record = self.records[txn_id]
@@ -400,7 +367,7 @@ class ShardedRun(PipelineBase):
         return crashed <= (len(self.coordinator_ids) - 1) // 3
 
     def _try_pause(self) -> None:
-        """Pause every shard and reseat them, once no decidable record is in flight."""
+        """Pause every shard, once no decidable record is in flight."""
         if self._coordinators_can_decide() and any(
             r.decision is None for r in self.tpc_records.values()
         ):
@@ -409,11 +376,9 @@ class ShardedRun(PipelineBase):
             self.sim.schedule(self.clients.node_id, ReconfigTimer(), 5_000)
             return
         pause = self.cm.reconfig_pause
-        until = self.sim.now + pause
+        self.paused_until = self.sim.now + pause
         for shard in self.shards:
-            shard.paused_until = until
-            shard.busy_until = max(shard.busy_until, until)
-        self.shard_map = self.shard_map.reconfigure(self.reconfig_rng)
+            shard.busy_until = max(shard.busy_until, self.paused_until)
         self.pauses += 1
         self.draining = False
         self.sim.schedule(self.clients.node_id, PauseOver(), pause)
@@ -483,7 +448,6 @@ class ShardedResult(RunResult):
         )
         self.runner = runner
         self.tpc_records = tpc
-        self.shard_map = runner.shard_map
         self.pauses = runner.pauses
 
     @property
@@ -498,9 +462,6 @@ class ShardedResult(RunResult):
         aborted transaction is identifiable even after later overwrites.
         """
         out = []
-        committed_ids = {
-            tid for tid, r in self.tpc_records.items() if r.decision is TpcDecision.COMMIT
-        }
         for txn_id, record in self.tpc_records.items():
             if record.decision is TpcDecision.COMMIT:
                 missing = [
