@@ -382,10 +382,25 @@ class ShardedRun(PipelineBase):
         self.pauses += 1
         self.draining = False
         self.sim.schedule(self.clients.node_id, PauseOver(), pause)
-        if self.cfg.reconfiguration_interval > 0:
+        if self._can_progress():
             self.sim.schedule(
                 self.clients.node_id, ReconfigTimer(), pause + self.cfg.reconfiguration_interval
             )
+
+    def _can_progress(self) -> bool:
+        """Whether some pending transaction can still settle.
+
+        It can while it has no 2PC record, or while its record is undecided
+        and the coordinators can still decide it.  A decided record whose
+        ``ShardExecDone`` died with a crashed coordinator cannot.
+        """
+        decidable = self._coordinators_can_decide()
+        for txn_id, record in self.records.items():
+            if record.outcome is TxnOutcome.PENDING:
+                tpc = self.tpc_records.get(txn_id)
+                if tpc is None or (decidable and tpc.decision is None):
+                    return True
+        return False
 
     def resume_drained(self) -> None:
         pending, self.drained_submissions = self.drained_submissions, []

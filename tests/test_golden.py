@@ -162,8 +162,8 @@ GOLDEN = {
     },
     "sharded_trusted2pc_reconfig": {
         "row": "9ada7604a7c627061ea7c32eeaa60a59cf79dd5320c51b6da834f8b556028d55",
-        "trace": "71d57fd3a3b730f784d3c508a4ff97de39bb195e94a54541f8de5c40ff06ea50",
-        "untimed": "287c9d2923b11ec477402ed56428512cd1dbf17bcff9bb71a8b2d3b9b1b7054f",
+        "trace": "5ebbefa8289596a4c05f6fbff43a1756e13ab56f8ec0270c1c5f3ac4102dc013",
+        "untimed": "faf6a9cc86d20b55cfe063b9cfa85d8044c891fb041e3700e0be7ab49e093cc5",
     },
     "sharded_trusted2pc": {
         "row": "6e89bac63e12d691f02fc3641cdc5e2d2f6c24bf81e13ddd9962bbb375201c8a",

@@ -221,3 +221,16 @@ class TestReconfiguration:
         assert run.drained_submissions == []
         assert res.committed > 34
         assert res.atomicity_violations() == []
+
+    def test_reconfiguration_stops_once_no_transaction_can_settle(self):
+        # once every pending transaction waits on a record the dead coordinator
+        # cannot decide, a pause helps nothing; the run ends instead of pausing
+        # every 80 ms until the stall window closes it
+        run = sharded_run(
+            spec_2keys(txn_count=300), shards=4, reconfiguration_interval=30_000, seed=33
+        )
+        run.sim.inject_fault("coord", FaultKind.CRASHED, at_time=20_000)
+        res = run.run()
+        assert 0 < res.pauses <= 3
+        assert run.sim.now < 1_000_000
+        assert res.stalled
