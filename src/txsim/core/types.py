@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -107,6 +108,8 @@ class CostModel:
         ):
             if getattr(self, name) < 0:
                 out.append(f"cost_model.{name} must be non-negative")
+        if not math.isfinite(self.hash_time_per_byte):
+            out.append("cost_model.hash_time_per_byte must be finite")
         if self.block_size_limit < 1:
             out.append("cost_model.block_size_limit must be >= 1")
         if self.net_latency_mean < self.net_latency_min:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from ..core.configio import from_fields, read_fields
@@ -33,8 +34,8 @@ class WorkloadSpec:
             raise ValueError("record_count and txn_count must be positive")
         if not 1 <= self.ops_per_txn <= 10:
             raise ValueError("ops_per_txn must be in 1..10")
-        if self.theta < 0:
-            raise ValueError("theta must be >= 0")
+        if not (math.isfinite(self.theta) and self.theta >= 0):
+            raise ValueError("theta must be a finite number >= 0")
         if self.record_size_bytes < 1 and self.constant_total_bytes == 0:
             raise ValueError("record_size_bytes must be positive")
         if not 0.0 <= self.read_fraction <= 1.0:

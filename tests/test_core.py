@@ -226,6 +226,11 @@ class TestValidateConfig:
         violations = validate_config(cfg)
         assert len(violations) == 3  # quorum bound, mode mismatch, block size
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_hash_time_per_byte_rejected(self, value):
+        cfg = DesignConfig(cost_model=CostModel(hash_time_per_byte=value))
+        assert validate_config(cfg) == ["cost_model.hash_time_per_byte must be finite"]
+
     def test_valid_storage_config(self):
         cfg = DesignConfig(
             replication_model=ReplicationModel.STORAGE_BASED,

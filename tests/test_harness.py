@@ -516,7 +516,8 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    def sweep_rows(self, tmp_path, axis, values):
+    def sweep(self, tmp_path, axis, values):
+        """Exit status of ``txsim sweep`` over a 1-node serial grid, and its CSV path."""
         grid = {
             "config": {
                 "concurrency_mode": "serial",
@@ -533,7 +534,11 @@ class TestCli:
         grid_file = tmp_path / "grid.json"
         grid_file.write_text(json.dumps(grid))
         out = tmp_path / "sweep.csv"
-        assert cli_main(["sweep", "--grid", str(grid_file), "--out", str(out)]) == 0
+        return cli_main(["sweep", "--grid", str(grid_file), "--out", str(out)]), out
+
+    def sweep_rows(self, tmp_path, axis, values):
+        code, out = self.sweep(tmp_path, axis, values)
+        assert code == 0
         return parse_csv(out.read_text())
 
     def test_sweep_subcommand(self, tmp_path):
@@ -548,6 +553,12 @@ class TestCli:
     def test_sweep_reads_axis_values_as_a_file_writes_them(self, tmp_path):
         rows = self.sweep_rows(tmp_path, "workload.theta", ["0.5"])
         assert rows[0]["theta"] == "0.5"
+
+    def test_sweep_over_non_finite_theta_exits_2(self, tmp_path, capsys):
+        code, out = self.sweep(tmp_path, "workload.theta", ["nan", "inf"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_workload_file_without_section_header_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.ini"

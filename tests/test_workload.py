@@ -257,3 +257,8 @@ class TestSpecParsing:
             WorkloadSpec(txn_count=0)
         with pytest.raises(ValueError):
             WorkloadSpec(theta=-1.0)
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            WorkloadSpec(theta=theta)
