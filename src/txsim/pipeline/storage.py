@@ -6,7 +6,6 @@ write operation individually through the configured approach: a consensus
 entry per operation, an append to the shared log, or a hop-by-hop
 primary-backup chain.  Concurrency modes:
 
-* serial: one transaction at a time, end to end;
 * optimistic: read freely, validate at commit (write-write conflicts first,
   then stale reads), first committer wins via an intent table;
 * locking: per-key latches acquired in global key order (the first key is
@@ -152,15 +151,11 @@ class StoragePeer(PeerNode):
     # -- validation and intents (optimistic mode) ----------------------------------
 
     def on_validate(self, msg: DbValidate) -> None:
-        mode = self.pipeline.cc
-        reads = dict(msg.reads)
-        if mode is ConcurrencyMode.CONCURRENT_OCC:
-            outcome = occ_validate(reads, msg.write_keys, self.state, self.intents)
-        else:
-            outcome = TxnOutcome.COMMITTED
-        if outcome is not TxnOutcome.COMMITTED:
-            self.send("clients", DbDecision(msg.txn_id, outcome))
-            return
+        if not self.pipeline.locking:  # latched reads need no check
+            outcome = occ_validate(dict(msg.reads), msg.write_keys, self.state, self.intents)
+            if outcome is not TxnOutcome.COMMITTED:
+                self.send("clients", DbDecision(msg.txn_id, outcome))
+                return
         if not msg.write_keys:
             self.send("clients", DbDecision(msg.txn_id, TxnOutcome.COMMITTED))
             return
@@ -223,7 +218,7 @@ class StoragePeer(PeerNode):
             self.pending_writes[txn_id] = left
             return
         del self.pending_writes[txn_id]
-        if self.pipeline.cc is ConcurrencyMode.CONCURRENT_LOCKING:
+        if self.pipeline.locking:
             self.release_locks(txn_id)
         self.send("clients", DbDecision(txn_id, TxnOutcome.COMMITTED))
 
@@ -259,14 +254,11 @@ class StorageReplicatedPipeline(PipelineBase):
         spec,
         arrival: Arrival,
         seed: int,
-        cc: Optional[ConcurrencyMode] = None,
         lock_timeout: Optional[int] = None,
         trace: bool = False,
     ):
         super().__init__(cfg, spec, arrival, seed, trace)
-        self.cc = cc or cfg.concurrency_mode
-        if self.cc in (ConcurrencyMode.ORDER_EXECUTE, ConcurrencyMode.EXECUTE_ORDER_VALIDATE):
-            raise ValueError(f"{self.cc.value} is not a storage-replicated mode")
+        self.locking = cfg.concurrency_mode is ConcurrencyMode.CONCURRENT_LOCKING
         self.lock_timeout = lock_timeout or 40 * (2 * self.cm.net_latency_mean)
         self.build_peers(StoragePeer, StorageWorker)
         # a primary-backup op is applied down the chain and acknowledged by the tail
@@ -277,8 +269,6 @@ class StorageReplicatedPipeline(PipelineBase):
         )
         self.preload()
         self._fsm: Dict[int, dict] = {}
-        self._serial_queue: List[int] = []
-        self._serial_active: Optional[int] = None
         self.schedule_arrivals()
 
     # -- the transaction manager ---------------------------------------------------
@@ -287,24 +277,10 @@ class StorageReplicatedPipeline(PipelineBase):
         record = self.records[txn_id]
         if record.submit_time is None:
             record.submit_time = self.sim.now
-        if self.cc is ConcurrencyMode.SERIAL:
-            self._serial_queue.append(txn_id)
-            self._pump_serial()
-        else:
-            self._start_txn(txn_id)
-
-    def _pump_serial(self) -> None:
-        if self._serial_active is not None or not self._serial_queue:
-            return
-        self._serial_active = self._serial_queue.pop(0)
-        self._start_txn(self._serial_active)
-
-    def _start_txn(self, txn_id: int) -> None:
-        record = self.records[txn_id]
         txn = record.txn
         if self.leader_or_retry(txn_id) is None:
             return
-        if self.cc is ConcurrencyMode.CONCURRENT_LOCKING:
+        if self.locking:
             keys = sorted(txn.keys_touched())
             self._fsm[txn_id] = {"phase": "lock", "keys": keys, "next": 0, "granted": 0}
             self.clients.set_timer(self.lock_timeout, LockTimeout(txn_id))
@@ -343,7 +319,7 @@ class StorageReplicatedPipeline(PipelineBase):
 
     def client_message(self, msg) -> None:
         if isinstance(msg, Retry):
-            self._start_txn(msg.txn_id)
+            self.begin_txn(msg.txn_id)
         elif isinstance(msg, DbReadResp):
             state = self._fsm.get(msg.txn_id)
             if state is None or state["phase"] != "read":
@@ -394,6 +370,3 @@ class StorageReplicatedPipeline(PipelineBase):
         record.validate_us = self.cm.exec_time_per_op
         record.settle(outcome, self.sim.now)
         self.txn_finished(record)
-        if self.cc is ConcurrencyMode.SERIAL:
-            self._serial_active = None
-            self._pump_serial()

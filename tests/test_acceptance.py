@@ -327,12 +327,6 @@ class TestCriterion7ConcurrencyTrends:
             spec = update_spec(theta=theta, txn_count=200, seed=8)
             oe = run_pipeline(oe_config(), spec, Arrival.open_loop(2500), seed=42)
             assert oe.abort_counts() == {}, f"order-execute aborted at theta={theta}"
-            serial = drive_and_collect(
-                StorageReplicatedPipeline(
-                    db_config(), spec, Arrival.closed_loop(8), seed=42, cc=ConcurrencyMode.SERIAL
-                )
-            )
-            assert serial.abort_counts() == {}, f"serial db aborted at theta={theta}"
 
     def test_eov_ops_sweep_and_locking_collapse(self):
         ops_rates = {}

@@ -367,19 +367,6 @@ class TestStorageReplicated:
         res = run_pipeline(db_config(), occ_spec(theta=0.8), Arrival.closed_loop(16), seed=16)
         assert len(set(res.fingerprints)) == 1
 
-    def test_serial_mode_zero_conflict_aborts_any_theta(self):
-        for theta in (0.0, 1.0):
-            pipeline = StorageReplicatedPipeline(
-                db_config(),
-                occ_spec(theta=theta, txn_count=150),
-                Arrival.closed_loop(8),
-                seed=17,
-                cc=ConcurrencyMode.SERIAL,
-            )
-            res = drive_and_collect(pipeline)
-            assert res.committed == 150
-            assert res.abort_counts() == {}
-
     def test_locking_queues_instead_of_aborting_uncontended(self):
         res = run_pipeline(
             db_config(concurrency_mode=ConcurrencyMode.CONCURRENT_LOCKING),
