@@ -174,6 +174,15 @@ def validate_config(cfg: DesignConfig):
         out.append("reconfiguration_interval must be >= 0 (0 disables)")
     if cfg.reconfiguration_interval > 0 and cfg.sharding_mode is ShardingMode.NONE:
         out.append("reconfiguration requires a sharding mode")
+    if cfg.sharding_mode is not ShardingMode.NONE:
+        # a shard is one node with a plain store that stands in for its replica group
+        if cfg.index is not IndexKind.PLAIN:
+            out.append(f"sharded runs keep plain shard stores, not {cfg.index.value}")
+        if cfg.replication_approach is not ReplicationApproach.CONSENSUS:
+            out.append(
+                f"sharded runs model shard replication as consensus, not "
+                f"{cfg.replication_approach.value}"
+            )
     out.extend(cfg.cost_model.violations())
     return out
 

@@ -1,6 +1,7 @@
 """Core types: digests, canonical encoding, config validation, seeded streams."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,10 @@ from txsim.core import (
     CostModel,
     DesignConfig,
     FailureModel,
+    IndexKind,
+    ReplicationApproach,
     ReplicationModel,
+    ShardingMode,
     Transaction,
     TxnOutcome,
     config_from_text,
@@ -230,6 +234,30 @@ class TestValidateConfig:
     def test_non_finite_hash_time_per_byte_rejected(self, value):
         cfg = DesignConfig(cost_model=CostModel(hash_time_per_byte=value))
         assert validate_config(cfg) == ["cost_model.hash_time_per_byte must be finite"]
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"index": IndexKind.MPT},
+            {"index": IndexKind.MBT},
+            {"replication_approach": ReplicationApproach.SHARED_LOG},
+            {"replication_approach": ReplicationApproach.PRIMARY_BACKUP},
+        ],
+        ids=["mpt", "mbt", "shared_log", "primary_backup"],
+    )
+    def test_sharded_config_rejects_settings_the_runner_ignores(self, setting):
+        # storage-based, where every one of these settings is valid unsharded
+        cfg = DesignConfig(
+            replication_model=ReplicationModel.STORAGE_BASED,
+            concurrency_mode=ConcurrencyMode.CONCURRENT_OCC,
+            sharding_mode=ShardingMode.TRUSTED_2PC,
+            node_count=12,
+            tolerated_failures=1,
+        )
+        assert validate_config(cfg) == []
+        assert validate_config(replace(cfg, sharding_mode=ShardingMode.NONE, **setting)) == []
+        violations = validate_config(replace(cfg, **setting))
+        assert len(violations) == 1 and "sharded runs" in violations[0]
 
     def test_valid_storage_config(self):
         cfg = DesignConfig(
