@@ -390,17 +390,22 @@ class ShardedRun(PipelineBase):
     def _can_progress(self) -> bool:
         """Whether some pending transaction can still settle.
 
-        It can while it has no 2PC record, or while its record is undecided
-        and the coordinators can still decide it.  A decided record whose
-        ``ShardExecDone`` died with a crashed coordinator cannot.
+        While the coordinators can decide, every pending one can.  Once they
+        cannot, a transaction with a 2PC record never settles (a decided
+        record's ``ShardExecDone`` died with its coordinator), so only one
+        without a record can: one already submitted or, in an open loop, one
+        still to arrive.  A closed-loop one not yet submitted waits for a
+        client that a blocked transaction may hold for good.
         """
-        decidable = self._coordinators_can_decide()
-        for txn_id, record in self.records.items():
-            if record.outcome is TxnOutcome.PENDING:
-                tpc = self.tpc_records.get(txn_id)
-                if tpc is None or (decidable and tpc.decision is None):
-                    return True
-        return False
+        if self._coordinators_can_decide():
+            return not self.all_done()
+        open_loop = self.arrival.mode == "open_loop"
+        return any(
+            record.outcome is TxnOutcome.PENDING
+            and txn_id not in self.tpc_records
+            and (open_loop or record.submit_time is not None)
+            for txn_id, record in self.records.items()
+        )
 
     def resume_drained(self) -> None:
         pending, self.drained_submissions = self.drained_submissions, []

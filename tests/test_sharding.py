@@ -1,5 +1,7 @@
 """Sharding: partitioning, cross-shard atomicity, blocking, reconfiguration."""
 
+import pytest
+
 from cluster_utils import sharded_run
 from txsim.core import DesignConfig, seeded_rng
 from txsim.core.types import ShardingMode
@@ -222,13 +224,16 @@ class TestReconfiguration:
         assert res.committed > 34
         assert res.atomicity_violations() == []
 
-    def test_reconfiguration_stops_once_no_transaction_can_settle(self):
+    @pytest.mark.parametrize("arrival", [Arrival.open_loop(2000), Arrival.closed_loop(8)],
+                             ids=["open_loop", "closed_loop"])
+    def test_reconfiguration_stops_once_no_transaction_can_settle(self, arrival):
         # once every pending transaction waits on a record the dead coordinator
-        # cannot decide, a pause helps nothing; the run ends instead of pausing
-        # every 80 ms until the stall window closes it
-        run = sharded_run(
-            spec_2keys(txn_count=300), shards=4, reconfiguration_interval=30_000, seed=33
-        )
+        # cannot decide (or, closed loop, on a client such a record holds), a
+        # pause helps nothing; the run ends instead of pausing every 80 ms
+        # until the stall window closes it
+        cfg = DesignConfig(sharding_mode=ShardingMode.TRUSTED_2PC, node_count=12,
+                           tolerated_failures=1, reconfiguration_interval=30_000)
+        run = ShardedRun(cfg, spec_2keys(txn_count=300), arrival, 33)
         run.sim.inject_fault("coord", FaultKind.CRASHED, at_time=20_000)
         res = run.run()
         assert 0 < res.pauses <= 3
