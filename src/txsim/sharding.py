@@ -391,11 +391,12 @@ class ShardedRun(PipelineBase):
         """Whether some pending transaction can still settle.
 
         While the coordinators can decide, every pending one can.  Once they
-        cannot, a transaction with a 2PC record never settles (a decided
-        record's ``ShardExecDone`` died with its coordinator), so only one
-        without a record can: one already submitted or, in an open loop, one
-        still to arrive.  A closed-loop one not yet submitted waits for a
-        client that a blocked transaction may hold for good.
+        cannot, one with a 2PC record does not count: an undecided record
+        stays undecided, and a decided one's ``ShardExecDone`` may have died
+        with its coordinator.  One without a record counts once submitted or,
+        in an open loop, while still to arrive; a closed-loop one not yet
+        submitted waits for a client that a blocked transaction may hold for
+        good.
         """
         if self._coordinators_can_decide():
             return not self.all_done()
