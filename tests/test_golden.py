@@ -40,6 +40,8 @@ YCSB = WorkloadSpec(kind=WorkloadKind.YCSB_UPDATE, record_count=200, record_size
 SKEWED = WorkloadSpec(kind=WorkloadKind.YCSB_UPDATE, record_count=100, theta=0.6,
                       record_size_bytes=100, txn_count=TXNS, seed=5)
 SMALLBANK = WorkloadSpec(kind=WorkloadKind.SMALLBANK, record_count=200, txn_count=TXNS, seed=7)
+HOT_SMALLBANK = WorkloadSpec(kind=WorkloadKind.SMALLBANK, record_count=20, theta=0.9,
+                             txn_count=TXNS, seed=7)
 TWO_OPS = WorkloadSpec(kind=WorkloadKind.YCSB_UPDATE, ops_per_txn=2, record_count=200,
                        record_size_bytes=100, txn_count=TXNS, seed=11)
 
@@ -77,6 +79,11 @@ CELLS = {
         DesignConfig(concurrency_mode=ConcurrencyMode.CONCURRENT_LOCKING, index=IndexKind.MPT,
                      replication_approach=ReplicationApproach.PRIMARY_BACKUP, **STORAGE, **CFT5),
         SKEWED, Arrival.closed_loop(16), 9),
+    # hot keys: read-only, application-abort and timed-out latch acquisitions
+    "locking_raft_smallbank": (
+        DesignConfig(concurrency_mode=ConcurrencyMode.CONCURRENT_LOCKING, ledger_enabled=False,
+                     **STORAGE, **CFT5),
+        HOT_SMALLBANK, Arrival.closed_loop(16), 15),
     "eov_sharedlog_plain": (
         DesignConfig(concurrency_mode=ConcurrencyMode.EXECUTE_ORDER_VALIDATE,
                      replication_approach=ReplicationApproach.SHARED_LOG, **CFT5),
@@ -119,6 +126,11 @@ GOLDEN = {
         "row": "6bcdc7157da0a9d9047b4e9f98028c6db9b3291efb13933da686851f8fca11ba",
         "trace": "d72c77c3ecf313717196a037bafd2fc157656725118a11b5cf04af8d4ed18cf5",
         "untimed": "d9a1a47776b0042a72956dae671c7ab7574dd5bbe130ff81ee0ba8a5e4d6f336",
+    },
+    "locking_raft_smallbank": {
+        "row": "223ca06d0357ed0b36fff1b4f666aaeaff8aeeccad20c0170c7305ad481f0fd9",
+        "trace": "a2d454faa32c3a19edeaeceabc744d42504dbd1e59998de8d1b246d3750d3142",
+        "untimed": "60b518fb34b3e64193bccacdd0f07656ae19d2fce2094c34cc79929a3486bcb6",
     },
     "occ_pbft_plain": {
         "row": "5203aa6757ece06ad508a57abdea72da3e7dc0ef00222854e7d7d26614d4dd06",
