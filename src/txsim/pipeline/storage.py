@@ -1,10 +1,10 @@
 """Storage-based replication: a trusted transaction manager over replicated ops.
 
 The transaction manager (a client-side coordinator, per the trust assumption
-of this replication model) reads at the serving node, then replicates each
-write operation individually through the configured approach: a consensus
-entry per operation, an append to the shared log, or a hop-by-hop
-primary-backup chain.  Concurrency modes:
+of this replication model) reads or latches one key per round trip at the
+serving node, then replicates each write operation individually through the
+configured approach: a consensus entry per operation, an append to the shared
+log, or a hop-by-hop primary-backup chain.  Concurrency modes:
 
 * optimistic: read freely, validate at commit (write-write conflicts first,
   then stale reads), first committer wins via an intent table;
@@ -173,39 +173,34 @@ class StoragePeer(PeerNode):
     # -- locking mode ----------------------------------------------------------------
 
     def on_lock(self, msg: DbLock) -> None:
-        holder = self.lock_holder.get(msg.key)
-        if holder is None:
-            self.lock_holder[msg.key] = msg.txn_id
-            self.held.setdefault(msg.txn_id, []).append(msg.key)
-            self.send("clients", DbLockGrant(msg.txn_id, msg.key))
-        else:
+        if msg.key in self.lock_holder:
             self.lock_queue.setdefault(msg.key, []).append(msg.txn_id)
+        else:
+            self._grant(msg.key, msg.txn_id)
 
     def on_cancel(self, txn_id: int, reply: bool) -> None:
         if txn_id in self.pending_writes:
             return  # commit already replicating; too late to abort
-        for key in self.held.pop(txn_id, []):
-            self._release_key(key)
+        self.release_locks(txn_id)
         for queue in self.lock_queue.values():
             if txn_id in queue:
                 queue.remove(txn_id)
         if reply:
             self.send("clients", DbDecision(txn_id, TxnOutcome.ABORTED_BLOCKED))
 
-    def _release_key(self, key: bytes) -> None:
-        if self.lock_holder.get(key) is None:
-            return
-        del self.lock_holder[key]
-        queue = self.lock_queue.get(key, [])
-        if queue:
-            waiter = queue.pop(0)
-            self.lock_holder[key] = waiter
-            self.held.setdefault(waiter, []).append(key)
-            self.send("clients", DbLockGrant(waiter, key))
-
     def release_locks(self, txn_id: int) -> None:
+        """Hand each key ``txn_id`` holds to its first waiter, or free it."""
         for key in self.held.pop(txn_id, []):
-            self._release_key(key)
+            queue = self.lock_queue.get(key)
+            if queue:
+                self._grant(key, queue.pop(0))
+            else:
+                del self.lock_holder[key]
+
+    def _grant(self, key: bytes, txn_id: int) -> None:
+        self.lock_holder[key] = txn_id
+        self.held.setdefault(txn_id, []).append(key)
+        self.send("clients", DbLockGrant(txn_id, key))
 
     # -- completion tracking ------------------------------------------------------------
 
@@ -268,7 +263,7 @@ class StorageReplicatedPipeline(PipelineBase):
             log=SharedLogService("oplog", delivery_delay=self.cm.net_latency_mean),
         )
         self.preload()
-        self._fsm: Dict[int, dict] = {}
+        self._acquiring: Dict[int, list] = {}  # txn id -> [keys, requested]
         self.schedule_arrivals()
 
     # -- the transaction manager ---------------------------------------------------
@@ -281,91 +276,56 @@ class StorageReplicatedPipeline(PipelineBase):
         if self.leader_or_retry(txn_id) is None:
             return
         if self.locking:
-            keys = sorted(txn.keys_touched())
-            self._fsm[txn_id] = {"phase": "lock", "keys": keys, "next": 0, "granted": 0}
+            self._acquiring[txn_id] = [sorted(txn.keys_touched()), 0]
             self.clients.set_timer(self.lock_timeout, LockTimeout(txn_id))
-            self._request_next_lock(txn_id)
         else:
-            keys = [k for k, _ in txn.read_set]
-            self._fsm[txn_id] = {"phase": "read", "keys": keys, "next": 0}
-            self._request_next_read(txn_id)
+            self._acquiring[txn_id] = [[k for k, _ in txn.read_set], 0]
+        self._acquire_next(txn_id)
 
-    def _request_next_read(self, txn_id: int) -> None:
-        state = self._fsm[txn_id]
+    def _acquire_next(self, txn_id: int) -> None:
+        """Latch (locking) or read (optimistic) the next key; with all in, commit."""
+        acquiring = self._acquiring[txn_id]
+        keys, requested = acquiring
+        if requested < len(keys):
+            acquiring[1] = requested + 1
+            request = DbLock if self.locking else DbRead
+            self.clients.send(self.leader().node_id, request(txn_id, keys[requested]))
+            return
+        del self._acquiring[txn_id]
         record = self.records[txn_id]
-        keys = state["keys"]
-        if state["next"] < len(keys):
-            key = keys[state["next"]]
-            state["next"] += 1
-            self.clients.send(self.leader().node_id, DbRead(txn_id, key))
-            return
         record.execute_us = self.sim.now - record.submit_time
-        state["phase"] = "commit"
         txn = record.txn
-        if txn.app_abort:
-            self._settle(txn_id, TxnOutcome.ABORTED_APPLICATION)
-            return
-        reads = tuple(sorted(record.read_versions.items()))
         write_keys = tuple(k for k, _ in txn.write_set)
-        self.clients.send(self.leader().node_id, DbValidate(txn_id, reads, write_keys))
-
-    def _request_next_lock(self, txn_id: int) -> None:
-        state = self._fsm[txn_id]
-        keys = state["keys"]
-        if state["next"] < len(keys):
-            key = keys[state["next"]]
-            state["next"] += 1
-            self.clients.send(self.leader().node_id, DbLock(txn_id, key))
+        if self.locking and (txn.app_abort or not write_keys):
+            self.clients.send(self.leader().node_id, DbCancel(txn_id, reply=False))
+            outcome = TxnOutcome.ABORTED_APPLICATION if txn.app_abort else TxnOutcome.COMMITTED
+            self._settle(txn_id, outcome)
+        elif txn.app_abort:
+            self._settle(txn_id, TxnOutcome.ABORTED_APPLICATION)
+        else:
+            # reads are current while latched; no version check needed
+            reads = () if self.locking else tuple(sorted(record.read_versions.items()))
+            self.clients.send(self.leader().node_id, DbValidate(txn_id, reads, write_keys))
 
     def client_message(self, msg) -> None:
         if isinstance(msg, Retry):
             self.begin_txn(msg.txn_id)
-        elif isinstance(msg, DbReadResp):
-            state = self._fsm.get(msg.txn_id)
-            if state is None or state["phase"] != "read":
-                return
-            self.records[msg.txn_id].read_versions[msg.key] = msg.version
-            self._request_next_read(msg.txn_id)
-        elif isinstance(msg, DbLockGrant):
-            self._on_lock_grant(msg)
+        elif isinstance(msg, (DbReadResp, DbLockGrant)):
+            if msg.txn_id not in self._acquiring:
+                return  # a grant that raced its transaction's lock timeout
+            if isinstance(msg, DbReadResp):
+                self.records[msg.txn_id].read_versions[msg.key] = msg.version
+            self._acquire_next(msg.txn_id)
         elif isinstance(msg, LockTimeout):
-            state = self._fsm.get(msg.txn_id)
-            if state is not None and state["phase"] == "lock":
-                state["phase"] = "cancelling"
+            if self._acquiring.pop(msg.txn_id, None) is not None:
                 self.clients.send(self.leader().node_id, DbCancel(msg.txn_id))
         elif isinstance(msg, DbDecision):
             self._settle(msg.txn_id, msg.outcome)
-
-    def _on_lock_grant(self, msg: DbLockGrant) -> None:
-        state = self._fsm.get(msg.txn_id)
-        if state is None or state["phase"] != "lock":
-            return
-        state["granted"] += 1
-        record = self.records[msg.txn_id]
-        if state["granted"] < len(state["keys"]):
-            self._request_next_lock(msg.txn_id)
-            return
-        record.execute_us = self.sim.now - record.submit_time
-        state["phase"] = "commit"
-        txn = record.txn
-        if txn.app_abort:
-            self.clients.send(self.leader().node_id, DbCancel(msg.txn_id, reply=False))
-            self._settle(msg.txn_id, TxnOutcome.ABORTED_APPLICATION)
-        elif txn.write_set:
-            # reads are current while latched; no version check needed
-            self.clients.send(
-                self.leader().node_id,
-                DbValidate(msg.txn_id, (), tuple(k for k, _ in txn.write_set)),
-            )
-        else:
-            self.clients.send(self.leader().node_id, DbCancel(msg.txn_id, reply=False))
-            self._settle(msg.txn_id, TxnOutcome.COMMITTED)
 
     def _settle(self, txn_id: int, outcome: TxnOutcome) -> None:
         record = self.records[txn_id]
         if record.outcome is not TxnOutcome.PENDING:
             return
-        self._fsm.pop(txn_id, None)
         record.order_us = max(0, self.sim.now - record.submit_time - record.execute_us)
         record.validate_us = self.cm.exec_time_per_op
         record.settle(outcome, self.sim.now)

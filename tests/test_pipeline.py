@@ -18,6 +18,7 @@ from txsim.core import (
     IndexKind,
     ReplicationApproach,
     ReplicationModel,
+    Transaction,
     TxnOutcome,
     validate_config,
 )
@@ -376,6 +377,19 @@ class TestStorageReplicated:
         )
         assert res.committed == 400
         assert res.abort_counts() == {}
+
+    def test_locking_commits_a_keyless_transaction_at_once(self):
+        pipeline = StorageReplicatedPipeline(
+            db_config(concurrency_mode=ConcurrencyMode.CONCURRENT_LOCKING),
+            occ_spec(txn_count=1),
+            Arrival.closed_loop(1),
+            seed=18,
+        )
+        record = next(iter(pipeline.records.values()))
+        record.txn = Transaction(id=record.txn.id)
+        res = drive_and_collect(pipeline)
+        assert res.committed == 1
+        assert record.latency < pipeline.lock_timeout
 
     def test_locking_throughput_collapse_exceeds_abort_ratio(self):
         cfg = db_config(concurrency_mode=ConcurrencyMode.CONCURRENT_LOCKING)
