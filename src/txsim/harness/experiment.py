@@ -5,8 +5,9 @@ through ``run_pipeline``, a sharded cell through ``ShardedRun``, which is a
 pipeline too.  Both drive the simulator with the one drive loop
 (``PipelineBase.drive``) and return a ``RunResult``, so one
 ``metrics_from_run`` builds every ``Metrics``, and either can write its trace
-TSV.  A sweep runs a grid of cells varying exactly one parameter, and
-per-cell failures become stalled rows rather than aborting the sweep.
+TSV.  A sweep runs a grid of cells varying exactly one parameter.  It checks
+every cell's config before it runs any, so an invalid cell stops the sweep;
+a cell that fails at run time becomes a stalled row.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import statistics
 from typing import List, Optional, Tuple
 
 from ..core.configio import ConfigError, from_fields, with_field
-from ..core.types import DesignConfig, ShardingMode, check_config
+from ..core.types import DesignConfig, InvalidConfig, ShardingMode, check_config, validate_config
 from ..pipeline import Arrival, run_pipeline, txn_report
 from ..sharding import ShardedRun
 from ..workload import WorkloadSpec
@@ -81,10 +82,18 @@ def table2_cells(axis: str, cfg: DesignConfig, spec: WorkloadSpec, arrival: Arri
 
 
 def sweep(cells) -> List[Tuple[DesignConfig, WorkloadSpec, Arrival, int, Metrics]]:
-    """Run every cell; failures become stalled zero rows, never exceptions."""
+    """Run every cell; a cell failing at run time becomes a stalled zero row.
+
+    Every cell's config is checked before any runs: ``InvalidConfig`` names
+    the first cell that ``validate_config`` rejects.
+    """
     cells = list(cells)
     if not cells:
         raise ValueError("empty sweep grid")
+    for i, (cfg, *_) in enumerate(cells):
+        violations = validate_config(cfg)
+        if violations:
+            raise InvalidConfig([f"cell {i}: {v}" for v in violations])
     out = []
     for cfg, spec, arrival, seed in cells:
         try:

@@ -20,6 +20,7 @@ from txsim.core import (
     config_to_dict,
 )
 from txsim.core.configio import ConfigError
+from txsim.core.types import InvalidConfig
 from txsim.harness import (
     CSV_COLUMNS,
     check_forecast_consistency,
@@ -34,6 +35,7 @@ from txsim.harness import (
     sweep_cells_from_grid,
     table2_cells,
 )
+from txsim.harness import experiment
 from txsim.harness.cli import main as cli_main
 from txsim.harness.csvout import parse_csv
 from txsim.pipeline import Arrival
@@ -194,11 +196,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="empty"):
             sweep([])
 
-    def test_cell_failure_becomes_stalled_row(self):
-        bad_cfg = DesignConfig(node_count=3, tolerated_failures=2)
-        results = sweep([(bad_cfg, small_spec(), Arrival.open_loop(100), 1)])
+    def test_cell_failure_becomes_stalled_row(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("the cell failed at run time")
+
+        monkeypatch.setattr(experiment, "run_experiment", fail)
+        results = sweep([(trivial_config(), small_spec(), Arrival.open_loop(100), 1)])
         assert len(results) == 1
         assert results[0][4].stalled
+
+    def test_invalid_cell_stops_the_sweep_before_any_cell_runs(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(experiment, "run_experiment", lambda *args, **kw: ran.append(args))
+        bad_cfg = DesignConfig(node_count=3, tolerated_failures=2)
+        cells = [(c, small_spec(), Arrival.open_loop(100), 1) for c in (trivial_config(), bad_cfg)]
+        with pytest.raises(InvalidConfig, match=r"cell 1: N < 2f\+1"):
+            sweep(cells)
+        assert ran == []
 
     def test_grid_file_round_trip(self):
         grid = {
@@ -558,6 +572,12 @@ class TestCli:
         code, out = self.sweep(tmp_path, "workload.theta", ["nan", "inf"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_over_an_invalid_cell_exits_2(self, tmp_path, capsys):
+        code, out = self.sweep(tmp_path, "config.cost_model.hash_time_per_byte", ["nan", "1.0"])
+        assert code == 2
+        assert "config error: cell 0: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_workload_file_without_section_header_exits_2(self, tmp_path, capsys):
