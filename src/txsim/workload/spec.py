@@ -16,6 +16,16 @@ class WorkloadKind(enum.Enum):
     SMALLBANK = "smallbank"
 
 
+SMALLBANK_PROCEDURES = (
+    "balance",
+    "deposit_checking",
+    "transact_savings",
+    "write_check",
+    "send_payment",
+    "amalgamate",
+)
+
+
 @dataclass(frozen=True)
 class WorkloadSpec:
     kind: WorkloadKind = WorkloadKind.YCSB_UPDATE
@@ -40,6 +50,14 @@ class WorkloadSpec:
             raise ValueError("record_size_bytes must be positive")
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValueError("read_fraction must be in [0, 1]")
+        unknown = {name for name, _ in self.smallbank_mix} - set(SMALLBANK_PROCEDURES)
+        if unknown:
+            raise ValueError(f"unknown smallbank procedures: {sorted(unknown)}")
+        weights = [w for _, w in self.smallbank_mix]
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError("smallbank_mix weights must be finite and >= 0")
+        if weights and sum(weights) == 0:
+            raise ValueError("smallbank_mix weights must not all be 0")
 
     @property
     def effective_record_size(self) -> int:

@@ -273,7 +273,7 @@ _specs = st.builds(
         read_fraction=st.floats(0, 1),
         smallbank_mix=st.lists(
             st.tuples(st.sampled_from(SMALLBANK_PROCEDURES), st.floats(0, 100)), max_size=3
-        ).map(tuple),
+        ).filter(lambda mix: not mix or sum(w for _, w in mix)).map(tuple),
     ),
 )
 
@@ -578,6 +578,13 @@ class TestCli:
         code, out = self.sweep(tmp_path, "config.cost_model.hash_time_per_byte", ["nan", "1.0"])
         assert code == 2
         assert "config error: cell 0: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_over_an_invalid_smallbank_mix_exits_2(self, tmp_path, capsys):
+        mixes = ["amalgamate:nan", "nosuch:1", "balance:-1"]
+        code, out = self.sweep(tmp_path, "workload.smallbank_mix", mixes)
+        assert code == 2
+        assert "error: smallbank_mix weights must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_workload_file_without_section_header_exits_2(self, tmp_path, capsys):

@@ -207,6 +207,20 @@ class TestSmallbank:
         expected = spec.record_count * (INITIAL_CHECKING + INITIAL_SAVINGS)
         assert total == expected
 
+    @pytest.mark.parametrize(
+        "mix",
+        [
+            (("balance", -1), ("deposit_checking", 3)),
+            (("amalgamate", math.nan),),
+            (("amalgamate", math.inf),),
+            (("nosuch", 1),),
+            (("balance", 0), ("amalgamate", 0.0)),
+        ],
+    )
+    def test_invalid_mix_is_refused(self, mix):
+        with pytest.raises(ValueError, match="smallbank"):
+            WorkloadSpec(kind=WorkloadKind.SMALLBANK, smallbank_mix=mix)
+
     def test_constraint_violations_become_application_aborts(self):
         spec = WorkloadSpec(
             kind=WorkloadKind.SMALLBANK,
