@@ -27,20 +27,6 @@ class LogAppend:
 
 
 @dataclass
-class LogRead:
-    from_seq: int
-    reply_to: object
-    kind: str = field(default="slog:read", init=False)
-
-
-@dataclass
-class LogEntries:
-    from_seq: int
-    entries: tuple
-    kind: str = field(default="slog:entries", init=False)
-
-
-@dataclass
 class LogDeliver:
     seq: int
     entry: bytes
@@ -52,7 +38,7 @@ class SharedLogService(Node):
         super().__init__(node_id)
         self.append_cost = append_cost
         self.delivery_delay = delivery_delay
-        self.entries: List[bytes] = []
+        self.appended = 0  # entries sequenced so far; the last one's seq
         self.subscribers: List = []
 
     def subscribe(self, node_id) -> None:
@@ -60,19 +46,14 @@ class SharedLogService(Node):
 
     def append(self, entry: bytes) -> None:
         """Sequence ``entry`` and push it to every subscriber."""
-        self.entries.append(entry)
-        seq = len(self.entries)
+        self.appended += 1
         for sub in self.subscribers:
-            self.send(sub, LogDeliver(seq, entry), extra_delay=self.delivery_delay)
+            self.send(sub, LogDeliver(self.appended, entry), extra_delay=self.delivery_delay)
 
     def on_message(self, msg) -> int:
         if isinstance(msg, LogAppend):
             self.append(msg.entry)
             return self.append_cost
-        if isinstance(msg, LogRead):
-            slice_ = tuple(self.entries[msg.from_seq - 1 :])
-            self.send(msg.reply_to, LogEntries(msg.from_seq, slice_))
-            return 0
         raise ValueError(f"shared log cannot handle {msg!r}")
 
 
