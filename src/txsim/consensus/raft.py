@@ -95,7 +95,6 @@ class RaftComponent(Component):
         self.term = 0
         self.voted_for = None
         self.role = "follower"
-        self.leader_hint = None
         self.log: List[Tuple[int, Optional[bytes]]] = []
         self.commit_index = 0
         self._applied = 0
@@ -125,13 +124,11 @@ class RaftComponent(Component):
         self.term = 1
         if self.node_id == leader_id:
             self.role = "leader"
-            self.leader_hint = self.node_id
             self._next = {p: len(self.log) + 1 for p in self.peers()}
             self._match = {p: 0 for p in self.peers()}
             self.set_timer(self.timing.heartbeat_interval, HeartbeatTick(self.term))
         else:
             self.role = "follower"
-            self.leader_hint = leader_id
             self._reset_election_timer()
 
     # -- public API ----------------------------------------------------------
@@ -232,7 +229,6 @@ class RaftComponent(Component):
     def _maybe_win(self) -> None:
         if self.role == "candidate" and len(self._votes) >= self.quorum:
             self.role = "leader"
-            self.leader_hint = self.node_id
             self._next = {p: len(self.log) + 1 for p in self.peers()}
             self._match = {p: 0 for p in self.peers()}
             # a no-op from this term lets earlier-term entries commit
@@ -261,7 +257,6 @@ class RaftComponent(Component):
             self.send(msg.leader, AppendReply(self.term, self.node_id, False, 0))
             return
         self.role = "follower"
-        self.leader_hint = msg.leader
         self._reset_election_timer()
 
         ok = msg.prev_index == 0 or (
