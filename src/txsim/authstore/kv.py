@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Tuple
+import hashlib
+import struct
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+_LEN = struct.Struct(">I")
+_VERSION = struct.Struct(">Q")
 
 
 class VersionedKV:
@@ -45,11 +50,24 @@ class VersionedKV:
         return sum(len(k) + len(v) for k, (v, _) in self._data.items())
 
     def state_fingerprint(self) -> bytes:
-        """Order-independent digest of the committed contents, for node comparison."""
-        from ..core.encoding import Writer, digest
+        """Order-independent digest of the committed contents, for node comparison.
 
-        w = Writer()
-        for key in sorted(self._data):
-            value, version = self._data[key]
-            w.bytes(key).bytes(value).u64(version)
-        return digest(w.getvalue())
+        SHA-256 over each record's canonical encoding, the bytes of
+        ``Writer().bytes(key).bytes(value).u64(version)``, in key order.  The
+        records are hashed as they are encoded, so no buffer of the whole
+        state is built.
+        """
+        h = hashlib.sha256()
+        data = self._data
+        for key in sorted(data):
+            value, version = data[key]
+            h.update(b"".join((_LEN.pack(len(key)), key, _LEN.pack(len(value)), value,
+                               _VERSION.pack(version))))
+        return h.digest()
+
+
+def state_fingerprints(stores: Sequence[VersionedKV]) -> List[bytes]:
+    """Each store's ``state_fingerprint``; stores equal to the first reuse its digest."""
+    first = stores[0]
+    shared = first.state_fingerprint()
+    return [shared if kv._data == first._data else kv.state_fingerprint() for kv in stores]

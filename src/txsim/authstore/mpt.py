@@ -12,17 +12,28 @@ The access path from root to leaf doubles as the membership proof, and
 
 ``put`` and ``put_batch`` model per-write hashing: each insert re-stores
 every node on its path, and the hash work they meter is what pipelines
-charge as virtual time.  The nodes an insert replaced stay in the store.
-``load`` fills an empty trie in bulk instead: it sorts the keys' nibble
-paths and builds the trie bottom-up, storing each final node exactly once,
-so the store holds only reachable nodes.  It is meant for set-up, whose
-hash work the state store does not meter.
+charge as virtual time.  ``load`` fills an empty trie in bulk instead: it
+sorts the keys' nibble paths and builds the trie bottom-up, storing each
+final node exactly once.  It is meant for set-up, whose hash work the state
+store does not meter.
 
-A batch applied at a root is a pure function of the two: the nodes stored,
-in order, the new root and the hash work metered.  Tries that ``share`` a
-``TransitionMemo`` (replicas applying the same batches) compute each such
-transition once; the others replay it into their own node store.  A trie
-that has diverged stands at a different root, so it misses and computes.
+The store holds exactly the nodes reachable from the root.  Nodes are
+content-addressed, so one node can have several parents (two leaves with
+the same suffix and value, say); each stored digest therefore keeps a
+reference count, the number of its parents in the store plus one if it is
+the root.  When a put moves the root, the old root is released, and every
+node whose count reaches 0 is freed, recursively.  A branch that an insert
+rewrites keeps all but one of its children, so the new branch at first
+borrows the old one's references to the children it kept: when the old
+branch is freed the loan just changes hands, and only if the old branch
+survives (it has another parent) does the new one count its kept children.
+
+A batch applied at a root is a pure function of the two: the nodes stored
+and freed, in order, the counts that change, the new root and the hash work
+metered.  Tries that ``share`` a ``TransitionMemo`` (replicas applying the
+same batches) compute each such transition once; the others replay it into
+their own node store.  A trie that has diverged stands at a different root,
+so it misses and computes.
 
 The node encoding is this package's own (branch children are stored sparse,
 prefixed by a presence bitmap); it is canonical and injective but not wire
@@ -129,6 +140,15 @@ class MptProof:
         return len(self.nodes)
 
 
+def _children(node: Node) -> tuple:
+    """The digests a node points at; a branch may name one digest twice."""
+    if type(node) is Branch:
+        return tuple(filter(None, node.children))  # child digests are non-empty
+    if type(node) is Extension:
+        return (node.child,)
+    return ()
+
+
 def _common_prefix(a, b) -> int:
     n = 0
     for x, y in zip(a, b):
@@ -141,10 +161,10 @@ def _common_prefix(a, b) -> int:
 class TransitionMemo:
     """Batch transitions computed by one trie and replayed by the tries sharing it.
 
-    ``entries`` maps (root, batch) to [new root, the (digest, node) pairs
-    stored in order, hash ops, hash bytes, sharers yet to take it].  An entry
-    is dropped once every sharer has taken it, so only transitions some
-    sharer has still to apply are held.
+    ``entries`` maps (root, batch) to [new root, the step's ``StoreChanges``,
+    hash ops, hash bytes, sharers yet to take it].  An entry is dropped once
+    every sharer has taken it, so only transitions some sharer has still to
+    apply are held.
     """
 
     __slots__ = ("sharers", "entries")
@@ -154,17 +174,41 @@ class TransitionMemo:
         self.entries: Dict[tuple, list] = {}
 
 
+class StoreChanges:
+    """What one step did to a node store, recorded so that a replay ends equal.
+
+    ``freed``: digests that were stored before the step and were freed, in
+    order; ``added``: the nodes stored by the step that it did not free, in
+    the order they were last stored; ``touched``: digests whose count the
+    step changed, so ``counts`` (set when the step ends) holds their final
+    counts.  Dropping a node that the step both stored and freed, and
+    replaying deletions before insertions, leaves the dict order unchanged.
+    """
+
+    __slots__ = ("freed", "added", "touched", "counts")
+
+    def __init__(self):
+        self.freed: List[bytes] = []
+        self.added: Dict[bytes, Node] = {}
+        self.touched: set = set()
+        self.counts: Dict[bytes, int] = {}
+
+
 class MerklePatriciaTrie:
     def __init__(self, meter: Optional[HashMeter] = None):
         self._nodes: Dict[bytes, Node] = {}  # digest of the encoding -> node
+        self._refs: Dict[bytes, int] = {}  # digest -> parents in the store, +1 for the root
         self.root = EMPTY_ROOT
         self.meter = meter or HashMeter()
         self.memo: Optional[TransitionMemo] = None
-        self._stored: Optional[list] = None  # (digest, node) pairs, while recording
+        # during a put: lender -> (borrower, the child the borrower replaced, its new child)
+        self._lent: Dict[bytes, tuple] = {}
+        self._changes: Optional[StoreChanges] = None  # while a transition is recorded
 
     def share(self, twin: "MerklePatriciaTrie") -> None:
         """Make ``twin`` an equal trie with its own node store, sharing this trie's memo."""
         twin._nodes = dict(self._nodes)
+        twin._refs = dict(self._refs)
         twin.root = self.root
         if self.memo is None:
             self.memo = TransitionMemo()
@@ -173,15 +217,79 @@ class MerklePatriciaTrie:
 
     # -- node store ------------------------------------------------------------
 
-    def _store(self, node: Node) -> bytes:
+    def _store(self, node: Node, edit: Optional[tuple] = None) -> bytes:
+        """Store ``node``; returns its digest.
+
+        ``edit`` is (lender, old child, new child) for a branch rewritten
+        from the branch ``lender`` by replacing one child (None for none):
+        the new branch counts only its new child and borrows the rest.
+        """
         # the encoding is needed only for the digest and the metered length
         enc = encode_node(node)
         d = digest(enc)
-        self._nodes[d] = node
         self.meter.count(len(enc))
-        if self._stored is not None:
-            self._stored.append((d, node))
+        nodes = self._nodes
+        if d in nodes:
+            return d
+        nodes[d] = node
+        refs = self._refs
+        refs[d] = 0
+        if edit is not None:
+            lender, old_child, new_child = edit
+            self._lent[lender] = (d, old_child, new_child)
+            counted = () if new_child is None else (new_child,)
+        elif type(node) is Leaf:
+            counted = ()
+        else:
+            counted = _children(node)
+        for child in counted:
+            refs[child] += 1
+        changes = self._changes
+        if changes is not None:
+            changes.added[d] = node
+            changes.touched.add(d)
+            changes.touched.update(counted)
         return d
+
+    def _set_root(self, root: bytes) -> None:
+        """End a put: move the root, free what only the old root held, settle the loans."""
+        old, self.root = self.root, root
+        refs, nodes, lent, changes = self._refs, self._nodes, self._lent, self._changes
+        touched = None if changes is None else changes.touched
+        stack = []
+        if root != old:
+            refs[root] += 1
+            if old != EMPTY_ROOT:
+                stack.append(old)
+        while stack:
+            d = stack.pop()
+            left = refs[d] - 1
+            if left:
+                refs[d] = left
+                if touched is not None:
+                    touched.add(d)
+                continue
+            del refs[d]
+            node = nodes.pop(d)
+            if changes is not None and changes.added.pop(d, None) is None:
+                changes.freed.append(d)
+            loan = lent.pop(d, None)
+            if loan is None:
+                stack.extend(_children(node))
+            elif loan[1] is not None:
+                stack.append(loan[1])  # the borrower holds every other child now
+        # a lender that survives keeps its references; its borrower counts its own
+        for borrower, _, new_child in lent.values():
+            kept = list(_children(nodes[borrower]))
+            if new_child is not None:
+                kept.remove(new_child)
+            for child in kept:
+                refs[child] += 1
+            if touched is not None:
+                touched.update(kept)
+        lent.clear()
+        if touched is not None:
+            touched.add(root)
 
     # -- queries ---------------------------------------------------------------
 
@@ -211,9 +319,9 @@ class MerklePatriciaTrie:
     def put(self, key: bytes, value: bytes) -> bytes:
         nibbles = key_nibbles(key)
         if self.root == EMPTY_ROOT:
-            self.root = self._store(Leaf(nibbles, value))
+            self._set_root(self._store(Leaf(nibbles, value)))
         else:
-            self.root = self._insert(self.root, nibbles, value)
+            self._set_root(self._insert(self.root, nibbles, value))
         return self.root
 
     def put_batch(self, writes) -> bytes:
@@ -224,19 +332,25 @@ class MerklePatriciaTrie:
             return self.root
         step = (self.root, tuple(writes))
         entry = memo.entries.get(step)
+        nodes, refs = self._nodes, self._refs
         if entry is None:
             meter = self.meter
             ops, nbytes = meter.ops, meter.bytes
-            self._stored = stored = []
+            self._changes = changes = StoreChanges()
             for key, value in writes:
                 self.put(key, value)
-            self._stored = None
+            self._changes = None
+            changes.counts = {d: refs[d] for d in changes.touched if d in refs}
+            changes.touched = None
             memo.entries[step] = [
-                self.root, stored, meter.ops - ops, meter.bytes - nbytes, memo.sharers - 1
+                self.root, changes, meter.ops - ops, meter.bytes - nbytes, memo.sharers - 1
             ]
             return self.root
-        root, stored, ops, nbytes, left = entry
-        self._nodes.update(stored)
+        root, changes, ops, nbytes, left = entry
+        for d in changes.freed:
+            del nodes[d], refs[d]
+        nodes.update(changes.added)
+        refs.update(changes.counts)
         self.meter.ops += ops
         self.meter.bytes += nbytes
         self.root = root
@@ -250,13 +364,13 @@ class MerklePatriciaTrie:
         """Fill an empty trie with ``writes`` (last write wins); returns the root.
 
         The result equals ``put_batch(writes)`` on an empty trie: the same
-        root, nodes and proofs, but without the nodes an insert would replace.
+        root, nodes and proofs, but each node is encoded and hashed only once.
         """
         if self.root != EMPTY_ROOT:
             raise ValueError("load needs an empty trie")
         items = sorted({key_nibbles(key): value for key, value in writes}.items())
         if items:
-            self.root = self._build(items, 0, len(items), 0)
+            self._set_root(self._build(items, 0, len(items), 0))
         return self.root
 
     def _build(self, items, lo: int, hi: int, depth: int) -> bytes:
@@ -292,7 +406,7 @@ class MerklePatriciaTrie:
             return self._insert_at_leaf(node, nibbles, value)
         if isinstance(node, Extension):
             return self._insert_at_extension(node, nibbles, value)
-        return self._insert_at_branch(node, nibbles, value)
+        return self._insert_at_branch(node_digest, node, nibbles, value)
 
     def _insert_at_leaf(self, node: Leaf, nibbles, value: bytes) -> bytes:
         if node.suffix == nibbles:
@@ -333,16 +447,17 @@ class MerklePatriciaTrie:
             out = self._store(Extension(nibbles[:common], out))
         return out
 
-    def _insert_at_branch(self, node: Branch, nibbles, value: bytes) -> bytes:
+    def _insert_at_branch(self, node_digest: bytes, node: Branch, nibbles, value: bytes) -> bytes:
         if not nibbles:
-            return self._store(Branch(node.children, value))
+            return self._store(Branch(node.children, value), (node_digest, None, None))
         children = list(node.children)
         head, rest = nibbles[0], nibbles[1:]
-        if children[head] is None:
+        old = children[head]
+        if old is None:
             children[head] = self._store(Leaf(rest, value))
         else:
-            children[head] = self._insert(children[head], rest, value)
-        return self._store(Branch(tuple(children), node.value))
+            children[head] = self._insert(old, rest, value)
+        return self._store(Branch(tuple(children), node.value), (node_digest, old, children[head]))
 
     # -- proofs --------------------------------------------------------------------
 

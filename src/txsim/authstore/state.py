@@ -59,8 +59,8 @@ class StateStore:
         """Pre-populate an empty store with ``writes``; set-up, so nothing is metered.
 
         KV and index end up as after ``apply_batch(writes)``.  An MPT is built
-        bottom-up in one pass (``MerklePatriciaTrie.load``), so it stores no
-        node that later writes of the batch would replace.
+        bottom-up in one pass (``MerklePatriciaTrie.load``), so no node is
+        hashed twice and none is stored only to be freed again.
         """
         if len(self.kv):
             raise ValueError("load needs an empty store")

@@ -7,6 +7,15 @@ timer and force a view change if execution stalls.  View changes carry
 prepared certificates (with payloads) so a new primary re-proposes anything
 that might have committed; gaps are filled with no-ops.
 
+A replica frees a sequence's protocol state when it executes that sequence:
+its accepted pre-prepare, votes, commit flag, prepared certificate and, once
+no live sequence holds the digest, the payload.  Votes that arrive for an
+executed sequence are dropped.  What stays is the decided log (``committed``
+and ``executed_requests``), one digest per sequence.  No checkpoint messages
+are exchanged: each replica frees only what it has executed itself, a view
+change certifies only sequences above the sender's cursor, and a new view
+never re-proposes a sequence at or below the highest cursor reported.
+
 Byzantine behavior is restricted to a menu: a silent node sends nothing (the
 network layer enforces that), and an equivocating primary sends conflicting
 pre-prepares to disjoint peer subsets plus commit votes for both digests.
@@ -16,6 +25,7 @@ messages: the menu contains no forgery.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -114,12 +124,14 @@ class PbftComponent(Component):
 
         self.view = 0
         self.next_seq = 1
+        # per-seq tables hold live seqs only: accepted and not yet executed
         self.accepted: Dict[int, tuple] = {}  # seq -> (view, digest)
-        self._top_accepted = 0  # the highest key of ``accepted``, 0 while it is empty
-        self.payloads: Dict[bytes, bytes] = {}
-        self.prep_votes: Dict[tuple, set] = {}
-        self.commit_votes: Dict[tuple, set] = {}
-        self.sent_commit: set = set()
+        self.payloads: Dict[bytes, bytes] = {}  # digest -> payload, while held
+        self._holds: Dict[bytes, int] = {}  # digest -> accepted and cert entries holding it
+        # seq -> (view, digest) -> senders
+        self.prep_votes: Dict[int, Dict[tuple, set]] = defaultdict(lambda: defaultdict(set))
+        self.commit_votes: Dict[int, Dict[tuple, set]] = defaultdict(lambda: defaultdict(set))
+        self.sent_commit: Dict[int, int] = {}  # seq -> the view this replica sent its commit in
         self.prepared_cert: Dict[int, tuple] = {}  # seq -> (view, digest)
         self.committed: Dict[int, bytes] = {}
         self.exec_cursor = 0
@@ -177,11 +189,13 @@ class PbftComponent(Component):
         elif isinstance(msg, PrePrepare):
             self._on_pre_prepare(msg)
         elif isinstance(msg, Prepare):
-            self._record_vote(self.prep_votes, (msg.view, msg.seq, msg.digest), msg.sender)
-            self._check_prepared(msg.view, msg.seq)
+            if msg.seq > self.exec_cursor:  # a vote on an executed seq changes nothing
+                self.prep_votes[msg.seq][(msg.view, msg.digest)].add(msg.sender)
+                self._check_prepared(msg.view, msg.seq)
         elif isinstance(msg, CommitMsg):
-            self._record_vote(self.commit_votes, (msg.view, msg.seq, msg.digest), msg.sender)
-            self._check_committed(msg.view, msg.seq)
+            if msg.seq > self.exec_cursor:
+                self.commit_votes[msg.seq][(msg.view, msg.digest)].add(msg.sender)
+                self._check_committed(msg.view, msg.seq)
         elif isinstance(msg, ViewChange):
             self._on_view_change(msg)
         elif isinstance(msg, NewView):
@@ -234,22 +248,46 @@ class PbftComponent(Component):
 
     # -- normal three-phase flow ---------------------------------------------------
 
-    def _record_vote(self, table: Dict[tuple, set], key: tuple, sender) -> None:
-        table.setdefault(key, set()).add(sender)
+    @staticmethod
+    def _votes(table: Dict[int, Dict[tuple, set]], view: int, seq: int, d: bytes) -> int:
+        # reads with ``get``: indexing would insert empty entries
+        return len(table.get(seq, {}).get((view, d), ()))
+
+    def _hold(self, d: bytes) -> None:
+        self._holds[d] = self._holds.get(d, 0) + 1
+
+    def _release(self, d: bytes) -> None:
+        left = self._holds[d] - 1
+        if left:
+            self._holds[d] = left
+        else:
+            del self._holds[d], self.payloads[d]
+
+    def _forget(self, seq: int) -> None:
+        """Free an executed seq's protocol state; its decided digest stays in ``committed``."""
+        d = self.accepted.pop(seq)[1]
+        self._release(d)
+        cert = self.prepared_cert.pop(seq, None)
+        if cert is not None:
+            self._release(cert[1])
+        self.prep_votes.pop(seq, None)
+        self.commit_votes.pop(seq, None)
+        self.sent_commit.pop(seq, None)
+        self.proposed_requests.discard(d)
 
     def _accept(self, view: int, seq: int, payload: bytes) -> None:
         if seq <= self.exec_cursor or seq in self.committed:
             return  # never re-decide a settled sequence
         d = digest(payload)
         prev = self.accepted.get(seq)
-        if prev is not None and prev[0] >= view:
-            return  # first pre-prepare per (view, seq) wins
+        if prev is not None:
+            if prev[0] >= view:
+                return  # first pre-prepare per (view, seq) wins
+            self._release(prev[1])
         self.accepted[seq] = (view, d)
-        if seq > self._top_accepted:
-            self._top_accepted = seq
         self.payloads[d] = payload
-        self._record_vote(self.prep_votes, (view, seq, d), self.primary_of(view))
-        self._record_vote(self.prep_votes, (view, seq, d), self.node_id)
+        self._hold(d)
+        self.prep_votes[seq][(view, d)].update((self.primary_of(view), self.node_id))
         if self.node_id != self.primary_of(view):
             for peer in self.others():
                 self.send(peer, Prepare(view, seq, d, self.node_id))
@@ -270,15 +308,18 @@ class PbftComponent(Component):
         if acc is None or acc[0] != view or view != self.view:
             return
         d = acc[1]
-        if len(self.prep_votes.get((view, seq, d), ())) < self.quorum:
+        if self._votes(self.prep_votes, view, seq, d) < self.quorum:
             return
         cert = self.prepared_cert.get(seq)
         if cert is None or cert[0] < view:
+            if cert is not None:
+                self._release(cert[1])
             self.prepared_cert[seq] = (view, d)
-        if (view, seq) in self.sent_commit:
+            self._hold(d)
+        if self.sent_commit.get(seq) == view:
             return
-        self.sent_commit.add((view, seq))
-        self._record_vote(self.commit_votes, (view, seq, d), self.node_id)
+        self.sent_commit[seq] = view
+        self.commit_votes[seq][(view, d)].add(self.node_id)
         for peer in self.others():
             self.send(peer, CommitMsg(view, seq, d, self.node_id))
         self._check_committed(view, seq)
@@ -290,9 +331,9 @@ class PbftComponent(Component):
         if acc is None or acc[0] != view:
             return
         d = acc[1]
-        if (view, seq) not in self.sent_commit:
+        if self.sent_commit.get(seq) != view:
             return  # committed-local requires the prepared certificate
-        if len(self.commit_votes.get((view, seq, d), ())) < self.quorum:
+        if self._votes(self.commit_votes, view, seq, d) < self.quorum:
             return
         self.committed[seq] = d
         self._try_execute()
@@ -306,6 +347,7 @@ class PbftComponent(Component):
             if payload is None:
                 break  # digest decided but payload never seen; stay safe and stall
             self.exec_cursor = seq
+            self._forget(seq)
             already_delivered = d in self.executed_requests
             self.executed_requests.add(d)
             self.pending.pop(d, None)
@@ -322,9 +364,8 @@ class PbftComponent(Component):
     # -- progress timer and view change ------------------------------------------
 
     def _unexecuted_work(self) -> bool:
-        # keys of ``accepted`` are never removed, so some accepted seq is
-        # above the cursor exactly when the highest one is
-        return bool(self.pending) or self._top_accepted > self.exec_cursor
+        # a seq leaves ``accepted`` when it executes, so every key is above the cursor
+        return bool(self.pending) or bool(self.accepted)
 
     def _arm_timer(self) -> None:
         if self._timer_armed or self.timing is None:
@@ -349,11 +390,8 @@ class PbftComponent(Component):
 
     def _start_view_change(self, new_view: int) -> None:
         self.view = new_view
-        certs = {
-            seq: (view, d, self.payloads[d])
-            for seq, (view, d) in self.prepared_cert.items()
-            if seq > self.exec_cursor and d in self.payloads
-        }
+        # certificates of live seqs only, each with the payload it holds
+        certs = {seq: (view, d, self.payloads[d]) for seq, (view, d) in self.prepared_cert.items()}
         vc = ViewChange(new_view, self.node_id, certs, self.exec_cursor)
         self.vc_msgs.setdefault(new_view, {})[self.node_id] = (certs, self.exec_cursor)
         for peer in self.others():
@@ -433,9 +471,13 @@ class PbftComponent(Component):
             self.view,
             self.next_seq,
             tuple(sorted(self.accepted.items())),
-            tuple(sorted((k, frozenset(v)) for k, v in self.prep_votes.items())),
-            tuple(sorted((k, frozenset(v)) for k, v in self.commit_votes.items())),
-            tuple(sorted(self.sent_commit)),
+            _vote_rows(self.prep_votes),
+            _vote_rows(self.commit_votes),
+            tuple(sorted(self.sent_commit.items())),
             tuple(sorted(self.committed.items())),
             self.exec_cursor,
         )
+
+
+def _vote_rows(table: Dict[int, Dict[tuple, set]]) -> tuple:
+    return tuple(sorted((seq, key, frozenset(v)) for seq, votes in table.items() for key, v in votes.items()))

@@ -234,9 +234,8 @@ class Transaction:
     app_abort: bool = False
 
     def __post_init__(self):
-        keys = {k for k, _ in self.read_set} | {k for k, _ in self.write_set}
-        if self.op_count == 0 and keys:
-            object.__setattr__(self, "op_count", len(keys))
+        if self.op_count == 0:
+            object.__setattr__(self, "op_count", len(self.keys_touched()))
 
     def keys_touched(self):
         return {k for k, _ in self.read_set} | {k for k, _ in self.write_set}

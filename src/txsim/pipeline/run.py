@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..authstore.kv import state_fingerprints
 from ..consensus.base import protocol_messages
 from ..core.types import ConcurrencyMode, DesignConfig, TxnOutcome, check_config
 from ..workload import WorkloadSpec
@@ -131,7 +132,7 @@ def drive_and_collect(pipeline: PipelineBase) -> RunResult:
         stalled=stalled,
         span=run_span(pipeline.records.values(), pipeline.sim.now),
         delivered_counts=dict(pipeline.sim.delivered_counts),
-        fingerprints=[p.state.kv.state_fingerprint() for p in peers],
+        fingerprints=state_fingerprints([p.state.kv for p in peers]),
         roots=roots,
         storage=observer.state.storage_breakdown(),
         block_log=list(getattr(pipeline, "block_log", [])),

@@ -22,7 +22,7 @@ application runs on each peer's worker lane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..consensus.primarybackup import ChainAck, ChainOp
 from ..consensus.sharedlog import SharedLogService
@@ -119,8 +119,10 @@ class StoragePeer(PeerNode):
         self.intents: Dict[bytes, int] = {}
         self.pending_writes: Dict[int, int] = {}
         self.lock_holder: Dict[bytes, int] = {}
-        self.lock_queue: Dict[bytes, List[int]] = {}
+        self.lock_queue: Dict[bytes, List[int]] = {}  # keys with waiters only
         self.held: Dict[int, List[bytes]] = {}
+        # the network may deliver a DbLock after its transaction's DbCancel
+        self.cancelled: Set[int] = set()
 
     def handle_db(self, msg) -> int:
         cm = self.pipeline.cm
@@ -173,6 +175,8 @@ class StoragePeer(PeerNode):
     # -- locking mode ----------------------------------------------------------------
 
     def on_lock(self, msg: DbLock) -> None:
+        if msg.txn_id in self.cancelled:
+            return  # nobody would ever release this latch
         if msg.key in self.lock_holder:
             self.lock_queue.setdefault(msg.key, []).append(msg.txn_id)
         else:
@@ -181,10 +185,13 @@ class StoragePeer(PeerNode):
     def on_cancel(self, txn_id: int, reply: bool) -> None:
         if txn_id in self.pending_writes:
             return  # commit already replicating; too late to abort
+        self.cancelled.add(txn_id)
         self.release_locks(txn_id)
-        for queue in self.lock_queue.values():
+        for key, queue in list(self.lock_queue.items()):
             if txn_id in queue:
                 queue.remove(txn_id)
+                if not queue:
+                    del self.lock_queue[key]
         if reply:
             self.send("clients", DbDecision(txn_id, TxnOutcome.ABORTED_BLOCKED))
 
@@ -192,10 +199,12 @@ class StoragePeer(PeerNode):
         """Hand each key ``txn_id`` holds to its first waiter, or free it."""
         for key in self.held.pop(txn_id, []):
             queue = self.lock_queue.get(key)
-            if queue:
-                self._grant(key, queue.pop(0))
-            else:
+            if queue is None:
                 del self.lock_holder[key]
+                continue
+            self._grant(key, queue.pop(0))
+            if not queue:
+                del self.lock_queue[key]
 
     def _grant(self, key: bytes, txn_id: int) -> None:
         self.lock_holder[key] = txn_id

@@ -27,9 +27,15 @@ def _scramble_multiplier(n: int) -> int:
     return c
 
 
+def rank_scrambler(n: int):
+    """``scramble_rank`` for one record count, with its multiplier computed once."""
+    c = _scramble_multiplier(n)
+    return lambda rank: ((rank - 1) * c) % n
+
+
 def scramble_rank(rank: int, n: int) -> int:
     """Bijective rank -> key-index map over [0, n)."""
-    return ((rank - 1) * _scramble_multiplier(n)) % n
+    return rank_scrambler(n)(rank)
 
 
 def ycsb_key(index: int) -> bytes:
@@ -61,12 +67,13 @@ def gen_ycsb(spec: WorkloadSpec) -> List[Transaction]:
     sampler = ZipfianSampler(spec.record_count, spec.theta)
     size = spec.effective_record_size
     ops = min(spec.ops_per_txn, spec.record_count)
+    scramble = rank_scrambler(spec.record_count)
     txns = []
     for txn_id in range(1, spec.txn_count + 1):
         indexes = []
         chosen = set()
         while len(indexes) < ops:
-            idx = scramble_rank(sampler.sample(rng), spec.record_count)
+            idx = scramble(sampler.sample(rng))
             if idx not in chosen:
                 chosen.add(idx)
                 indexes.append(idx)

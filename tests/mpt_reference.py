@@ -57,3 +57,19 @@ def reachable_digests(trie) -> set:
             elif isinstance(node, Branch):
                 stack.extend(c for c in node.children if c is not None)
     return seen
+
+
+def reference_counts(trie) -> dict:
+    """Each reachable digest's parents among the reachable nodes, plus one for the root."""
+    counts = dict.fromkeys(reachable_digests(trie), 0)
+    if trie.root != EMPTY_ROOT:
+        counts[trie.root] += 1
+    for d in counts:
+        node = trie._nodes[d]
+        if isinstance(node, Extension):
+            counts[node.child] += 1
+        elif isinstance(node, Branch):
+            for c in node.children:
+                if c is not None:
+                    counts[c] += 1
+    return counts

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpt_reference import reachable_digests, reference_encode_node
+from mpt_reference import reachable_digests, reference_counts, reference_encode_node
 from txsim.authstore import (
     EMPTY_ROOT,
     GENESIS_PARENT,
@@ -21,8 +21,10 @@ from txsim.authstore import (
 )
 from txsim.authstore import mbt as mbt_mod
 from txsim.authstore import mpt as mpt_mod
+from txsim.authstore.kv import state_fingerprints
 from txsim.authstore.ledger import LedgerError
 from txsim.core import Block, IndexKind, Transaction, digest, encode_block
+from txsim.core.encoding import Writer
 
 
 class TestVersionedKV:
@@ -46,6 +48,35 @@ class TestVersionedKV:
         for i in range(5):
             kv.put_batch([(b"k", f"v{i}".encode())])
         assert kv.get(b"k") == (b"v4", 5)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(st.tuples(st.binary(max_size=6), st.binary(max_size=12)), max_size=8),
+                    max_size=4))
+    @example([])
+    def test_fingerprint_is_sha256_of_the_records_in_key_order(self, batches):
+        kv = VersionedKV()
+        for batch in batches:
+            kv.put_batch(batch)
+        # the reference definition: every record's canonical encoding, in key order
+        w = Writer()
+        for key in sorted(kv._data):
+            value, version = kv._data[key]
+            w.bytes(key).bytes(value).u64(version)
+        assert kv.state_fingerprint() == hashlib.sha256(w.getvalue()).digest()
+
+    def test_equal_stores_share_one_fingerprint_and_a_different_one_gets_its_own(self, monkeypatch):
+        stores = [VersionedKV() for _ in range(4)]
+        for kv in stores:
+            kv.put_batch([(b"a", b"1"), (b"b", b"2")])
+        stores[2].put_batch([(b"c", b"3")])
+        calls = []
+        fingerprint = VersionedKV.state_fingerprint
+        monkeypatch.setattr(VersionedKV, "state_fingerprint",
+                            lambda kv: calls.append(kv) or fingerprint(kv))
+        prints = state_fingerprints(stores)
+        assert prints == [fingerprint(kv) for kv in stores]
+        assert prints[0] == prints[1] == prints[3] != prints[2]
+        assert calls == [stores[0], stores[2]]
 
 
 class TestMpt:
@@ -258,6 +289,25 @@ class TestMptProperties:
         for key, value in final.items():
             assert trie.get(key) == value
             assert mpt_mod.verify(trie.root, key, value, trie.prove(key))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_mpt_writes, max_size=12), _mpt_ops)
+    @example(  # two equal subtries: the branch a put rewrites in one of them survives
+        [(b"\x01\x00", b"v"), (b"\x01\x01", b"v"), (b"\x11\x00", b"v"), (b"\x11\x01", b"v")],
+        [(b"\x01\x00", b"w"), [(b"\x11\x00", b"w"), (b"\x01\x01", b"w")], (b"\x11\x00", b"v")],
+    )
+    def test_store_holds_exactly_the_reachable_nodes_and_their_counts(self, initial, ops):
+        # values are short and repeat, so leaves (and whole subtries) are shared
+        trie = MerklePatriciaTrie()
+        trie.load(initial)
+        assert trie._refs == reference_counts(trie)
+        for op in ops:
+            if isinstance(op, list):
+                trie.put_batch(op)
+            else:
+                trie.put(*op)
+            assert set(trie._nodes) == reachable_digests(trie)
+            assert trie._refs == reference_counts(trie)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(_mpt_writes, max_size=24))

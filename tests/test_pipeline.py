@@ -32,7 +32,8 @@ from txsim.pipeline import (
     run_pipeline,
 )
 from txsim.pipeline.eov import ExecuteOrderValidatePipeline
-from txsim.pipeline.order_execute import OrderExecutePipeline
+from txsim.consensus.pbft import PbftComponent
+from txsim.pipeline.order_execute import OeWorker, OrderExecutePipeline
 from txsim.pipeline.storage import StorageReplicatedPipeline
 from txsim.simnet import FaultKind
 from txsim.workload import WorkloadSpec, WorkloadKind, initial_state
@@ -409,6 +410,23 @@ class TestStorageReplicated:
         assert results[1.0].abort_counts().get("aborted_blocked", 0) > 0
         assert drop > abort_ratio
 
+    def test_locking_holds_no_latch_after_the_run(self):
+        # a DbLock that the network delivers after its transaction's DbCancel
+        # used to be granted to the aborted transaction, and never released
+        cfg = db_config(
+            concurrency_mode=ConcurrencyMode.CONCURRENT_LOCKING,
+            replication_approach=ReplicationApproach.PRIMARY_BACKUP,
+        )
+        spec = WorkloadSpec(
+            kind=WorkloadKind.SMALLBANK, record_count=20, theta=0.9, txn_count=400, seed=1
+        )
+        pipeline = StorageReplicatedPipeline(cfg, spec, Arrival.closed_loop(16), seed=1)
+        res = drive_and_collect(pipeline)
+        assert not res.stalled and res.pending == 0
+        assert res.abort_counts()["aborted_blocked"] > 0  # latches did time out
+        for peer in pipeline.peers:
+            assert (peer.lock_holder, peer.held, peer.lock_queue) == ({}, {}, {})
+
     def test_primary_backup_backend(self):
         cfg = db_config(replication_approach=ReplicationApproach.PRIMARY_BACKUP)
         res = run_pipeline(cfg, occ_spec(txn_count=150), Arrival.closed_loop(8), seed=20)
@@ -552,7 +570,7 @@ def _owned_containers(state):
     if index is None:
         held = []
     elif isinstance(index, MerklePatriciaTrie):
-        held = [index._nodes]
+        held = [index._nodes, index._refs]
     else:
         held = [index.buckets, index.levels, *index.buckets, *index.levels]
     return [state, state.kv, state.kv._data, state.meter, state.ledger, index, *held]
@@ -619,3 +637,63 @@ class TestRunPipelineDispatch:
         counts = res.abort_counts()
         assert counts.get("aborted_application", 0) > 0
         assert res.committed + counts["aborted_application"] == 300
+
+
+_PBFT_SEQ_TABLES = ("accepted", "prep_votes", "commit_votes", "sent_commit", "prepared_cert")
+
+
+class TestBoundedReplicaState:
+    """Replica state follows the working set, not the run length."""
+
+    def test_pbft_frees_every_executed_seq(self, monkeypatch):
+        # the occ_pbft_smallbank benchmark cell; every write is one PBFT seq
+        cfg = db_config(failure_model=FailureModel.BFT, node_count=4, tolerated_failures=1)
+        clients = 16
+        handle, peaks = PbftComponent.handle, {}
+
+        def watched(comp, msg):
+            out = handle(comp, msg)
+            for name in _PBFT_SEQ_TABLES:
+                table = getattr(comp, name)
+                assert min(table, default=comp.exec_cursor + 1) > comp.exec_cursor, name
+                peaks[name] = max(peaks.get(name, 0), len(table))
+            peaks["payloads"] = max(peaks.get("payloads", 0), len(comp.payloads))
+            return out
+
+        monkeypatch.setattr(PbftComponent, "handle", watched)
+        for txn_count in (400, 4000):
+            peaks.clear()
+            spec = WorkloadSpec(kind=WorkloadKind.SMALLBANK, txn_count=txn_count, seed=7)
+            pipeline = StorageReplicatedPipeline(cfg, spec, Arrival.closed_loop(clients), seed=7)
+            assert not pipeline.drive()
+            comps = [peer.ordering for peer in pipeline.peers]
+            assert all(c.exec_cursor > txn_count for c in comps)
+            for c in comps:
+                # everything ordered was executed, and nothing of it is left
+                assert [len(getattr(c, name)) for name in _PBFT_SEQ_TABLES] == [0] * 5
+                assert (c.payloads, c.proposed_requests) == ({}, set())
+                assert len(c.committed) == c.exec_cursor  # the decided log stays
+            # live seqs are the writes in flight, at most one transaction per
+            # client, so the peak is the same bound at either length
+            window = clients * max(len(t.write_set) for t in pipeline.txns)
+            assert 0 < max(peaks.values()) <= window < txn_count
+
+    def test_mpt_store_holds_only_reachable_nodes_after_every_block(self, monkeypatch):
+        # the oe_raft_mpt benchmark cell: 1000 keys, 1000-byte values, ten times as long
+        apply_block, sizes = OeWorker.apply_block, []
+
+        def checked(worker, *args):
+            apply_block(worker, *args)
+            trie = worker.state.index
+            assert len(trie._nodes) == len(reachable_digests(trie))
+            sizes.append(len(trie._nodes))
+
+        monkeypatch.setattr(OeWorker, "apply_block", checked)
+        spec = WorkloadSpec(kind=WorkloadKind.YCSB_UPDATE, txn_count=4000, seed=7)
+        pipeline = OrderExecutePipeline(
+            oe_config(index=IndexKind.MPT), spec, Arrival.closed_loop(16), seed=7
+        )
+        assert not pipeline.drive()
+        assert len(sizes) >= 5 * 4000 // 16  # every replica applied every block
+        # the key set is fixed, so the trie's shape and node count are too
+        assert set(sizes) == {1273}

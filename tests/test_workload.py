@@ -1,5 +1,6 @@
 """Workload generators: Zipfian distribution, YCSB streams, Smallbank."""
 
+import hashlib
 import math
 
 import pytest
@@ -138,6 +139,25 @@ class TestYcsb:
         txns = gen_ycsb(spec)
         reads = sum(1 for t in txns if not t.write_set)
         assert abs(reads / len(txns) - 0.7) < 0.05
+
+    @pytest.mark.parametrize(
+        "theta, ops, expected",
+        [
+            (0.0, 1, "fc1e130bfa489e16d38188b881892a957e2e73aa4109d7608edec30214e13e93"),
+            (0.0, 2, "d037177160c4732ae50dd717347ac5e1c287a1338da313b45b340f78b7480bbf"),
+            (0.6, 1, "1f5231bd03579912b8a8c0ae47c60fb423202568aed23d7443e8e603a9947246"),
+            (0.6, 2, "b807f217bf1ebc62e74e68a486586ce1db276646ef08f9e2a1555d60af725142"),
+            (1.0, 1, "c0b2ada1da4c2601d571d05d36670b6ce5a14391ca2b5e22d51d14551b1e8a3a"),
+            (1.0, 2, "7cb8078ab41581e9b766ecd185f736bbcc70b1985b86e69fd0b30de6d45a55b7"),
+        ],
+    )
+    def test_stream_matches_its_pinned_digest(self, theta, ops, expected):
+        # a change to key drawing, scrambling or transaction building moves these
+        spec = WorkloadSpec(
+            kind=WorkloadKind.YCSB_MIXED, record_count=100, theta=theta, ops_per_txn=ops,
+            txn_count=300, seed=11,
+        )
+        assert hashlib.sha256(dump_stream(gen_ycsb(spec)).encode()).hexdigest() == expected
 
     def test_stream_is_deterministic(self):
         spec = WorkloadSpec(kind=WorkloadKind.YCSB_UPDATE, theta=0.8, txn_count=200, seed=7)
