@@ -1,7 +1,7 @@
 """State storage: versioned KV, authenticated indexes, hash-chained ledger."""
 
 from .kv import VersionedKV
-from .mpt import EMPTY_ROOT, MerklePatriciaTrie, MptProof
+from .mpt import EMPTY_ROOT, MerklePatriciaTrie, MptProof, TransitionMemo
 from .mbt import MerkleBucketTree, MbtProof
 from .ledger import GENESIS_PARENT, LedgerStore
 from .meter import HashMeter
@@ -17,5 +17,6 @@ __all__ = [
     "MerklePatriciaTrie",
     "MptProof",
     "StateStore",
+    "TransitionMemo",
     "VersionedKV",
 ]

@@ -32,8 +32,9 @@ A batch applied at a root is a pure function of the two: the nodes stored
 and freed, in order, the counts that change, the new root and the hash work
 metered.  Tries that ``share`` a ``TransitionMemo`` (replicas applying the
 same batches) compute each such transition once; the others replay it into
-their own node store.  A trie that has diverged stands at a different root,
-so it misses and computes.
+their own node store; only tries that apply batches may share a memo.  A
+trie that has diverged stands at a different root, so it misses and
+computes.
 
 The node encoding is this package's own (branch children are stored sparse,
 prefixed by a presence bitmap); it is canonical and injective but not wire
@@ -161,6 +162,7 @@ def _common_prefix(a, b) -> int:
 class TransitionMemo:
     """Batch transitions computed by one trie and replayed by the tries sharing it.
 
+    ``sharers`` counts the tries that apply batches through the memo, and
     ``entries`` maps (root, batch) to [new root, the step's ``StoreChanges``,
     hash ops, hash bytes, sharers yet to take it].  An entry is dropped once
     every sharer has taken it, so only transitions some sharer has still to
@@ -169,8 +171,8 @@ class TransitionMemo:
 
     __slots__ = ("sharers", "entries")
 
-    def __init__(self):
-        self.sharers = 1
+    def __init__(self, sharers: int = 0):
+        self.sharers = sharers
         self.entries: Dict[tuple, list] = {}
 
 
@@ -205,15 +207,25 @@ class MerklePatriciaTrie:
         self._lent: Dict[bytes, tuple] = {}
         self._changes: Optional[StoreChanges] = None  # while a transition is recorded
 
-    def share(self, twin: "MerklePatriciaTrie") -> None:
-        """Make ``twin`` an equal trie with its own node store, sharing this trie's memo."""
+    def share(self, twin: "MerklePatriciaTrie", memo: Optional[TransitionMemo] = None) -> None:
+        """Make ``twin`` an equal trie with its own node store, and a sharer of ``memo``.
+
+        The memo rule: every sharer must apply the memo's batches, since an
+        entry is dropped only once each sharer has taken it.  By default
+        ``twin`` joins this trie's memo, which the first share creates with
+        this trie counted in, so this trie must apply batches too.  A trie
+        kept pristine only to be forked passes its twins a fresh ``memo``
+        and stays out of it.
+        """
         twin._nodes = dict(self._nodes)
         twin._refs = dict(self._refs)
         twin.root = self.root
-        if self.memo is None:
-            self.memo = TransitionMemo()
-        self.memo.sharers += 1
-        twin.memo = self.memo
+        if memo is None:
+            if self.memo is None:
+                self.memo = TransitionMemo(sharers=1)
+            memo = self.memo
+        memo.sharers += 1
+        twin.memo = memo
 
     # -- node store ------------------------------------------------------------
 

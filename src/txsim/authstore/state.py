@@ -15,7 +15,7 @@ from .kv import VersionedKV
 from .ledger import LedgerStore
 from .mbt import MerkleBucketTree
 from .meter import HashMeter
-from .mpt import MerklePatriciaTrie
+from .mpt import MerklePatriciaTrie, TransitionMemo
 
 
 class StateStore:
@@ -73,14 +73,18 @@ class StateStore:
                 self.index.put_batch(records)
         self.meter.ops = self.meter.bytes = 0
 
-    def fork(self) -> "StateStore":
+    def fork(self, memo: Optional[TransitionMemo] = None) -> "StateStore":
         """A replica of this store: equal contents, independent from here on.
 
         The fork owns its KV dict, its index containers, a zeroed meter and an
         empty ledger.  It shares only immutable objects with this store (trie
         nodes, value bytes, bucket entries), so no record is hashed again.
-        An MPT fork also shares this store's transition memo: a batch that
-        every replica applies at the same root is computed once.
+        An MPT fork also joins a transition memo, so a batch that every
+        replica applies at the same root is computed once.  Only stores that
+        apply batches may share a memo (``MerklePatriciaTrie.share``): by
+        default the fork joins this store's memo, with this store counted
+        in; a store kept pristine to fork from passes its forks one fresh
+        ``memo`` and stays out of it.  Other indexes ignore ``memo``.
         """
         index, ledger_enabled = self.index, self.ledger is not None
         if self.index_kind is IndexKind.MBT:
@@ -90,7 +94,7 @@ class StateStore:
         else:
             twin = StateStore(self.index_kind, ledger_enabled)
             if index is not None:
-                index.share(twin.index)
+                index.share(twin.index, memo)
         twin.kv._data = dict(self.kv._data)
         return twin
 

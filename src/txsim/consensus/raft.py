@@ -155,25 +155,30 @@ class RaftComponent(Component):
     # -- message handling ------------------------------------------------------
 
     def handle(self, msg) -> int:
-        if isinstance(msg, ElectionTimeout):
+        # dispatch on the exact class; heartbeats and their replies come first
+        cls = msg.__class__
+        if cls is AppendEntries:
+            if msg.term > self.term:
+                self._step_down(msg.term)
+            self._on_append(msg)
+        elif cls is AppendReply:
+            if msg.term > self.term:
+                self._step_down(msg.term)
+            self._on_append_reply(msg)
+        elif cls is ElectionTimeout:
             if msg.token == self._timer_token and self.role != "leader":
                 self._start_election()
-            return 0
-        if isinstance(msg, HeartbeatTick):
+        elif cls is HeartbeatTick:
             if self.role == "leader" and msg.term == self.term:
                 self._replicate_all()
                 self.set_timer(self.timing.heartbeat_interval, HeartbeatTick(self.term))
-            return 0
-        if msg.term > self.term:
-            self._step_down(msg.term)
-        if isinstance(msg, VoteRequest):
-            self._on_vote_request(msg)
-        elif isinstance(msg, VoteReply):
-            self._on_vote_reply(msg)
-        elif isinstance(msg, AppendEntries):
-            self._on_append(msg)
-        elif isinstance(msg, AppendReply):
-            self._on_append_reply(msg)
+        elif cls is VoteRequest or cls is VoteReply:
+            if msg.term > self.term:
+                self._step_down(msg.term)
+            if cls is VoteRequest:
+                self._on_vote_request(msg)
+            else:
+                self._on_vote_reply(msg)
         return 0
 
     # -- elections ---------------------------------------------------------------
@@ -183,8 +188,15 @@ class RaftComponent(Component):
         if self._timer is not None:
             self.cancel_timer(self._timer)
         self._timer_token += 1
-        delay = self.rng.randint(self.timing.election_min, self.timing.election_max)
-        self._timer = self.set_timer(delay, ElectionTimeout(self._timer_token))
+        # rng.randint(election_min, election_max) without its argument checks
+        # and call frames: the same getrandbits rejection loop, the same draws
+        lo = self.timing.election_min
+        n = self.timing.election_max - lo + 1
+        k = n.bit_length()
+        r = self.rng.getrandbits(k)
+        while r >= n:
+            r = self.rng.getrandbits(k)
+        self._timer = self.set_timer(lo + r, ElectionTimeout(self._timer_token))
 
     def _step_down(self, term: int) -> None:
         self.term = term
@@ -287,10 +299,12 @@ class RaftComponent(Component):
             self._next[msg.follower] = max(1, self._next[msg.follower] - 1)
             self._replicate_to(msg.follower)
             return
-        if msg.match_index > self._match[msg.follower]:
-            self._match[msg.follower] = msg.match_index
-        self._next[msg.follower] = max(self._next[msg.follower], msg.match_index + 1)
-        self._maybe_advance_commit()
+        follower = msg.follower
+        self._next[follower] = max(self._next[follower], msg.match_index + 1)
+        # the commit index moves only when some follower's match index grows
+        if msg.match_index > self._match[follower]:
+            self._match[follower] = msg.match_index
+            self._maybe_advance_commit()
 
     def _maybe_advance_commit(self) -> None:
         if self.role != "leader":

@@ -18,10 +18,11 @@ peer that proposes, serves reads and holds latches, and ``BlockFormer`` is the
 one batch-or-timeout block former.
 
 Replicas are deterministic, so host work they would repeat on immutable data
-is done once.  ``preload`` builds the initial state once and forks it to the
-other replicas, and ``decoded`` decodes each ordered payload once for all
-peers.  Every replica still owns its mutable state, so replica agreement
-still compares independent stores.
+is done once.  ``preload`` builds the initial state once per process, for as
+long as cells preload the same records, and forks it to every replica of
+every cell; ``decoded`` decodes each ordered payload once for all peers.
+Every replica still owns its mutable state, so replica agreement still
+compares independent stores.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..authstore import StateStore
+from ..authstore import StateStore, TransitionMemo
 from ..consensus import PbftComponent, ProtocolHost, RaftComponent, RaftTiming
 from ..consensus.primarybackup import ChainHandle
 from ..consensus.sharedlog import LogHandle
@@ -43,8 +44,13 @@ from ..core.types import (
     TxnOutcome,
 )
 from ..simnet import Simulator, run_until_settled
-from ..workload import WorkloadSpec, generate, initial_state
+from ..workload import WorkloadSpec, generate, initial_state, initial_state_key
 from .records import TxnRecord
+
+
+# (index, ledger enabled, initial_state_key) -> the pristine store that
+# ``PipelineBase.preload`` forks every replica from; at most one entry
+_PRELOADED: Dict[tuple, StateStore] = {}
 
 
 @dataclass(frozen=True)
@@ -278,16 +284,25 @@ class PipelineBase:
     def preload(self) -> None:
         """Give every peer its state store, holding the workload's initial records.
 
-        Replicas start from one shared build: the records are loaded into one
-        store with ``StateStore.load`` (set-up, so no hash work is metered; an
-        MPT is built bottom-up and holds only reachable nodes), and every
-        other peer gets a ``fork`` of it, which owns its mutable containers
-        and shares only immutable nodes and values.
+        The initial state is built once per process: the records are loaded
+        into a pristine store with ``StateStore.load`` (set-up, so no hash
+        work is metered; an MPT is built bottom-up and holds only reachable
+        nodes), which is kept for later cells that preload the same records
+        into the same kind of store.  Every peer, replica 0 included, gets a
+        ``fork`` of it, which owns its mutable containers and shares only
+        immutable nodes and values, so nothing ever writes to the pristine
+        store.  The forks of one cell share one fresh transition memo.
         """
-        built = StateStore(index=self.cfg.index, ledger_enabled=self.cfg.ledger_enabled)
-        built.load(initial_state(self.spec))
-        for i, peer in enumerate(self.peers):
-            peer.state = built.fork() if i else built
+        key = (self.cfg.index, self.cfg.ledger_enabled, initial_state_key(self.spec))
+        pristine = _PRELOADED.get(key)
+        if pristine is None:
+            _PRELOADED.clear()  # one entry: the last records preloaded
+            pristine = StateStore(index=self.cfg.index, ledger_enabled=self.cfg.ledger_enabled)
+            pristine.load(initial_state(self.spec))
+            _PRELOADED[key] = pristine
+        memo = TransitionMemo()
+        for peer in self.peers:
+            peer.state = pristine.fork(memo)
 
     def decoded(self, payload: bytes, decode):
         """``decode(payload)``, computed once for all the peers that take it.

@@ -4,7 +4,7 @@ from .zipf import ZipfianSampler, zipfian_sample
 from .spec import WorkloadKind, WorkloadSpec, workload_from_file, workload_from_text
 from .ycsb import gen_ycsb, scramble_rank, ycsb_key
 from .smallbank import SMALLBANK_PROCEDURES, gen_smallbank
-from .gen import dump_stream, generate, initial_state
+from .gen import dump_stream, generate, initial_state, initial_state_key
 
 __all__ = [
     "SMALLBANK_PROCEDURES",
@@ -16,6 +16,7 @@ __all__ = [
     "gen_ycsb",
     "generate",
     "initial_state",
+    "initial_state_key",
     "scramble_rank",
     "workload_from_file",
     "workload_from_text",

@@ -16,11 +16,21 @@ def generate(spec: WorkloadSpec) -> List[Transaction]:
     return gen_ycsb(spec)
 
 
+def initial_state_key(spec: WorkloadSpec) -> tuple:
+    """All that ``initial_state`` reads of ``spec``: equal keys, equal records.
+
+    The seed, theta, the transaction shape and count do not enter, so
+    every cell of a sweep over them preloads the same records.
+    """
+    return (spec.kind is WorkloadKind.SMALLBANK, spec.record_count, spec.effective_record_size)
+
+
 def initial_state(spec: WorkloadSpec) -> List[tuple]:
     """Pre-population writes: every record exists before the stream starts."""
-    if spec.kind is WorkloadKind.SMALLBANK:
-        return smallbank_initial_state(spec)
-    return ycsb_initial_state(spec)
+    smallbank, record_count, record_size = initial_state_key(spec)
+    if smallbank:
+        return smallbank_initial_state(record_count)
+    return ycsb_initial_state(record_count, record_size)
 
 
 def dump_stream(txns) -> str:

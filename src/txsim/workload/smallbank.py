@@ -48,9 +48,9 @@ class _RefState:
         return sum(self.checking.values()) + sum(self.savings.values())
 
 
-def smallbank_initial_state(spec: WorkloadSpec) -> List[tuple]:
+def smallbank_initial_state(customers: int) -> List[tuple]:
     out = []
-    for c in range(spec.record_count):
+    for c in range(customers):
         out.append((checking_key(c), encode_balance(INITIAL_CHECKING)))
         out.append((savings_key(c), encode_balance(INITIAL_SAVINGS)))
     return out

@@ -94,6 +94,5 @@ def gen_ycsb(spec: WorkloadSpec) -> List[Transaction]:
     return txns
 
 
-def ycsb_initial_state(spec: WorkloadSpec) -> List[tuple]:
-    size = spec.effective_record_size
-    return [(ycsb_key(i), make_value(0, i, size)) for i in range(spec.record_count)]
+def ycsb_initial_state(record_count: int, record_size: int) -> List[tuple]:
+    return [(ycsb_key(i), make_value(0, i, record_size)) for i in range(record_count)]

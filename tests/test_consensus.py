@@ -15,6 +15,7 @@ from txsim.core import (
 )
 from txsim.consensus import QuorumError, QuorumSpec, messages_per_commit, quorum_size
 from txsim.consensus.pbft import Request
+from txsim.consensus.raft import RaftComponent, RaftTiming
 from txsim.consensus.sharedlog import (
     LogAppend,
     LogDeliver,
@@ -152,6 +153,52 @@ class TestRaft:
                 if h.sim.fault_of(i) is FaultKind.HEALTHY
             ]
             assert_agreement(healthy)
+
+
+class _TimerHost:
+    """Hosts one component without a simulator; keeps the delay of every timer."""
+
+    node_id = 0
+
+    def __init__(self):
+        self.delays = []
+
+    def register(self, prefix, handler):
+        pass
+
+    def set_timer(self, delay, payload):
+        self.delays.append(delay)
+        return len(self.delays)
+
+    def cancel_timer(self, timer):
+        pass
+
+
+class TestRandomDraws:
+    """The inlined ``getrandbits`` loops draw exactly what ``Random.randint`` draws."""
+
+    BOUNDS = [(0, 0), (7, 7), (0, 1), (5_000, 10_000), (10, 17), (1, 2**40)]
+
+    @pytest.mark.parametrize("lo, hi", BOUNDS)
+    def test_raft_election_timeouts_match_randint(self, lo, hi):
+        timing = RaftTiming(election_min=lo, election_max=hi, heartbeat_interval=1)
+        for seed in range(5):
+            host = _TimerHost()
+            comp = RaftComponent([0, 1, 2], timing, seeded_rng(seed, "timeout-0")).attach(host)
+            for _ in range(50):
+                comp._reset_election_timer()
+            twin = seeded_rng(seed, "timeout-0")
+            assert host.delays == [twin.randint(lo, hi) for _ in range(50)]
+
+    @pytest.mark.parametrize("lo, hi", BOUNDS[:-1])
+    def test_net_delays_match_randint(self, lo, hi):
+        if (hi - lo) % 2:
+            hi += 1  # net_delay spans [min, 2*mean - min], an even width
+        cm = CostModel(net_latency_min=lo, net_latency_mean=(lo + hi) // 2)
+        for seed in range(5):
+            rng, twin = seeded_rng(seed, "net"), seeded_rng(seed, "net")
+            draws = [cm.net_delay(rng) for _ in range(50)]
+            assert draws == [twin.randint(lo, hi) for _ in range(50)]
 
 
 class TestPbft:

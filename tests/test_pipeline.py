@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from mpt_reference import reachable_digests
+from mpt_reference import reachable_digests, reference_counts
 from txsim import simnet
-from txsim.authstore import MerklePatriciaTrie
+from txsim.authstore import MerklePatriciaTrie, StateStore
 from txsim.core import (
     Block,
     ConcurrencyMode,
@@ -24,6 +24,7 @@ from txsim.core import (
 )
 from txsim.core import encoding
 from txsim.core.encoding import block_digest
+from txsim.harness import emit_csv, run_experiment, run_row
 from txsim.pipeline import (
     Arrival,
     latency_breakdown,
@@ -31,6 +32,7 @@ from txsim.pipeline import (
     occ_validate,
     run_pipeline,
 )
+from txsim.pipeline.base import _PRELOADED, PipelineBase
 from txsim.pipeline.eov import ExecuteOrderValidatePipeline
 from txsim.consensus.pbft import PbftComponent
 from txsim.pipeline.order_execute import OeWorker, OrderExecutePipeline
@@ -697,3 +699,77 @@ class TestBoundedReplicaState:
         assert len(sizes) >= 5 * 4000 // 16  # every replica applied every block
         # the key set is fixed, so the trie's shape and node count are too
         assert set(sizes) == {1273}
+
+
+_MPT_CELL = oe_config(index=IndexKind.MPT)
+_PLAIN_CELL = eov_config(replication_approach=ReplicationApproach.CONSENSUS)
+
+
+def _run_cell(cfg, spec, seed, tmp_path, monkeypatch):
+    """One cell through ``run_experiment``: its outputs and the pipeline that ran it."""
+    seen = []
+    drive = PipelineBase.drive
+    monkeypatch.setattr(PipelineBase, "drive", lambda p, *a: seen.append(p) or drive(p, *a))
+    arrival = Arrival.closed_loop(16)
+    trace_path, csv_path = tmp_path / "trace.tsv", tmp_path / "row.csv"
+    metrics = run_experiment(cfg, spec, arrival, seed=seed, trace_path=trace_path)
+    emit_csv([run_row(cfg, spec, arrival, seed, metrics)], csv_path)
+    (pipeline,) = seen
+    states = [peer.state for peer in pipeline.peers]
+    outputs = (
+        csv_path.read_bytes(),
+        trace_path.read_bytes(),
+        [s.kv.state_fingerprint() for s in states],
+        [s.index_root() if s.index is not None else None for s in states],
+    )
+    return outputs, pipeline
+
+
+class TestPreloadOncePerProcess:
+    """Cells fork their replicas from one pristine store; no output depends on earlier cells."""
+
+    def test_outputs_do_not_depend_on_earlier_cells(self, tmp_path, monkeypatch):
+        mpt_a = update_spec(txn_count=150, seed=3)
+        mpt_b = update_spec(txn_count=150, seed=4)
+        cells = [(_MPT_CELL, mpt_a, 1), (_MPT_CELL, mpt_b, 2), (_PLAIN_CELL, mpt_a, 3),
+                 (_MPT_CELL, mpt_b, 2)]
+        fresh = []
+        for cfg, spec, seed in cells:
+            _PRELOADED.clear()
+            fresh.append(_run_cell(cfg, spec, seed, tmp_path, monkeypatch)[0])
+
+        _PRELOADED.clear()
+        pristine = []
+        for (cfg, spec, seed), alone in zip(cells, fresh):
+            outputs, pipeline = _run_cell(cfg, spec, seed, tmp_path, monkeypatch)
+            assert outputs == alone
+            (store,) = _PRELOADED.values()
+            assert all(peer.state is not store for peer in pipeline.peers)
+            pristine.append(store)
+        # the second cell reused the first one's build; the others rebuilt
+        assert pristine[1] is pristine[0]
+        assert len({id(store) for store in pristine}) == 3
+
+    def test_pristine_store_is_untouched_and_holds_no_memo(self, tmp_path, monkeypatch):
+        spec = update_spec(txn_count=150)
+        _PRELOADED.clear()
+        _, pipeline = _run_cell(_MPT_CELL, spec, 5, tmp_path, monkeypatch)
+        (store,) = _PRELOADED.values()
+        loaded = StateStore(index=IndexKind.MPT, ledger_enabled=True)
+        loaded.load(initial_state(spec))
+        trie, fresh = store.index, loaded.index
+        assert store.kv.state_fingerprint() == loaded.kv.state_fingerprint()
+        assert (trie.root, trie._refs) == (fresh.root, fresh._refs)
+        assert len(trie._nodes) == len(fresh._nodes)
+        assert trie._refs == reference_counts(trie)
+        assert len(store.ledger) == 0 and store.meter.snapshot() == (0, 0)
+
+        kept = {id(c) for c in _owned_containers(store)}
+        for peer in pipeline.peers:
+            assert not kept & {id(c) for c in _owned_containers(peer.state)}
+
+        assert trie.memo is None
+        memo = pipeline.peers[0].state.index.memo
+        assert memo.sharers == len(pipeline.peers)
+        assert all(peer.state.index.memo is memo for peer in pipeline.peers)
+        assert memo.entries == {}

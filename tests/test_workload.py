@@ -1,5 +1,6 @@
 """Workload generators: Zipfian distribution, YCSB streams, Smallbank."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -15,6 +16,7 @@ from txsim.workload import (
     gen_ycsb,
     generate,
     initial_state,
+    initial_state_key,
     scramble_rank,
     workload_from_text,
     zipfian_sample,
@@ -170,6 +172,47 @@ class TestYcsb:
         writes = initial_state(spec)
         assert len(writes) == 100
         assert all(len(v) == spec.record_size_bytes for _, v in writes)
+
+
+# every field of WorkloadSpec -> values to put in its place, one at a time
+_PERTURBATIONS = {
+    "kind": list(WorkloadKind),
+    "record_count": [1, 29, 31],
+    "record_size_bytes": [1, 7, 120],
+    "theta": [0.0, 0.9],
+    "ops_per_txn": [1, 2, 4],
+    "txn_count": [1, 500],
+    "seed": [0, 9],
+    "read_fraction": [0.0, 1.0],
+    "constant_total_bytes": [0, 60, 121],
+    "smallbank_mix": [(), (("balance", 1.0),)],
+}
+
+
+class TestInitialStateKey:
+    """Preloaded stores are shared by ``initial_state_key``: equal keys must mean equal records."""
+
+    @pytest.mark.parametrize("base", [
+        WorkloadSpec(kind=WorkloadKind.YCSB_UPDATE, record_count=30, record_size_bytes=20),
+        WorkloadSpec(kind=WorkloadKind.YCSB_MIXED, record_count=30, ops_per_txn=3,
+                     constant_total_bytes=90),
+        WorkloadSpec(kind=WorkloadKind.SMALLBANK, record_count=30),
+    ], ids=["ycsb", "ycsb_constant_total", "smallbank"])
+    def test_a_field_moves_the_key_or_leaves_the_records(self, base):
+        names = {f.name for f in dataclasses.fields(WorkloadSpec)}
+        assert names == set(_PERTURBATIONS)
+        records, key = initial_state(base), initial_state_key(base)
+        for name in sorted(names):
+            for value in _PERTURBATIONS[name]:
+                spec = dataclasses.replace(base, **{name: value})
+                if initial_state_key(spec) == key:
+                    assert initial_state(spec) == records, (name, value)
+
+    def test_the_key_ignores_the_stream(self):
+        spec = WorkloadSpec(kind=WorkloadKind.YCSB_UPDATE, record_count=30)
+        for name, value in (("seed", 4), ("theta", 0.9), ("ops_per_txn", 3), ("txn_count", 7)):
+            other = dataclasses.replace(spec, **{name: value})
+            assert initial_state_key(other) == initial_state_key(spec)
 
 
 def _replay(spec, txns):
