@@ -76,10 +76,13 @@ class StateStore:
     def fork(self, memo: Optional[TransitionMemo] = None) -> "StateStore":
         """A replica of this store: equal contents, independent from here on.
 
-        The fork owns its KV dict, its index containers, a zeroed meter and an
+        The fork owns its KV dict, its MBT containers, a zeroed meter and an
         empty ledger.  It shares only immutable objects with this store (trie
         nodes, value bytes, bucket entries), so no record is hashed again.
-        An MPT fork also joins a transition memo, so a batch that every
+        An MPT fork copies nothing: trie nodes hold their children, so the
+        fork takes this store's root node and a put copies only the path it
+        rewrites; a replaced node is freed once no root or memo entry reaches
+        it.  An MPT fork also joins a transition memo, so a batch that every
         replica applies at the same root is computed once.  Only stores that
         apply batches may share a memo (``MerklePatriciaTrie.share``): by
         default the fork joins this store's memo, with this store counted

@@ -286,12 +286,12 @@ class PipelineBase:
 
         The initial state is built once per process: the records are loaded
         into a pristine store with ``StateStore.load`` (set-up, so no hash
-        work is metered; an MPT is built bottom-up and holds only reachable
-        nodes), which is kept for later cells that preload the same records
-        into the same kind of store.  Every peer, replica 0 included, gets a
-        ``fork`` of it, which owns its mutable containers and shares only
-        immutable nodes and values, so nothing ever writes to the pristine
-        store.  The forks of one cell share one fresh transition memo.
+        work is metered; an MPT is built bottom-up, each node created once),
+        which is kept for later cells that preload the same records into the
+        same kind of store.  Every peer, replica 0 included, gets a ``fork``
+        of it, which owns its mutable containers and shares only immutable
+        nodes and values, so nothing ever writes to the pristine store.  The
+        forks of one cell share one fresh transition memo.
         """
         key = (self.cfg.index, self.cfg.ledger_enabled, initial_state_key(self.spec))
         pristine = _PRELOADED.get(key)

@@ -1,9 +1,18 @@
-"""Reference MPT node encoder and node-store walk for the MPT tests."""
+"""Reference MPT node encoder, node-graph walk and round-trip check for the MPT tests."""
 
 from __future__ import annotations
 
-from txsim.authstore.mpt import EMPTY_ROOT, Branch, Extension, Leaf
-from txsim.core.encoding import Writer
+from txsim.authstore.mpt import (
+    Branch,
+    BranchNode,
+    Extension,
+    ExtensionNode,
+    Leaf,
+    LeafNode,
+    decode_node,
+    encode_node,
+)
+from txsim.core.encoding import Writer, digest
 
 
 def _encode_nibbles(w: Writer, nibbles) -> None:
@@ -44,32 +53,40 @@ def reference_encode_node(node) -> bytes:
     return w.getvalue()
 
 
-def reachable_digests(trie) -> set:
-    """Digests of the nodes reachable from the trie's root, found by walking it."""
-    seen, stack = set(), [] if trie.root == EMPTY_ROOT else [trie.root]
+def reachable_nodes(trie) -> list:
+    """The stored nodes reachable from the trie's root, each object once, found by walking it."""
+    seen, nodes, stack = set(), [], [] if trie._root is None else [trie._root]
     while stack:
-        d = stack.pop()
-        if d not in seen:
-            seen.add(d)
-            node = trie._nodes[d]
-            if isinstance(node, Extension):
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            if isinstance(node, ExtensionNode):
                 stack.append(node.child)
-            elif isinstance(node, Branch):
+            elif isinstance(node, BranchNode):
                 stack.extend(c for c in node.children if c is not None)
-    return seen
+    return nodes
 
 
-def reference_counts(trie) -> dict:
-    """Each reachable digest's parents among the reachable nodes, plus one for the root."""
-    counts = dict.fromkeys(reachable_digests(trie), 0)
-    if trie.root != EMPTY_ROOT:
-        counts[trie.root] += 1
-    for d in counts:
-        node = trie._nodes[d]
-        if isinstance(node, Extension):
-            counts[node.child] += 1
-        elif isinstance(node, Branch):
-            for c in node.children:
-                if c is not None:
-                    counts[c] += 1
-    return counts
+def reachable_digests(trie) -> set:
+    """Digests of the nodes reachable from the trie's root."""
+    return {node.digest for node in reachable_nodes(trie)}
+
+
+def digest_valued(node):
+    """The digest-valued node (what ``decode_node`` returns) equal to a stored node."""
+    if isinstance(node, LeafNode):
+        return Leaf(node.suffix, node.value)
+    if isinstance(node, ExtensionNode):
+        return Extension(node.path, node.child.digest)
+    return Branch(tuple(c and c.digest for c in node.children), node.value)
+
+
+def assert_stored_round_trip(node) -> None:
+    """A stored node carries its encoding's digest, and that encoding is the
+    reference encoding of its digest-valued twin, which it decodes back to."""
+    enc = node.encode()
+    assert digest(enc) == node.digest
+    twin = digest_valued(node)
+    assert type(decode_node(enc)) is type(twin) and decode_node(enc) == twin
+    assert encode_node(twin) == reference_encode_node(twin) == enc

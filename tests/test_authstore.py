@@ -1,15 +1,22 @@
 """Authenticated storage: versioned KV, MPT, MBT, hash-chained ledger."""
 
 import dataclasses
+import gc
 import hashlib
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpt_reference import reachable_digests, reference_counts, reference_encode_node
+from mpt_reference import (
+    assert_stored_round_trip,
+    reachable_digests,
+    reachable_nodes,
+    reference_encode_node,
+)
 from txsim.authstore import (
     EMPTY_ROOT,
     GENESIS_PARENT,
@@ -17,6 +24,7 @@ from txsim.authstore import (
     MerkleBucketTree,
     MerklePatriciaTrie,
     StateStore,
+    TransitionMemo,
     VersionedKV,
 )
 from txsim.authstore import mbt as mbt_mod
@@ -281,8 +289,8 @@ class TestMptProperties:
             else:
                 trie.put(*op)
                 final[op[0]] = op[1]
-        for d, node in trie._nodes.items():
-            assert digest(_assert_round_trip(node)) == d
+        for node in reachable_nodes(trie):
+            assert_stored_round_trip(node)
         fresh = MerklePatriciaTrie()
         fresh.put_batch(sorted(final.items()))
         assert trie.root == fresh.root
@@ -290,24 +298,40 @@ class TestMptProperties:
             assert trie.get(key) == value
             assert mpt_mod.verify(trie.root, key, value, trie.prove(key))
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(st.lists(_mpt_writes, max_size=12), _mpt_ops)
-    @example(  # two equal subtries: the branch a put rewrites in one of them survives
-        [(b"\x01\x00", b"v"), (b"\x01\x01", b"v"), (b"\x11\x00", b"v"), (b"\x11\x01", b"v")],
-        [(b"\x01\x00", b"w"), [(b"\x11\x00", b"w"), (b"\x01\x01", b"w")], (b"\x11\x00", b"v")],
-    )
-    def test_store_holds_exactly_the_reachable_nodes_and_their_counts(self, initial, ops):
-        # values are short and repeat, so leaves (and whole subtries) are shared
-        trie = MerklePatriciaTrie()
-        trie.load(initial)
-        assert trie._refs == reference_counts(trie)
-        for op in ops:
-            if isinstance(op, list):
-                trie.put_batch(op)
-            else:
-                trie.put(*op)
-            assert set(trie._nodes) == reachable_digests(trie)
-            assert trie._refs == reference_counts(trie)
+    def test_a_put_frees_what_it_replaced(self):
+        # 100 keys, so every key is overwritten early and later writes only replace
+        keys = [hashlib.sha256(struct.pack(">I", i)).digest()[:8] for i in range(100)]
+        source = MerklePatriciaTrie()
+        source.load((key, bytes(32)) for key in keys)
+        memo, forks = TransitionMemo(), [MerklePatriciaTrie() for _ in range(5)]
+        for fork in forks:
+            source.share(fork, memo)
+        rng, written = random.Random(19), 0
+
+        def overwrite(count):
+            nonlocal written
+            for _ in range(count // 4):
+                batch = []
+                for _ in range(4):
+                    written += 1
+                    batch.append((rng.choice(keys), written.to_bytes(32, "big")))
+                for fork in forks:
+                    fork.put_batch(batch)
+
+        tracemalloc.start()
+        try:
+            overwrite(400)
+            gc.collect()
+            after_first = tracemalloc.get_traced_memory()[0]
+            overwrite(4000)
+            gc.collect()
+            after_second = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert memo.entries == {}
+        assert len({id(fork._root) for fork in forks}) == 1  # one node graph
+        # the trie's shape is fixed and replaced nodes are freed, so memory is flat
+        assert after_second - after_first < 16 * 1024
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.lists(_mpt_writes, max_size=24))
@@ -319,10 +343,12 @@ class TestMptProperties:
         assert loaded.load(writes) == sequential.put_batch(writes)
         assert loaded.reachable_bytes() == sequential.reachable_bytes()
         assert loaded.max_path_nibbles() == sequential.max_path_nibbles()
-        # every node stored is reachable: the load leaves no replaced node behind
-        assert set(loaded._nodes) == reachable_digests(loaded) == reachable_digests(sequential)
-        for d, node in loaded._nodes.items():
-            assert digest(_assert_round_trip(node)) == d
+        # each node the load creates is reachable: it replaces none
+        nodes = reachable_nodes(loaded)
+        assert loaded.meter.ops == len(nodes)
+        assert reachable_digests(loaded) == reachable_digests(sequential)
+        for node in nodes:
+            assert_stored_round_trip(node)
         for key, value in dict(writes).items():
             assert loaded.get(key) == value
             assert loaded.prove(key).nodes == sequential.prove(key).nodes
@@ -542,10 +568,10 @@ _store_writes = st.lists(st.tuples(_mpt_keys.filter(len), st.binary(max_size=8))
 
 
 def _index_containers(store):
-    """The index's mutable contents, copied, for the aliasing checks."""
+    """The index's contents, copied, for the aliasing checks."""
     index = store.index
     if isinstance(index, MerklePatriciaTrie):
-        return dict(index._nodes), index.root
+        return [(node.digest, node.encode()) for node in reachable_nodes(index)], index.root
     if isinstance(index, MerkleBucketTree):
         return [list(b) for b in index.buckets], [list(level) for level in index.levels]
     return None
@@ -578,7 +604,9 @@ class TestStateStoreLoad:
         if index is not IndexKind.PLAIN:
             assert loaded.index_root() == applied.index_root()
         if index is IndexKind.MPT:
-            assert set(loaded.index._nodes) == reachable_digests(loaded.index)
+            assert reachable_digests(loaded.index) == reachable_digests(applied.index)
+            for node in reachable_nodes(loaded.index):
+                assert_stored_round_trip(node)
 
     def test_load_needs_an_empty_store(self):
         store = StateStore()
@@ -631,6 +659,15 @@ _DIVERGED = [(b"\xff\xfe", b"only one replica writes this")]
 
 
 class TestMptTransitionSharing:
+    def test_a_lone_sharer_holds_no_transitions(self):
+        # a one-replica cell: no other trie would ever take the entry
+        store = StateStore(index=IndexKind.MPT)
+        store.load([(b"\x01", b"a")])
+        lone = store.fork(TransitionMemo())
+        for i in range(5):
+            lone.apply_batch([(b"\x01", bytes([i]))])
+        assert lone.index.memo.sharers == 1 and lone.index.memo.entries == {}
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         initial=_shared_writes,
@@ -667,7 +704,7 @@ class TestMptTransitionSharing:
         for store, alone in zip(stores, unshared):
             trie, fresh = store.index, alone.index
             assert trie.root == fresh.root
-            assert list(trie._nodes.items()) == list(fresh._nodes.items())
+            assert reachable_digests(trie) == reachable_digests(fresh)
             assert trie.meter.snapshot() == fresh.meter.snapshot()
             for key, (value, _) in alone.kv.items():
                 assert trie.prove(key).nodes == fresh.prove(key).nodes

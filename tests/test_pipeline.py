@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mpt_reference import reachable_digests, reference_counts
+from mpt_reference import assert_stored_round_trip, reachable_digests, reachable_nodes
 from txsim import simnet
 from txsim.authstore import MerklePatriciaTrie, StateStore
 from txsim.core import (
@@ -140,8 +140,10 @@ class TestOrderExecute:
         pipeline = OrderExecutePipeline(cfg, spec, Arrival.closed_loop(16), seed=7)
         for peer in pipeline.peers:
             trie = peer.state.index
-            # inserting the records one by one stored 4000 nodes
-            assert len(trie._nodes) == len(reachable_digests(trie)) == 1273
+            # inserting the records one by one created 4000 nodes
+            assert len(reachable_nodes(trie)) == len(reachable_digests(trie)) == 1273
+        # the replicas share one node graph until they write
+        assert len({id(peer.state.index._root) for peer in pipeline.peers}) == 1
         assert not pipeline.drive()
         assert len({peer.state.index_root() for peer in pipeline.peers}) == 1
 
@@ -567,12 +569,10 @@ class TestNoLeaderRetry:
 
 
 def _owned_containers(state):
-    """Every mutable container a replica's store holds."""
+    """Every mutable container a replica's store holds; an MPT holds none."""
     index = state.index
-    if index is None:
+    if index is None or isinstance(index, MerklePatriciaTrie):
         held = []
-    elif isinstance(index, MerklePatriciaTrie):
-        held = [index._nodes, index._refs]
     else:
         held = [index.buckets, index.levels, *index.buckets, *index.levels]
     return [state, state.kv, state.kv._data, state.meter, state.ledger, index, *held]
@@ -686,9 +686,8 @@ class TestBoundedReplicaState:
 
         def checked(worker, *args):
             apply_block(worker, *args)
-            trie = worker.state.index
-            assert len(trie._nodes) == len(reachable_digests(trie))
-            sizes.append(len(trie._nodes))
+            nodes = reachable_nodes(worker.state.index)
+            sizes.append((len(nodes), len({node.digest for node in nodes})))
 
         monkeypatch.setattr(OeWorker, "apply_block", checked)
         spec = WorkloadSpec(kind=WorkloadKind.YCSB_UPDATE, txn_count=4000, seed=7)
@@ -698,7 +697,9 @@ class TestBoundedReplicaState:
         assert not pipeline.drive()
         assert len(sizes) >= 5 * 4000 // 16  # every replica applied every block
         # the key set is fixed, so the trie's shape and node count are too
-        assert set(sizes) == {1273}
+        assert set(sizes) == {(1273, 1273)}
+        for node in reachable_nodes(pipeline.peers[0].state.index):
+            assert_stored_round_trip(node)
 
 
 _MPT_CELL = oe_config(index=IndexKind.MPT)
@@ -759,9 +760,8 @@ class TestPreloadOncePerProcess:
         loaded.load(initial_state(spec))
         trie, fresh = store.index, loaded.index
         assert store.kv.state_fingerprint() == loaded.kv.state_fingerprint()
-        assert (trie.root, trie._refs) == (fresh.root, fresh._refs)
-        assert len(trie._nodes) == len(fresh._nodes)
-        assert trie._refs == reference_counts(trie)
+        assert trie.root == fresh.root
+        assert reachable_digests(trie) == reachable_digests(fresh)
         assert len(store.ledger) == 0 and store.meter.snapshot() == (0, 0)
 
         kept = {id(c) for c in _owned_containers(store)}
