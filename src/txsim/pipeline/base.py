@@ -27,6 +27,7 @@ compares independent stores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -61,8 +62,8 @@ class Arrival:
 
     @classmethod
     def open_loop(cls, rate_tps: float) -> "Arrival":
-        if rate_tps <= 0:
-            raise ValueError("open_loop rate must be positive")
+        if not (math.isfinite(rate_tps) and rate_tps > 0):
+            raise ValueError("open_loop rate must be a finite number > 0")
         return cls("open_loop", rate_tps=rate_tps)
 
     @classmethod

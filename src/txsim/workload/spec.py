@@ -46,6 +46,8 @@ class WorkloadSpec:
             raise ValueError("ops_per_txn must be in 1..10")
         if not (math.isfinite(self.theta) and self.theta >= 0):
             raise ValueError("theta must be a finite number >= 0")
+        if self.constant_total_bytes < 0:
+            raise ValueError("constant_total_bytes must be >= 0")
         if self.record_size_bytes < 1 and self.constant_total_bytes == 0:
             raise ValueError("record_size_bytes must be positive")
         if not 0.0 <= self.read_fraction <= 1.0:

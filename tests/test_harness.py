@@ -175,6 +175,14 @@ class TestParseArrival:
         with pytest.raises(ValueError, match="poisson"):
             parse_arrival(data)
 
+    # json.loads reads NaN, so a grid can hold it as well as the text form
+    @pytest.mark.parametrize(
+        "data", ["open_loop:nan", "open_loop:inf", json.loads('{"mode": "open_loop", "rate_tps": NaN}')]
+    )
+    def test_non_finite_rate_is_rejected(self, data):
+        with pytest.raises(ValueError, match="open_loop rate must be a finite number"):
+            parse_arrival(data)
+
 
 class TestSweep:
     def test_theta_sweep_has_six_rows(self):
@@ -530,7 +538,29 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
-    def sweep(self, tmp_path, axis, values):
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_run_with_a_non_finite_rate_exits_2(self, tmp_path, capsys, rate):
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(CONFIG_INI)
+        wl_file = tmp_path / "wl.ini"
+        wl_file.write_text(WORKLOAD_INI)
+        out = tmp_path / "x.csv"
+        code = cli_main(
+            ["run", "--config", str(cfg_file), "--workload", str(wl_file), "--out", str(out),
+             "--arrival", f"open_loop:{rate}"]
+        )
+        assert code == 2
+        assert "error: open_loop rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_with_a_nan_grid_rate_exits_2(self, tmp_path, capsys):
+        arrival = {"mode": "open_loop", "rate_tps": float("nan")}
+        code, out = self.sweep(tmp_path, "workload.theta", [0.0, 0.5], arrival)
+        assert code == 2
+        assert "error: open_loop rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    def sweep(self, tmp_path, axis, values, arrival=None):
         """Exit status of ``txsim sweep`` over a 1-node serial grid, and its CSV path."""
         grid = {
             "config": {
@@ -541,7 +571,7 @@ class TestCli:
                 "tolerated_failures": 0,
             },
             "workload": {"kind": "ycsb_update", "record_count": 50, "txn_count": 20, "seed": 4},
-            "arrival": {"mode": "open_loop", "rate_tps": 2000},
+            "arrival": arrival or {"mode": "open_loop", "rate_tps": 2000},
             "axis": axis,
             "values": values,
         }

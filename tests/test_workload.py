@@ -334,6 +334,10 @@ class TestSpecParsing:
             WorkloadSpec(txn_count=0)
         with pytest.raises(ValueError):
             WorkloadSpec(theta=-1.0)
+        with pytest.raises(ValueError, match="constant_total_bytes"):
+            WorkloadSpec(constant_total_bytes=-5)
+        with pytest.raises(ValueError, match="constant_total_bytes"):
+            WorkloadSpec(constant_total_bytes=-5, record_size_bytes=0)
 
     @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
     def test_non_finite_theta_rejected(self, theta):
