@@ -279,6 +279,14 @@ def _assert_round_trip(node):
 class TestMptProperties:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(_mpt_ops)
+    @example(  # two equal subtries, then puts that rewrite one of them and not the other
+        [
+            [(b"\x01\x00", b"v"), (b"\x01\x01", b"v"), (b"\x11\x00", b"v"), (b"\x11\x01", b"v")],
+            (b"\x01\x00", b"w"),
+            [(b"\x11\x00", b"w"), (b"\x01\x01", b"w")],
+            (b"\x11\x00", b"v"),
+        ]
+    )
     def test_store_roots_and_proofs_match_a_fresh_trie(self, ops):
         trie = MerklePatriciaTrie()
         final = {}

@@ -177,7 +177,8 @@ class TestParseArrival:
 
     # json.loads reads NaN, so a grid can hold it as well as the text form
     @pytest.mark.parametrize(
-        "data", ["open_loop:nan", "open_loop:inf", json.loads('{"mode": "open_loop", "rate_tps": NaN}')]
+        "data",
+        ["open_loop:nan", "open_loop:inf", json.loads('{"mode": "open_loop", "rate_tps": NaN}')],
     )
     def test_non_finite_rate_is_rejected(self, data):
         with pytest.raises(ValueError, match="open_loop rate must be a finite number"):
