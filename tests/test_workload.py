@@ -174,6 +174,76 @@ class TestYcsb:
         assert all(len(v) == spec.record_size_bytes for _, v in writes)
 
 
+def _stream_digest(specs):
+    """SHA-256 over every field a generator sets, of every transaction of every spec."""
+    h = hashlib.sha256()
+    for spec in specs:
+        for txn in generate(spec):
+            fields = (txn.id, txn.read_set, txn.write_set, txn.op_count, txn.app_abort)
+            h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
+class TestFullStreamDigests:
+    """Every generated stream, byte for byte: ids, keys, value bytes, op counts, app aborts.
+
+    Record sizes around 16 straddle the value prefix; one record and one op
+    cover the degenerate key spaces.
+    """
+
+    MIXES = {
+        "uniform": (),
+        "transfers": (("send_payment", 2.0), ("amalgamate", 1.0), ("balance", 0.0)),
+        "single": (("write_check", 0.5), ("transact_savings", 1.5), ("deposit_checking", 0.25)),
+    }
+
+    @pytest.mark.parametrize(
+        "kind, theta, expected",
+        [
+            ("ycsb_update", 0.0, "8b2dadf5a01ec1534f9809dc882812e5981824d36f07451199affb17fbd95f19"),
+            ("ycsb_update", 0.6, "6deef540cdb6373595ad95129a186310d07d1b53603d566fb8d88b6324bf54a8"),
+            ("ycsb_update", 1.0, "9e9feeb00cd0e7b6bce002760477dfcbc3b13c772a636f8ee7e998157bd1f160"),
+            ("ycsb_update", 1.5, "75bdf4975bbfc79978067bfaed18cd9bd4b130558dc0a8784d6e79d4c83e852a"),
+            ("ycsb_query", 0.0, "a1fe843deb10151e9249b588eab0cb9e881f51a7be2a99ed7ba1aa0f5950faee"),
+            ("ycsb_query", 0.6, "889303d49178a92129889589b053f43f1dd14653f6084b530329e42d837504cb"),
+            ("ycsb_query", 1.0, "0677a79e973cc8e3d03d7f2bf0a0296af7cb17320ea4c67e82412f94f6f15f9e"),
+            ("ycsb_query", 1.5, "6599b7d1d930f3f0e65bff3e26f06f85be56ea846384c5da90d438db89100c00"),
+            ("ycsb_mixed", 0.0, "eb30b94bb071c8b00b4f37ad82fe8e0f42843163c3a554ef52cb713c6b40f2a8"),
+            ("ycsb_mixed", 0.6, "c0a1f41f87ef616e8dff5be229ca2f7f1b9c1d63a86e0ba1afc4a1fe4d1b478f"),
+            ("ycsb_mixed", 1.0, "f83d4a23beb6384e02b3dae6d8d8d5f84ffcdcf80723277599b8e5b1493f5986"),
+            ("ycsb_mixed", 1.5, "f57c229d4ae78f1bf9d84875f4b4053c3a4ee57bd505c1e8090249b2da640d17"),
+        ],
+    )
+    def test_ycsb_grid(self, kind, theta, expected):
+        specs = [
+            WorkloadSpec(kind=WorkloadKind(kind), theta=theta, record_count=records,
+                         ops_per_txn=ops, record_size_bytes=size, txn_count=40, seed=21)
+            for records in (1, 2, 100)
+            for ops in (1, 2, 10)
+            for size in (1, 15, 16, 17, 1000)
+        ]
+        assert _stream_digest(specs) == expected
+
+    @pytest.mark.parametrize(
+        "mix, theta, expected",
+        [
+            ("uniform", 0.0, "112da1b855e4282f19b54703151d6a3d28d82e80d930537b55dba6023d1c1da4"),
+            ("uniform", 1.0, "32215f1ee24999b8f5143750f1eb8ade08c84a0a0ded19b508ac98d59ee720a8"),
+            ("transfers", 0.0, "95379982dfed53d97bc03612cae893fd2d032772f35a484efdc702e768ee7099"),
+            ("transfers", 1.0, "16a749caffaaa976ff83fb15c8276b8bdd82b412077ccaba6f2549284c50a894"),
+            ("single", 0.0, "ed1dd227238f77e96c5492ee1b8d276cad969684ceea2ad5b451b617532e3e8c"),
+            ("single", 1.0, "5166922ca2225e7d53bc35471bfc809acd6644036933fd2d7d87d13a934984b7"),
+        ],
+    )
+    def test_smallbank_grid(self, mix, theta, expected):
+        specs = [
+            WorkloadSpec(kind=WorkloadKind.SMALLBANK, smallbank_mix=self.MIXES[mix],
+                         theta=theta, record_count=records, txn_count=300, seed=22)
+            for records in (2, 3, 50)
+        ]
+        assert _stream_digest(specs) == expected
+
+
 # every field of WorkloadSpec -> values to put in its place, one at a time
 _PERTURBATIONS = {
     "kind": list(WorkloadKind),
