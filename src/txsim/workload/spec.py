@@ -42,6 +42,9 @@ class WorkloadSpec:
     def __post_init__(self):
         if self.record_count < 1 or self.txn_count < 1:
             raise ValueError("record_count and txn_count must be positive")
+        if self.kind is WorkloadKind.SMALLBANK and self.record_count < 2:
+            # a transfer moves money between two distinct customers
+            raise ValueError("smallbank needs record_count >= 2")
         if not 1 <= self.ops_per_txn <= 10:
             raise ValueError("ops_per_txn must be in 1..10")
         if not (math.isfinite(self.theta) and self.theta >= 0):

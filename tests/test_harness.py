@@ -275,7 +275,7 @@ _specs = st.builds(
     WorkloadSpec,
     **_fields_of(
         WorkloadSpec,
-        record_count=st.integers(1, 10**6),
+        record_count=st.integers(2, 10**6),  # Smallbank needs two
         record_size_bytes=st.integers(1, 10**6),
         txn_count=st.integers(1, 10**6),
         ops_per_txn=st.integers(1, 10),

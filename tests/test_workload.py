@@ -274,7 +274,10 @@ class TestInitialStateKey:
         records, key = initial_state(base), initial_state_key(base)
         for name in sorted(names):
             for value in _PERTURBATIONS[name]:
-                spec = dataclasses.replace(base, **{name: value})
+                try:
+                    spec = dataclasses.replace(base, **{name: value})
+                except ValueError:  # Smallbank refuses one customer
+                    continue
                 if initial_state_key(spec) == key:
                     assert initial_state(spec) == records, (name, value)
 
@@ -408,6 +411,9 @@ class TestSpecParsing:
             WorkloadSpec(constant_total_bytes=-5)
         with pytest.raises(ValueError, match="constant_total_bytes"):
             WorkloadSpec(constant_total_bytes=-5, record_size_bytes=0)
+        with pytest.raises(ValueError, match="record_count"):
+            WorkloadSpec(kind=WorkloadKind.SMALLBANK, record_count=1)
+        WorkloadSpec(kind=WorkloadKind.SMALLBANK, record_count=2)
 
     @pytest.mark.parametrize("theta", [float("nan"), float("inf")])
     def test_non_finite_theta_rejected(self, theta):
