@@ -1,15 +1,23 @@
 """Smallbank-style OLTP stream: six procedures over checking/savings accounts.
 
 Transactions here are read/write sets, not programs, so procedure logic runs
-at generation time against a reference state evolved serially; a constraint
+at generation time against reference balances evolved serially; a constraint
 violation (insufficient funds) yields a transaction with an empty write set
 flagged as an application abort, distinct from any concurrency abort.
 Balances are integer cents.
+
+A stream is built in one pass with the same draws, in the same order, as
+``Random.choices`` and ``Random.randint`` would make: the procedure pick
+bisects cumulative weights computed once (``procedure_picker``), amounts come
+from the ``getrandbits`` rejection loop that ``randint`` runs
+(``amount_drawer``), and customers from ``ZipfianSampler.drawer``.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from bisect import bisect
+from itertools import accumulate
+from typing import Callable, List, Sequence
 
 from ..core.rng import seeded_rng
 from ..core.types import Transaction
@@ -37,17 +45,6 @@ def decode_balance(value: bytes) -> int:
     return int.from_bytes(value, "big", signed=True)
 
 
-class _RefState:
-    """Reference balances evolved as if the stream committed serially."""
-
-    def __init__(self, customers: int):
-        self.checking = {c: INITIAL_CHECKING for c in range(customers)}
-        self.savings = {c: INITIAL_SAVINGS for c in range(customers)}
-
-    def total(self) -> int:
-        return sum(self.checking.values()) + sum(self.savings.values())
-
-
 def smallbank_initial_state(customers: int) -> List[tuple]:
     out = []
     for c in range(customers):
@@ -56,96 +53,114 @@ def smallbank_initial_state(customers: int) -> List[tuple]:
     return out
 
 
+def procedure_picker(rng, names: Sequence[str], weights: Sequence[float]) -> Callable[[], str]:
+    """``rng.choices(names, weights=weights, k=1)[0]`` per call; the weights are summed once."""
+    cum_weights = list(accumulate(weights))
+    total, hi, random = cum_weights[-1] + 0.0, len(cum_weights) - 1, rng.random
+    return lambda: names[bisect(cum_weights, random() * total, 0, hi)]
+
+
+def amount_drawer(rng, lo: int, hi: int) -> Callable[[], int]:
+    """``rng.randint(lo, hi)`` per call: the same ``getrandbits`` rejection loop, in one frame."""
+    getrandbits, n = rng.getrandbits, hi - lo + 1
+    k = n.bit_length()
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
+
+    return draw
+
+
 def gen_smallbank(spec: WorkloadSpec) -> List[Transaction]:
     if spec.kind is not WorkloadKind.SMALLBANK:
         raise ValueError(f"not a smallbank workload: {spec.kind}")
     rng = seeded_rng(spec.seed, "workload")
-    sampler = ZipfianSampler(spec.record_count, spec.theta)
-    state = _RefState(spec.record_count)
+    customer = ZipfianSampler(spec.record_count, spec.theta).drawer(rng)
     if spec.smallbank_mix:
         names = [name for name, _ in spec.smallbank_mix]
         weights = [w for _, w in spec.smallbank_mix]
     else:
         names = list(SMALLBANK_PROCEDURES)
         weights = [1.0] * len(names)
+    pick = procedure_picker(rng, names, weights)
+    deposit = amount_drawer(rng, 0, 500_00)
+    transact = amount_drawer(rng, -500_00, 500_00)
+    check = amount_drawer(rng, 1, 800_00)
+    payment = amount_drawer(rng, 1, 300_00)
+    # reference balances, evolved as if the stream committed serially
+    checking = [INITIAL_CHECKING] * spec.record_count
+    savings = [INITIAL_SAVINGS] * spec.record_count
 
     txns = []
     for txn_id in range(1, spec.txn_count + 1):
-        proc = rng.choices(names, weights=weights, k=1)[0]
-        cust = sampler.sample(rng) - 1
-        reads: List[Tuple[bytes, None]] = []
-        writes: List[Tuple[bytes, bytes]] = []
+        proc = pick()
+        cust = customer() - 1
+        chk = checking_key(cust)
+        writes = ()
         aborted = False
 
         if proc == "balance":
-            reads = [(checking_key(cust), None), (savings_key(cust), None)]
+            reads = ((chk, None), (savings_key(cust), None))
         elif proc == "deposit_checking":
-            amount = rng.randint(0, 500_00)
-            reads = [(checking_key(cust), None)]
-            new = state.checking[cust] + amount
-            writes = [(checking_key(cust), encode_balance(new))]
-            state.checking[cust] = new
+            new = checking[cust] + deposit()
+            reads = ((chk, None),)
+            writes = ((chk, encode_balance(new)),)
+            checking[cust] = new
         elif proc == "transact_savings":
-            amount = rng.randint(-500_00, 500_00)
-            reads = [(savings_key(cust), None)]
-            new = state.savings[cust] + amount
+            sav = savings_key(cust)
+            new = savings[cust] + transact()
+            reads = ((sav, None),)
             if new < 0:
                 aborted = True
             else:
-                writes = [(savings_key(cust), encode_balance(new))]
-                state.savings[cust] = new
+                writes = ((sav, encode_balance(new)),)
+                savings[cust] = new
         elif proc == "write_check":
-            amount = rng.randint(1, 800_00)
-            reads = [(checking_key(cust), None), (savings_key(cust), None)]
-            if state.checking[cust] + state.savings[cust] < amount:
+            amount = check()
+            reads = ((chk, None), (savings_key(cust), None))
+            if checking[cust] + savings[cust] < amount:
                 aborted = True
             else:
-                new = state.checking[cust] - amount
-                writes = [(checking_key(cust), encode_balance(new))]
-                state.checking[cust] = new
+                new = checking[cust] - amount
+                writes = ((chk, encode_balance(new)),)
+                checking[cust] = new
         elif proc == "send_payment":
-            dst = sampler.sample(rng) - 1
+            dst = customer() - 1
             if dst == cust:
                 dst = (cust + 1) % spec.record_count
-            amount = rng.randint(1, 300_00)
-            reads = [(checking_key(cust), None), (checking_key(dst), None)]
-            if state.checking[cust] < amount:
+            dst_chk = checking_key(dst)
+            amount = payment()
+            reads = ((chk, None), (dst_chk, None))
+            if checking[cust] < amount:
                 aborted = True
             else:
-                src_new = state.checking[cust] - amount
-                dst_new = state.checking[dst] + amount
-                writes = [
-                    (checking_key(cust), encode_balance(src_new)),
-                    (checking_key(dst), encode_balance(dst_new)),
-                ]
-                state.checking[cust] = src_new
-                state.checking[dst] = dst_new
+                src_new = checking[cust] - amount
+                dst_new = checking[dst] + amount
+                writes = (
+                    (chk, encode_balance(src_new)),
+                    (dst_chk, encode_balance(dst_new)),
+                )
+                checking[cust] = src_new
+                checking[dst] = dst_new
         else:  # amalgamate
-            dst = sampler.sample(rng) - 1
+            dst = customer() - 1
             if dst == cust:
                 dst = (cust + 1) % spec.record_count
-            reads = [
-                (checking_key(cust), None),
-                (savings_key(cust), None),
-                (checking_key(dst), None),
-            ]
-            moved = state.checking[cust] + state.savings[cust]
-            dst_new = state.checking[dst] + moved
-            writes = [
-                (checking_key(cust), encode_balance(0)),
-                (savings_key(cust), encode_balance(0)),
-                (checking_key(dst), encode_balance(dst_new)),
-            ]
-            state.checking[cust] = 0
-            state.savings[cust] = 0
-            state.checking[dst] = dst_new
-
-        txns.append(
-            Transaction(
-                id=txn_id,
-                read_set=tuple(reads),
-                write_set=tuple(writes),
-                app_abort=aborted,
+            sav = savings_key(cust)
+            dst_chk = checking_key(dst)
+            reads = ((chk, None), (sav, None), (dst_chk, None))
+            dst_new = checking[dst] + checking[cust] + savings[cust]
+            writes = (
+                (chk, encode_balance(0)),
+                (sav, encode_balance(0)),
+                (dst_chk, encode_balance(dst_new)),
             )
-        )
+            checking[cust] = 0
+            savings[cust] = 0
+            checking[dst] = dst_new
+
+        txns.append(Transaction(txn_id, reads, writes, len(reads), app_abort=aborted))
     return txns

@@ -4,12 +4,17 @@ Keys are drawn by Zipfian rank and pushed through a fixed multiplicative
 permutation of the key space, so the hottest ranks scatter instead of
 clustering in one range partition.  Update transactions read each key and
 write it back (read-modify-write); query transactions only read.
+
+A stream is built in one pass over one draw path (``ZipfianSampler.drawer``),
+with the same draws in the same order for a given spec.  Within one
+``gen_ycsb`` call each record's key is built once, and the zero padding of
+every value once; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Callable, List
 
 from ..core.rng import seeded_rng
 from ..core.types import Transaction
@@ -27,15 +32,9 @@ def _scramble_multiplier(n: int) -> int:
     return c
 
 
-def rank_scrambler(n: int):
-    """``scramble_rank`` for one record count, with its multiplier computed once."""
-    c = _scramble_multiplier(n)
-    return lambda rank: ((rank - 1) * c) % n
-
-
 def scramble_rank(rank: int, n: int) -> int:
     """Bijective rank -> key-index map over [0, n)."""
-    return rank_scrambler(n)(rank)
+    return ((rank - 1) * _scramble_multiplier(n)) % n
 
 
 def ycsb_key(index: int) -> bytes:
@@ -49,11 +48,18 @@ def ycsb_key(index: int) -> bytes:
     return hi.to_bytes(8, "big") + lo.to_bytes(8, "big")
 
 
-def make_value(txn_id: int, op: int, size: int) -> bytes:
-    prefix = txn_id.to_bytes(8, "big") + op.to_bytes(4, "big") + b"val!"
-    if size <= len(prefix):
-        return prefix[:size]
-    return prefix + b"\x00" * (size - len(prefix))
+def value_maker(size: int) -> Callable[[int, int], bytes]:
+    """``(txn_id, op) -> value`` of ``size`` bytes, its zero padding built once.
+
+    A value is the 8-byte transaction id, the 4-byte op number and ``val!``,
+    zero-padded to ``size`` or cut to it when ``size`` < 16.
+    """
+    pad = b"\x00" * (size - 16)
+
+    def value(txn_id: int, op: int) -> bytes:
+        return (txn_id.to_bytes(8, "big") + op.to_bytes(4, "big") + b"val!" + pad)[:size]
+
+    return value
 
 
 def gen_ycsb(spec: WorkloadSpec) -> List[Transaction]:
@@ -64,35 +70,33 @@ def gen_ycsb(spec: WorkloadSpec) -> List[Transaction]:
     ):
         raise ValueError(f"not a YCSB workload: {spec.kind}")
     rng = seeded_rng(spec.seed, "workload")
-    sampler = ZipfianSampler(spec.record_count, spec.theta)
-    size = spec.effective_record_size
-    ops = min(spec.ops_per_txn, spec.record_count)
-    scramble = rank_scrambler(spec.record_count)
+    draw = ZipfianSampler(spec.record_count, spec.theta).drawer(rng)
+    n = spec.record_count
+    c = _scramble_multiplier(n)
+    ops = min(spec.ops_per_txn, n)
+    value = value_maker(spec.effective_record_size)
+    always_update = spec.kind is WorkloadKind.YCSB_UPDATE
+    mixed = spec.kind is WorkloadKind.YCSB_MIXED
+    random, read_fraction = rng.random, spec.read_fraction
+    entries = {}  # record index -> its read-set entry (key, None), built on first use
     txns = []
     for txn_id in range(1, spec.txn_count + 1):
-        indexes = []
-        chosen = set()
-        while len(indexes) < ops:
-            idx = scramble(sampler.sample(rng))
-            if idx not in chosen:
-                chosen.add(idx)
-                indexes.append(idx)
-        if spec.kind is WorkloadKind.YCSB_UPDATE:
-            is_update = True
-        elif spec.kind is WorkloadKind.YCSB_QUERY:
-            is_update = False
+        read_set = []
+        while len(read_set) < ops:
+            idx = (draw() - 1) * c % n
+            entry = entries.get(idx)
+            if entry is None:
+                entry = entries[idx] = (ycsb_key(idx), None)
+            if entry not in read_set:
+                read_set.append(entry)
+        if always_update or (mixed and random() >= read_fraction):
+            write_set = tuple([(key, value(txn_id, op)) for op, (key, _) in enumerate(read_set)])
         else:
-            is_update = rng.random() >= spec.read_fraction
-        keys = [ycsb_key(i) for i in indexes]
-        read_set = tuple((k, None) for k in keys)
-        write_set = (
-            tuple((k, make_value(txn_id, i, size)) for i, k in enumerate(keys))
-            if is_update
-            else ()
-        )
-        txns.append(Transaction(id=txn_id, read_set=read_set, write_set=write_set))
+            write_set = ()
+        txns.append(Transaction(txn_id, tuple(read_set), write_set, ops))
     return txns
 
 
 def ycsb_initial_state(record_count: int, record_size: int) -> List[tuple]:
-    return [(ycsb_key(i), make_value(0, i, record_size)) for i in range(record_count)]
+    value = value_maker(record_size)
+    return [(ycsb_key(i), value(0, i)) for i in range(record_count)]

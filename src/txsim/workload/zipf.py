@@ -5,11 +5,17 @@ tabulating the distribution, so it is exact for any theta >= 0 and cheap even
 at n = 10^6.  This is the rejection-inversion scheme of Hormann and
 Derflinger for monotone discrete distributions; theta = 0 degenerates to
 uniform and theta = 1 is handled through the log-limit helpers.
+
+There is one draw path: ``ZipfianSampler.drawer`` binds the sampler's
+constants and ``rng.random`` into a closure that runs the scheme's float
+operations inline, and ``sample`` calls that closure.  Generators call the
+closure directly; either way the same seed gives the same ranks.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 
 def _helper1(x: float) -> float:
@@ -33,6 +39,7 @@ class ZipfianSampler:
         self._h_x1 = self._h_integral(1.5) - 1.0
         self._h_n = self._h_integral(n + 0.5)
         self._s = 2.0 - self._h_integral_inverse(self._h_integral(2.5) - self._h(2.0))
+        self._bound = None  # (rng, its drawer) of the last ``sample`` call
 
     def _h(self, x: float) -> float:
         return math.exp(-self.theta * math.log(x))
@@ -47,19 +54,46 @@ class ZipfianSampler:
             t = -1.0
         return math.exp(_helper1(t) * x)
 
+    def drawer(self, rng) -> Callable[[], int]:
+        """A function of no arguments that returns one rank per call, drawn from ``rng``.
+
+        It performs ``_h_integral_inverse``, ``_h_integral`` and ``_h`` inline,
+        with the same float operations in the same order.
+        """
+        n = self.n
+        if n == 1:
+            return lambda: 1
+        random, exp, log, log1p, expm1 = rng.random, math.exp, math.log, math.log1p, math.expm1
+        h_n, span, s = self._h_n, self._h_x1 - self._h_n, self._s
+        one_minus_theta, neg_theta = 1.0 - self.theta, -self.theta
+
+        def draw() -> int:
+            while True:
+                u = h_n + random() * span
+                t = u * one_minus_theta
+                if t < -1.0:
+                    t = -1.0
+                x = exp((log1p(t) / t if t != 0.0 else 1.0) * u)
+                k = int(x + 0.5)
+                if k < 1:
+                    k = 1
+                elif k > n:
+                    k = n
+                if k - x <= s:
+                    return k
+                log_y = log(k + 0.5)
+                z = one_minus_theta * log_y
+                if u >= (expm1(z) / z if z != 0.0 else 1.0) * log_y - exp(neg_theta * log(k)):
+                    return k
+
+        return draw
+
     def sample(self, rng) -> int:
-        if self.n == 1:
-            return 1
-        while True:
-            u = self._h_n + rng.random() * (self._h_x1 - self._h_n)
-            x = self._h_integral_inverse(u)
-            k = int(x + 0.5)
-            if k < 1:
-                k = 1
-            elif k > self.n:
-                k = self.n
-            if k - x <= self._s or u >= self._h_integral(k + 0.5) - self._h(k):
-                return k
+        """One rank from ``rng``, through the drawer bound to it."""
+        bound = self._bound
+        if bound is None or bound[0] is not rng:
+            bound = self._bound = (rng, self.drawer(rng))
+        return bound[1]()
 
     def pmf(self, i: int) -> float:
         """Analytic probability of rank i, for distribution tests."""

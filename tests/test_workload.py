@@ -8,6 +8,7 @@ import pytest
 
 from txsim.core import seeded_rng
 from txsim.workload import (
+    SMALLBANK_PROCEDURES,
     WorkloadKind,
     WorkloadSpec,
     ZipfianSampler,
@@ -24,7 +25,9 @@ from txsim.workload import (
 from txsim.workload.smallbank import (
     INITIAL_CHECKING,
     INITIAL_SAVINGS,
+    amount_drawer,
     decode_balance,
+    procedure_picker,
 )
 
 # chi-squared critical values at the 0.1% significance level (upper tail
@@ -86,6 +89,27 @@ class TestZipfianDistribution:
         draws = [sampler.sample(rng) for _ in range(2000)]
         assert all(1 <= d <= 10**6 for d in draws)
         assert min(draws) < 100  # skew concentrates at the head
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**6])
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 0.99, 1.0, 1.5, 3.0])
+    def test_inline_draw_matches_the_scheme_step_by_step(self, n, theta):
+        sampler = ZipfianSampler(n, theta)
+
+        def reference(rng):  # rejection inversion through the sampler's helper methods
+            if n == 1:
+                return 1
+            while True:
+                u = sampler._h_n + rng.random() * (sampler._h_x1 - sampler._h_n)
+                x = sampler._h_integral_inverse(u)
+                k = min(max(int(x + 0.5), 1), n)
+                if k - x <= sampler._s or u >= sampler._h_integral(k + 0.5) - sampler._h(k):
+                    return k
+
+        rng, twin = seeded_rng(3, "zipf"), seeded_rng(3, "zipf")
+        draw = sampler.drawer(rng)
+        assert [draw() for _ in range(2000)] == [reference(twin) for _ in range(2000)]
+        assert [sampler.sample(rng) for _ in range(100)] == [reference(twin) for _ in range(100)]
+        assert rng.random() == twin.random()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -379,6 +403,39 @@ class TestSmallbank:
     def test_stream_is_deterministic(self):
         spec = WorkloadSpec(kind=WorkloadKind.SMALLBANK, record_count=20, txn_count=200, seed=16)
         assert dump_stream(gen_smallbank(spec)) == dump_stream(gen_smallbank(spec))
+
+
+class TestRandomDraws:
+    """Smallbank's procedure picks and amounts draw exactly what ``choices`` and ``randint`` draw."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [1.0] * 6,
+            [0.0, 2.0, 0.0, 0.5, 3.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [1, 0, 2, 0, 0, 7],
+        ],
+        ids=["uniform", "zeros", "one-nonzero", "integers"],
+    )
+    def test_procedure_pick_matches_choices(self, weights):
+        names = list(SMALLBANK_PROCEDURES)
+        for seed in range(5):
+            rng, twin = seeded_rng(seed, "workload"), seeded_rng(seed, "workload")
+            pick = procedure_picker(rng, names, weights)
+            picks = [pick() for _ in range(300)]
+            assert picks == [twin.choices(names, weights=weights, k=1)[0] for _ in range(300)]
+            assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0, 500_00), (-500_00, 500_00), (1, 800_00), (1, 300_00)]
+    )
+    def test_amounts_match_randint(self, lo, hi):
+        for seed in range(5):
+            rng, twin = seeded_rng(seed, "workload"), seeded_rng(seed, "workload")
+            draw = amount_drawer(rng, lo, hi)
+            assert [draw() for _ in range(300)] == [twin.randint(lo, hi) for _ in range(300)]
+            assert rng.random() == twin.random()
 
 
 class TestSpecParsing:
