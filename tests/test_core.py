@@ -179,6 +179,53 @@ class TestCanonicalEncoding:
             assert seen.setdefault(enc, txn) == txn
 
 
+# Fixed blocks over the encoder's cases: None and integer read versions, empty
+# read and write sets, both ``app_abort`` values, derived and explicit
+# ``op_count``, with and without a state root.
+_PINNED_TXNS = (
+    Transaction(id=0),
+    Transaction(id=1, read_set=((b"a", None), (b"b", 7)), write_set=((b"a", b"v1"),)),
+    Transaction(
+        id=2**40 + 3,
+        read_set=((b"k", 2**64 - 1),),
+        write_set=((b"k", b""), (b"z", bytes(range(20)))),
+        op_count=9,
+        app_abort=True,
+    ),
+    Transaction(id=5, write_set=((b"w", b"x" * 100),), op_count=1),
+    Transaction(id=6, read_set=((b"", 0),), app_abort=True),
+)
+_PINNED_BLOCKS = (
+    Block(height=0, parent_digest=bytes(32)),
+    Block(height=1, parent_digest=digest(b"genesis"), txn_list=_PINNED_TXNS[:3], proposer=3),
+    Block(
+        height=2**33,
+        parent_digest=digest(b"parent"),
+        txn_list=_PINNED_TXNS[3:],
+        state_root=digest(b"root"),
+    ),
+)
+
+
+class TestWireBytes:
+    """The encoded bytes feed ledger digests and hash costs, so they are pinned."""
+
+    def test_transaction_bytes(self):
+        txn = Transaction(id=1, read_set=((b"a", 7),), app_abort=True)
+        assert encode_transaction(txn).hex() == (
+            "0000000000000001" "00000001" "00000001" "61" "01" "0000000000000007"
+            "00000000" "00000001" "00000000" "01"
+        )
+
+    def test_block_digests(self):
+        # recorded before the lifecycle fields left Transaction
+        assert [digest(encode_block(b)).hex() for b in _PINNED_BLOCKS] == [
+            "353fd628b7f6e7d426e5d6a27d1bc3ac22fa7f812e7594cf2ec5ca1175785b50",
+            "83b0f1d960c0c670b9f82a474be6b7f51e9c7fb334d02842c4a150e69888acdb",
+            "c6ae8bc6b3ea483e0d7b61a32cbf23f66d8fdb0f07552fa3b8ef5658816c0bec",
+        ]
+
+
 class TestTransactionInvariants:
     def test_op_count_is_distinct_keys_touched(self):
         txn = Transaction(
