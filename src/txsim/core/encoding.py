@@ -4,6 +4,12 @@ Encoding rules: fields are written in declared order, integers are big-endian
 and fixed-width, variable-length byte strings are length-prefixed with a
 32-bit count.  This makes every encoder injective on its domain and trivially
 portable, which is all the hash layer needs.
+
+A transaction keeps four reserved zero bytes (``TXN_RESERVED``) where it once
+encoded lifecycle fields that now live on the pipeline's ``TxnRecord``.
+Dropping them would change block bytes and ledger hash costs, and so the
+virtual outputs of every run that keeps a ledger; the decoder refuses any
+other value there.
 """
 
 from __future__ import annotations
@@ -12,6 +18,9 @@ import hashlib
 import struct
 
 DIGEST_SIZE = 32
+
+# three absent optional timestamps (one zero flag byte each) and outcome 0
+TXN_RESERVED = bytes(4)
 
 
 def digest(data: bytes) -> bytes:
@@ -113,26 +122,21 @@ def encode_transaction(txn) -> bytes:
         w.bytes(key)
         w.bytes(value)
     w.u32(txn.op_count)
-    w.opt_u64(txn.submit_time)
-    w.opt_u64(txn.order_time)
-    w.opt_u64(txn.commit_time)
-    w.u8(txn.outcome.value)
+    w.raw(TXN_RESERVED)
     w.u8(1 if txn.app_abort else 0)
     return w.getvalue()
 
 
 def decode_transaction(data: bytes):
-    from .types import Transaction, TxnOutcome
+    from .types import Transaction
 
     r = Reader(data)
     txn_id = r.u64()
     read_set = tuple((r.bytes(), r.opt_u64()) for _ in range(r.u32()))
     write_set = tuple((r.bytes(), r.bytes()) for _ in range(r.u32()))
     op_count = r.u32()
-    submit_time = r.opt_u64()
-    order_time = r.opt_u64()
-    commit_time = r.opt_u64()
-    outcome = TxnOutcome(r.u8())
+    if r.raw(len(TXN_RESERVED)) != TXN_RESERVED:
+        raise ValueError("reserved transaction bytes must be zero")
     app_abort = bool(r.u8())
     if not r.done():
         raise ValueError("trailing bytes after transaction")
@@ -141,10 +145,6 @@ def decode_transaction(data: bytes):
         read_set=read_set,
         write_set=write_set,
         op_count=op_count,
-        submit_time=submit_time,
-        order_time=order_time,
-        commit_time=commit_time,
-        outcome=outcome,
         app_abort=app_abort,
     )
 

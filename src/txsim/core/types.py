@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 
@@ -213,24 +213,24 @@ class TxnOutcome(enum.Enum):
     # transaction's own logic (e.g. insufficient funds), distinct from any
     # concurrency-caused abort
     ABORTED_APPLICATION = 6
+    # never ordered: the endorsement timeout fired before enough peers answered
+    DROPPED = 7
 
 
 @dataclass(frozen=True)
 class Transaction:
-    """A read/write set over keys; immutable, updates go through ``evolve``.
+    """A request: a read/write set over keys, immutable once generated.
 
     ``read_set`` holds (key, version-read) pairs; versions are None until an
     execution phase captures them.  ``write_set`` holds (key, value-bytes).
+    What happens to the request (submit, order and commit times, outcome)
+    lives on its ``pipeline.records.TxnRecord``.
     """
 
     id: int
     read_set: Tuple[Tuple[bytes, Optional[int]], ...] = ()
     write_set: Tuple[Tuple[bytes, bytes], ...] = ()
     op_count: int = 0
-    submit_time: Optional[int] = None
-    order_time: Optional[int] = None
-    commit_time: Optional[int] = None
-    outcome: TxnOutcome = TxnOutcome.PENDING
     app_abort: bool = False
 
     def __post_init__(self):
@@ -239,17 +239,6 @@ class Transaction:
 
     def keys_touched(self):
         return {k for k, _ in self.read_set} | {k for k, _ in self.write_set}
-
-    def evolve(self, **changes) -> "Transaction":
-        """Copy with updates; refuses outcome changes away from a terminal state."""
-        if "outcome" in changes and self.outcome is not TxnOutcome.PENDING:
-            if changes["outcome"] is not self.outcome:
-                raise ValueError(f"outcome already terminal: {self.outcome}")
-        txn = replace(self, **changes)
-        ts = [t for t in (txn.submit_time, txn.order_time, txn.commit_time) if t is not None]
-        if ts != sorted(ts):
-            raise ValueError("phase timestamps must be monotone: submit <= order <= commit")
-        return txn
 
 
 @dataclass(frozen=True)

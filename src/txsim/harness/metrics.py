@@ -79,7 +79,7 @@ def metrics_from_run(res) -> Metrics:
         submitted=res.submitted,
         committed=res.committed,
         **res.abort_counts(),
-        dropped=len(res.dropped),
+        dropped=res.dropped,  # a count, read from the records' outcomes
         pending=res.pending,
         span_us=res.span,
         throughput_tps=res.throughput_tps,

@@ -203,7 +203,6 @@ class PipelineBase:
         self.records: Dict[int, TxnRecord] = {
             txn.id: TxnRecord(txn=txn) for txn in self.txns
         }
-        self.dropped: set = set()
         self._terminal = 0
         self.peers: List[PeerNode] = []
         self.clients = ClientManager(self)
@@ -345,9 +344,10 @@ class PipelineBase:
         if self.arrival.mode == "closed_loop":
             self._submit_next()
 
-    def mark_dropped(self, record: TxnRecord) -> None:
-        if record.txn.id not in self.dropped:
-            self.dropped.add(record.txn.id)
+    def settle(self, record: TxnRecord, outcome: TxnOutcome) -> None:
+        """Settle a pending ``record`` now and finish it; a no-op once it has settled."""
+        if record.outcome is TxnOutcome.PENDING:
+            record.settle(outcome, self.sim.now)
             self.txn_finished(record)
 
     # -- hooks the concrete pipelines implement -----------------------------------

@@ -285,7 +285,7 @@ class ExecuteOrderValidatePipeline(PipelineBase):
         elif isinstance(msg, EndorseTimeout):
             if msg.txn_id in self._inflight:
                 self._end_endorsement(msg.txn_id)
-                self.mark_dropped(self.records[msg.txn_id])
+                self.settle(self.records[msg.txn_id], TxnOutcome.DROPPED)
         elif isinstance(msg, EovDone):
             self.txn_finished(self.records[msg.txn_id])
         elif isinstance(msg, Retry):
@@ -309,8 +309,7 @@ class ExecuteOrderValidatePipeline(PipelineBase):
         if msg.reads != first:
             # peers answered from different committed states
             self._end_endorsement(msg.txn_id)
-            record.settle(TxnOutcome.ABORTED_INCONSISTENT_READ, self.sim.now)
-            self.txn_finished(record)
+            self.settle(record, TxnOutcome.ABORTED_INCONSISTENT_READ)
             return
         if len(responses) < self.endorsement_k:
             return

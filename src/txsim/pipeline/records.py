@@ -1,4 +1,9 @@
-"""Per-transaction runtime state and phase timing aggregation."""
+"""Per-transaction runtime state and phase timing aggregation.
+
+A ``Transaction`` is the request alone; its ``TxnRecord`` is the one home of
+its lifecycle: times, phase durations, read versions and the outcome, which
+settles once from ``PENDING`` to ``COMMITTED``, an ``ABORTED_*`` or ``DROPPED``.
+"""
 
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ class PhaseTimings:
 
 @dataclass
 class TxnRecord:
-    """Mutable in-flight state of one transaction."""
+    """The lifecycle of one transaction: mutable, settled at most once."""
 
     txn: Transaction
     submit_time: Optional[int] = None

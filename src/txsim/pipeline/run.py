@@ -14,6 +14,7 @@ measures every cell.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -47,7 +48,6 @@ def run_span(records, now: int) -> int:
 @dataclass
 class RunResult:
     records: Dict[int, TxnRecord]
-    dropped: set
     stalled: bool
     span: int
     delivered_counts: Dict[str, int]
@@ -69,16 +69,21 @@ class RunResult:
     def submitted(self) -> int:
         return len(self.records)
 
+    def outcome_counts(self) -> Counter:
+        """How many records hold each outcome; every count below reads these."""
+        return Counter(r.outcome for r in self.records.values())
+
     @property
     def committed(self) -> int:
-        return sum(1 for r in self.records.values() if r.outcome is TxnOutcome.COMMITTED)
+        return self.outcome_counts()[TxnOutcome.COMMITTED]
 
     def abort_counts(self) -> Dict[str, int]:
-        out = {}
-        for r in self.records.values():
-            if r.outcome not in (TxnOutcome.PENDING, TxnOutcome.COMMITTED):
-                out[r.outcome.name.lower()] = out.get(r.outcome.name.lower(), 0) + 1
-        return out
+        """``aborted_*`` name -> count, for the ``ABORTED_*`` outcomes that occurred."""
+        return {
+            o.name.lower(): n
+            for o, n in self.outcome_counts().items()
+            if o.name.startswith("ABORTED_")
+        }
 
     @property
     def aborted(self) -> int:
@@ -86,11 +91,12 @@ class RunResult:
 
     @property
     def pending(self) -> int:
-        return sum(
-            1
-            for tid, r in self.records.items()
-            if r.outcome is TxnOutcome.PENDING and tid not in self.dropped
-        )
+        return self.outcome_counts()[TxnOutcome.PENDING]
+
+    @property
+    def dropped(self) -> int:
+        """A count: the records settled ``DROPPED`` at the endorsement timeout."""
+        return self.outcome_counts()[TxnOutcome.DROPPED]
 
     @property
     def abort_rate(self) -> float:
@@ -128,7 +134,6 @@ def drive_and_collect(pipeline: PipelineBase) -> RunResult:
         roots = [p.state.index_root() for p in peers]
     return RunResult(
         records=pipeline.records,
-        dropped=set(pipeline.dropped),
         stalled=stalled,
         span=run_span(pipeline.records.values(), pipeline.sim.now),
         delivered_counts=dict(pipeline.sim.delivered_counts),
@@ -148,14 +153,12 @@ def txn_report(result: RunResult) -> str:
     lines = ["txn_id\texecute_us\torder_us\tvalidate_us\toutcome\tabort_cause"]
     for txn_id in sorted(result.records):
         r = result.records[txn_id]
-        if txn_id in result.dropped:
+        if r.outcome is TxnOutcome.DROPPED:
             outcome, cause = "dropped", "endorsement_timeout"
-        elif r.outcome is TxnOutcome.COMMITTED:
-            outcome, cause = "committed", ""
-        elif r.outcome is TxnOutcome.PENDING:
-            outcome, cause = "pending", ""
-        else:
+        elif r.outcome.name.startswith("ABORTED_"):
             outcome, cause = "aborted", r.outcome.name.lower().replace("aborted_", "")
+        else:
+            outcome, cause = r.outcome.name.lower(), ""
         lines.append(
             f"{txn_id}\t{r.execute_us}\t{r.order_us}\t{r.validate_us}\t{outcome}\t{cause}"
         )

@@ -333,9 +333,7 @@ class StorageReplicatedPipeline(PipelineBase):
 
     def _settle(self, txn_id: int, outcome: TxnOutcome) -> None:
         record = self.records[txn_id]
-        if record.outcome is not TxnOutcome.PENDING:
-            return
-        record.order_us = max(0, self.sim.now - record.submit_time - record.execute_us)
-        record.validate_us = self.cm.exec_time_per_op
-        record.settle(outcome, self.sim.now)
-        self.txn_finished(record)
+        if record.outcome is TxnOutcome.PENDING:
+            record.order_us = max(0, self.sim.now - record.submit_time - record.execute_us)
+            record.validate_us = self.cm.exec_time_per_op
+            self.settle(record, outcome)

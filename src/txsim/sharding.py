@@ -37,7 +37,6 @@ from .consensus.pbft import Request
 from .core.encoding import digest
 from .core.types import ShardingMode, TxnOutcome
 from .pipeline.base import Arrival, PipelineBase
-from .pipeline.records import TxnRecord
 from .pipeline.run import RunResult, run_span
 from .simnet import FaultKind
 
@@ -319,7 +318,7 @@ class ShardedRun(PipelineBase):
         record = self.records[txn_id]
         txn = record.txn
         if txn.app_abort or not txn.write_set:
-            self._settle(
+            self.settle(
                 record, TxnOutcome.ABORTED_APPLICATION if txn.app_abort else TxnOutcome.COMMITTED
             )
             return
@@ -342,18 +341,10 @@ class ShardedRun(PipelineBase):
             self.resume_drained()
 
     def finish(self, txn_id: int) -> None:
-        record = self.records[txn_id]
-        if record.outcome is not TxnOutcome.PENDING:
-            return
         tpc = self.tpc_records.get(txn_id)
-        if tpc is not None and tpc.decision is TpcDecision.ABORT:
-            self._settle(record, TxnOutcome.ABORTED_WW)
-        else:
-            self._settle(record, TxnOutcome.COMMITTED)
-
-    def _settle(self, record: TxnRecord, outcome: TxnOutcome) -> None:
-        record.settle(outcome, self.sim.now)
-        self.txn_finished(record)
+        aborted = tpc is not None and tpc.decision is TpcDecision.ABORT
+        outcome = TxnOutcome.ABORTED_WW if aborted else TxnOutcome.COMMITTED
+        self.settle(self.records[txn_id], outcome)
 
     # -- reconfiguration ----------------------------------------------------------
 
@@ -448,7 +439,6 @@ class ShardedResult(RunResult):
         tpc = dict(runner.tpc_records)
         super().__init__(
             records=records,
-            dropped=set(),
             stalled=stalled,
             span=run_span(records.values(), runner.sim.now),
             delivered_counts=dict(runner.sim.delivered_counts),

@@ -250,7 +250,7 @@ class TestCriterion5LedgerTamperEvidence:
             key, value = txn.write_set[0]
             i = rng.randrange(len(value))
             bad_value = value[:i] + bytes([value[i] ^ (1 << rng.randrange(8))]) + value[i + 1 :]
-            bad_txn = txn.evolve(write_set=((key, bad_value),))
+            bad_txn = dataclasses.replace(txn, write_set=((key, bad_value),))
             ledger.blocks[h] = dataclasses.replace(
                 block, txn_list=(block.txn_list[0], bad_txn, block.txn_list[2])
             )

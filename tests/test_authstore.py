@@ -524,7 +524,9 @@ class TestLedger:
             original = ledger.blocks[h]
             txn = original.txn_list[0]
             key, value = txn.write_set[0]
-            bad_txn = txn.evolve(write_set=((key, bytes([value[0] ^ 1]) + value[1:]),))
+            bad_txn = dataclasses.replace(
+                txn, write_set=((key, bytes([value[0] ^ 1]) + value[1:]),)
+            )
             ledger.blocks[h] = dataclasses.replace(
                 original, txn_list=(bad_txn,) + original.txn_list[1:]
             )

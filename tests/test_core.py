@@ -18,7 +18,6 @@ from txsim.core import (
     ReplicationModel,
     ShardingMode,
     Transaction,
-    TxnOutcome,
     config_from_text,
     config_to_dict,
     decode_block,
@@ -98,22 +97,18 @@ class TestNetDelay:
             assert ours.getstate() == theirs.getstate()
 
 
-def _random_txn(rng: random.Random, outcome=TxnOutcome.PENDING) -> Transaction:
+def _random_txn(rng: random.Random) -> Transaction:
     keys = [f"k{rng.randint(0, 99):03d}".encode() for _ in range(rng.randint(0, 4))]
     read_set = tuple((k, rng.choice([None, rng.randint(0, 50)])) for k in keys)
     write_set = tuple(
         (f"w{rng.randint(0, 99):03d}".encode(), rng.getrandbits(64).to_bytes(8, "big"))
         for _ in range(rng.randint(0, 4))
     )
-    t0 = rng.randint(0, 1000)
     return Transaction(
         id=rng.randint(0, 2**40),
         read_set=read_set,
         write_set=write_set,
-        submit_time=t0,
-        order_time=t0 + rng.randint(0, 100),
-        commit_time=t0 + rng.randint(100, 300),
-        outcome=outcome,
+        app_abort=rng.random() < 0.5,
     )
 
 
@@ -126,10 +121,6 @@ _txns = st.builds(
         tuple
     ),
     op_count=st.integers(0, 2**32 - 1),
-    submit_time=st.none() | _u64,
-    order_time=st.none() | _u64,
-    commit_time=st.none() | _u64,
-    outcome=st.sampled_from(TxnOutcome),
     app_abort=st.booleans(),
 )
 
@@ -138,7 +129,7 @@ class TestCanonicalEncoding:
     def test_transaction_round_trip(self):
         rng = random.Random(7)
         for _ in range(300):
-            txn = _random_txn(rng, rng.choice(list(TxnOutcome)))
+            txn = _random_txn(rng)
             assert decode_transaction(encode_transaction(txn)) == txn
 
     def test_block_round_trip(self):
@@ -225,6 +216,14 @@ class TestWireBytes:
             "c6ae8bc6b3ea483e0d7b61a32cbf23f66d8fdb0f07552fa3b8ef5658816c0bec",
         ]
 
+    @pytest.mark.parametrize("offset", [2, 3, 4, 5])  # from the end: the reserved bytes
+    def test_nonzero_reserved_byte_is_refused(self, offset):
+        enc = bytearray(encode_transaction(_PINNED_TXNS[2]))
+        assert enc[-offset] == 0
+        enc[-offset] = 1
+        with pytest.raises(ValueError, match="reserved"):
+            decode_transaction(bytes(enc))
+
 
 class TestTransactionInvariants:
     def test_op_count_is_distinct_keys_touched(self):
@@ -234,15 +233,6 @@ class TestTransactionInvariants:
             write_set=((b"a", b"v"), (b"c", b"v")),
         )
         assert txn.op_count == 3
-
-    def test_outcome_transition_is_monotone(self):
-        txn = Transaction(id=1).evolve(outcome=TxnOutcome.COMMITTED)
-        with pytest.raises(ValueError):
-            txn.evolve(outcome=TxnOutcome.ABORTED_RW)
-
-    def test_phase_timestamps_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            Transaction(id=1, submit_time=10).evolve(order_time=5)
 
 
 class TestValidateConfig:

@@ -25,12 +25,14 @@ from txsim.core import (
 from txsim.core import encoding
 from txsim.core.encoding import block_digest
 from txsim.harness import emit_csv, run_experiment, run_row
+from txsim.harness.metrics import metrics_from_run
 from txsim.pipeline import (
     Arrival,
     latency_breakdown,
     drive_and_collect,
     occ_validate,
     run_pipeline,
+    txn_report,
 )
 from txsim.pipeline.base import _PRELOADED, PipelineBase
 from txsim.pipeline.eov import ExecuteOrderValidatePipeline
@@ -283,9 +285,13 @@ class TestExecuteOrderValidate:
 
         pipeline = ExecuteOrderValidatePipeline(cfg, spec, Arrival.open_loop(2000), seed=12)
         pipeline.sim.inject_fault(3, FaultKind.CRASHED, at_time=10_000)
-        stalled = pipeline.drive()
-        dropped = len(pipeline.dropped)
-        assert dropped > 0
+        res = drive_and_collect(pipeline)
+        assert res.dropped > 0
+        # a drop is its record's outcome, and every report reads it from there
+        dropped = {i for i, r in res.records.items() if r.outcome is TxnOutcome.DROPPED}
+        assert len(dropped) == res.dropped == metrics_from_run(res).dropped
+        rows = [line.split("\t") for line in txn_report(res).splitlines()[1:]]
+        assert {int(row[0]) for row in rows if row[4:] == ["dropped", "endorsement_timeout"]} == dropped
 
     def test_consensus_ordering_variant(self):
         cfg = eov_config(replication_approach=ReplicationApproach.CONSENSUS)
@@ -338,7 +344,7 @@ class TestExecuteOrderValidate:
         res = drive_and_collect(pipeline)
         # with 4-of-5 endorsement the dead peer no longer drops everything
         assert res.committed > 80
-        assert len(res.dropped) == 0
+        assert res.dropped == 0
 
 
 def occ_spec(**overrides):
