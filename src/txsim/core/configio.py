@@ -3,7 +3,8 @@
 Every field is read by its declared type (``typing.get_type_hints`` of its
 dataclass): one ``coerce`` turns a text or JSON value into an enum member (by
 its lowercase value), a bool, an int, a float, a tuple of ``(name, weight)``
-pairs or a nested dataclass.  One ``read_fields`` parses the INI-style or
+pairs or a nested dataclass.  A number is never read from a JSON boolean, and
+an int never from a fraction.  One ``read_fields`` parses the INI-style or
 JSON text of a file.  Config files, workload files and sweep-grid cells all
 go through the two.
 
@@ -47,19 +48,26 @@ def _bool(raw) -> bool:
 
 
 def _int(raw) -> int:
-    if isinstance(raw, float) and not raw.is_integer():
+    # JSON true is not 1, and 2.5 clients are not 2
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
         raise ValueError(raw)
     return int(raw)
+
+
+def _float(raw) -> float:
+    if isinstance(raw, bool):
+        raise ValueError(raw)
+    return float(raw)
 
 
 def _pairs(raw) -> tuple:
     """``"name:weight,..."`` or ``[[name, weight], ...]`` as ``((name, weight), ...)``."""
     if isinstance(raw, str):
         raw = [p.split(":") for p in raw.split(",") if p.strip()]
-    return tuple((str(name).strip(), float(weight)) for name, weight in raw)
+    return tuple((str(name).strip(), _float(weight)) for name, weight in raw)
 
 
-_READERS = {bool: _bool, int: _int, float: float, tuple: _pairs}
+_READERS = {bool: _bool, int: _int, float: _float, tuple: _pairs}
 
 
 def coerce(cls, name: str, raw):
@@ -67,6 +75,11 @@ def coerce(cls, name: str, raw):
     kind = _field_types(cls).get(name)
     if kind is None:
         raise ConfigError(f"unknown {cls.__name__} field: {name}")
+    return read_as(kind, name, raw)
+
+
+def read_as(kind, name: str, raw):
+    """``raw`` as a value of type ``kind``; ``name`` labels the ``ConfigError``."""
     if isinstance(kind, type) and issubclass(kind, enum.Enum):
         if isinstance(raw, kind):
             return raw

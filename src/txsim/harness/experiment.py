@@ -16,7 +16,7 @@ import json
 import statistics
 from typing import List, Optional, Tuple
 
-from ..core.configio import ConfigError, from_fields, with_field
+from ..core.configio import ConfigError, coerce, from_fields, read_as, with_field
 from ..core.types import DesignConfig, InvalidConfig, ShardingMode, check_config, validate_config
 from ..pipeline import Arrival, run_pipeline, txn_report
 from ..sharding import ShardedRun
@@ -118,9 +118,9 @@ def parse_arrival(data) -> Arrival:
     data = data or {}
     mode = data.get("mode", "closed_loop")
     if mode == "open_loop":
-        return Arrival.open_loop(float(data.get("rate_tps", 1000.0)))
+        return Arrival.open_loop(coerce(Arrival, "rate_tps", data.get("rate_tps", 1000.0)))
     if mode == "closed_loop":
-        return Arrival.closed_loop(int(data.get("clients", 16)))
+        return Arrival.closed_loop(coerce(Arrival, "clients", data.get("clients", 16)))
     raise ValueError(f"arrival mode must be open_loop or closed_loop, got {mode!r}")
 
 
@@ -135,7 +135,7 @@ def sweep_cells_from_grid(text: str):
     cfg = from_fields(DesignConfig, data.get("config", {}))
     spec = from_fields(WorkloadSpec, data.get("workload", {}))
     arrival = parse_arrival(data.get("arrival"))
-    seed = int(data.get("seed", 0))
+    seed = read_as(int, "seed", data.get("seed", 0))
     axis = data.get("axis")
     values = data.get("values", [])
     if axis is None or not values:

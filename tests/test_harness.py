@@ -184,6 +184,19 @@ class TestParseArrival:
         with pytest.raises(ValueError, match="open_loop rate must be a finite number"):
             parse_arrival(data)
 
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ({"mode": "closed_loop", "clients": 2.5}, "clients"),
+            ({"mode": "closed_loop", "clients": True}, "clients"),
+            ({"mode": "open_loop", "rate_tps": True}, "rate_tps"),
+            ("closed_loop:2.5", "clients"),
+        ],
+    )
+    def test_fractional_or_boolean_value_is_rejected(self, data, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_arrival(data)
+
 
 class TestSweep:
     def test_theta_sweep_has_six_rows(self):
@@ -347,6 +360,10 @@ class TestFieldSchemas:
             ("config.node_count", "five", "node_count"),
             ("config.cost_model.sig_verify", 1, "unknown CostModel field"),
             ("workload.theta", [0.5], "theta"),
+            ("workload.theta", True, "theta"),
+            ("workload.txn_count", True, "txn_count"),
+            ("workload.smallbank_mix", [["balance", True]], "smallbank_mix"),
+            ("config.cost_model.hash_time_per_byte", False, "hash_time_per_byte"),
             ("db.node_count", 3, "axis must start"),
         ],
     )
@@ -357,6 +374,12 @@ class TestFieldSchemas:
     def test_unknown_grid_key_is_rejected(self):
         with pytest.raises(ConfigError, match="keys from"):
             sweep_cells_from_grid('{"cost_model": {}, "axis": "workload.theta", "values": [0]}')
+
+    @pytest.mark.parametrize("seed", [1.7, True, "x"])
+    def test_grid_seed_must_be_an_int(self, seed):
+        grid = {"seed": seed, "axis": "workload.theta", "values": [0]}
+        with pytest.raises(ConfigError, match="seed"):
+            sweep_cells_from_grid(json.dumps(grid))
 
 
 class TestCsv:
@@ -559,6 +582,14 @@ class TestCli:
         code, out = self.sweep(tmp_path, "workload.theta", [0.0, 0.5], arrival)
         assert code == 2
         assert "error: open_loop rate" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("clients", [2.5, True])
+    def test_sweep_with_a_non_integer_client_count_exits_2(self, tmp_path, capsys, clients):
+        arrival = {"mode": "closed_loop", "clients": clients}
+        code, out = self.sweep(tmp_path, "workload.theta", [0.0], arrival)
+        assert code == 2
+        assert "error: clients" in capsys.readouterr().err
         assert not out.exists()
 
     def sweep(self, tmp_path, axis, values, arrival=None):
