@@ -88,7 +88,6 @@ class NewView:
 
 @dataclass
 class ProgressTimer:
-    token: int
     kind: str = field(default="pbft:timer", init=False)
 
 
@@ -140,9 +139,7 @@ class PbftComponent(Component):
         self.proposed_requests: set = set()
         self.vc_msgs: Dict[int, dict] = {}
         self._new_view_sent: set = set()
-        self._timer_token = 0
-        self._timer_armed = False
-        self._timer = None  # the last progress timer's handle
+        self._timer = None  # the armed progress timer's handle; None while disarmed
 
     # -- structure -------------------------------------------------------------
 
@@ -201,7 +198,7 @@ class PbftComponent(Component):
         elif isinstance(msg, NewView):
             self._on_new_view(msg)
         elif isinstance(msg, ProgressTimer):
-            self._on_timer(msg)
+            self._on_timer()
             return 0
         return self.msg_cost
 
@@ -221,17 +218,15 @@ class PbftComponent(Component):
             if d in self.proposed_requests or d in self.executed_requests:
                 continue
             self.proposed_requests.add(d)
-            seq = self.next_seq
-            self.next_seq += 1
             if self.equivocator:
-                self._propose_conflicting(seq, payload)
+                self._propose_conflicting(payload)
             else:
-                self._accept(self.view, seq, payload)
-                for peer in self.others():
-                    self.send(peer, PrePrepare(self.view, seq, payload))
+                self.propose(payload)
 
-    def _propose_conflicting(self, seq: int, payload: bytes) -> None:
+    def _propose_conflicting(self, payload: bytes) -> None:
         """Equivocate: disjoint peer subsets see different payloads at one seq."""
+        seq = self.next_seq
+        self.next_seq += 1
         alt = payload + b"/equivocated"
         others = self.others()
         k = 1 + (seq % (len(others) - 1)) if len(others) > 1 else 1
@@ -291,7 +286,7 @@ class PbftComponent(Component):
         if self.node_id != self.primary_of(view):
             for peer in self.others():
                 self.send(peer, Prepare(view, seq, d, self.node_id))
-        if view == self.view and self._timer_armed:
+        if view == self.view and self._timer is not None:
             self._disarm_timer()  # a live primary is working; restart the window
         self._arm_timer()
         self._check_prepared(view, seq)
@@ -368,23 +363,17 @@ class PbftComponent(Component):
         return bool(self.pending) or bool(self.accepted)
 
     def _arm_timer(self) -> None:
-        if self._timer_armed or self.timing is None:
-            return
-        self._timer_armed = True
-        self._timer_token += 1
-        self._timer = self.set_timer(self.timing.view_timeout, ProgressTimer(self._timer_token))
+        if self._timer is None and self.timing is not None:
+            self._timer = self.set_timer(self.timing.view_timeout, ProgressTimer())
 
     def _disarm_timer(self) -> None:
-        # the token moves on, so the timer would be ignored when it fires
-        self._timer_armed = False
-        self._timer_token += 1
+        # a cancelled timer is never delivered
         if self._timer is not None:
             self.cancel_timer(self._timer)
+            self._timer = None
 
-    def _on_timer(self, msg: ProgressTimer) -> None:
-        if msg.token != self._timer_token or not self._timer_armed:
-            return
-        self._timer_armed = False
+    def _on_timer(self) -> None:
+        self._timer = None
         if self._unexecuted_work():
             self._start_view_change(self.view + 1)
 

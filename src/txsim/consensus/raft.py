@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..core.encoding import digest
+from ..core.rng import int_drawer
 from .base import Component, ReplicaState
 from .quorum import quorum_size
 from ..core.types import FailureModel
@@ -59,7 +60,6 @@ class AppendReply:
 
 @dataclass
 class ElectionTimeout:
-    token: int
     kind: str = field(default="raft:timer", init=False)
 
 
@@ -89,7 +89,8 @@ class RaftComponent(Component):
         super().__init__()
         self.replicas = list(replicas)
         self.timing = timing
-        self.rng = rng
+        self.quorum = quorum_size(len(self.replicas), FailureModel.CFT)
+        self._election_delay = int_drawer(rng, timing.election_min, timing.election_max)
         self.on_commit = on_commit
 
         self.term = 0
@@ -101,12 +102,7 @@ class RaftComponent(Component):
         self._votes = set()
         self._next = {}
         self._match = {}
-        self._timer_token = 0
         self._timer = None  # the armed election timer's handle
-
-    @property
-    def quorum(self) -> int:
-        return quorum_size(len(self.replicas), FailureModel.CFT)
 
     def peers(self):
         return [r for r in self.replicas if r != self.node_id]
@@ -166,7 +162,7 @@ class RaftComponent(Component):
                 self._step_down(msg.term)
             self._on_append_reply(msg)
         elif cls is ElectionTimeout:
-            if msg.token == self._timer_token and self.role != "leader":
+            if self.role != "leader":
                 self._start_election()
         elif cls is HeartbeatTick:
             if self.role == "leader" and msg.term == self.term:
@@ -184,19 +180,10 @@ class RaftComponent(Component):
     # -- elections ---------------------------------------------------------------
 
     def _reset_election_timer(self) -> None:
-        # the token only grows, so the timer this one replaces would be ignored
+        # the timer this one replaces is cancelled, so it is never delivered
         if self._timer is not None:
             self.cancel_timer(self._timer)
-        self._timer_token += 1
-        # rng.randint(election_min, election_max) without its argument checks
-        # and call frames: the same getrandbits rejection loop, the same draws
-        lo = self.timing.election_min
-        n = self.timing.election_max - lo + 1
-        k = n.bit_length()
-        r = self.rng.getrandbits(k)
-        while r >= n:
-            r = self.rng.getrandbits(k)
-        self._timer = self.set_timer(lo + r, ElectionTimeout(self._timer_token))
+        self._timer = self.set_timer(self._election_delay(), ElectionTimeout())
 
     def _step_down(self, term: int) -> None:
         self.term = term

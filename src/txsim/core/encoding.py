@@ -3,7 +3,8 @@
 Encoding rules: fields are written in declared order, integers are big-endian
 and fixed-width, variable-length byte strings are length-prefixed with a
 32-bit count.  This makes every encoder injective on its domain and trivially
-portable, which is all the hash layer needs.
+portable, which is all the hash layer needs.  Decoders refuse a flag byte
+other than 0 or 1 and trailing bytes, so what they accept re-encodes to itself.
 
 A transaction keeps four reserved zero bytes (``TXN_RESERVED``) where it once
 encoded lifecycle fields that now live on the pipeline's ``TxnRecord``.
@@ -88,6 +89,12 @@ class Reader:
     def u8(self) -> int:
         return self._take(1)[0]
 
+    def flag(self) -> bool:
+        b = self.u8()
+        if b > 1:
+            raise ValueError(f"flag byte must be 0 or 1, not {b}")
+        return b == 1
+
     def u32(self) -> int:
         return struct.unpack(">I", self._take(4))[0]
 
@@ -101,10 +108,10 @@ class Reader:
         return self._take(self.u32())
 
     def opt_u64(self):
-        return self.u64() if self.u8() else None
+        return self.u64() if self.flag() else None
 
     def opt_raw(self, width: int):
-        return self.raw(width) if self.u8() else None
+        return self.raw(width) if self.flag() else None
 
     def done(self) -> bool:
         return self._pos == len(self._data)
@@ -137,7 +144,7 @@ def decode_transaction(data: bytes):
     op_count = r.u32()
     if r.raw(len(TXN_RESERVED)) != TXN_RESERVED:
         raise ValueError("reserved transaction bytes must be zero")
-    app_abort = bool(r.u8())
+    app_abort = r.flag()
     if not r.done():
         raise ValueError("trailing bytes after transaction")
     return Transaction(

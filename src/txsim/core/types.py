@@ -5,7 +5,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
+
+from .rng import int_drawer
 
 
 class ReplicationModel(enum.Enum):
@@ -80,19 +82,10 @@ class CostModel:
         """Virtual time to hash ``nbytes`` bytes in ``ops`` digest operations."""
         return ops * self.hash_time_base + int(nbytes * self.hash_time_per_byte)
 
-    def net_delay(self, rng) -> int:
-        """One latency draw: uniform over [min, 2*mean - min].
-
-        This is the ``getrandbits`` rejection loop that ``randint`` runs, so
-        the draws are the same, without its argument checks and call frames.
-        """
+    def latency_drawer(self, rng) -> Callable[[], int]:
+        """Network latency draws from ``rng``: uniform over [min, 2*mean - min]."""
         lo = self.net_latency_min
-        n = 2 * (self.net_latency_mean - lo) + 1
-        k = n.bit_length()
-        r = rng.getrandbits(k)
-        while r >= n:
-            r = rng.getrandbits(k)
-        return lo + r
+        return int_drawer(rng, lo, 2 * self.net_latency_mean - lo)
 
     def violations(self):
         out = []

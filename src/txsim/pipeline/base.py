@@ -194,8 +194,7 @@ class PipelineBase:
         self.arrival = arrival
         self.seed = seed
         self.sim = Simulator(
-            rng=seeded_rng(seed, "net"),
-            latency_fn=self.cm.net_delay,
+            latency=self.cm.latency_drawer(seeded_rng(seed, "net")),
             allow_byzantine=cfg.failure_model is FailureModel.BFT,
             trace=trace,
         )

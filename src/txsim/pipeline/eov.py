@@ -93,6 +93,8 @@ def decode_entries(payload: bytes):
         txn_id = r.u64()
         reads = tuple((r.bytes(), r.u64()) for _ in range(r.u32()))
         out.append((txn_id, reads))
+    if not r.done():
+        raise ValueError("trailing bytes after block entries")
     return tuple(out)
 
 
@@ -275,7 +277,7 @@ class ExecuteOrderValidatePipeline(PipelineBase):
         )
 
     def _end_endorsement(self, txn_id: int) -> None:
-        """Take ``txn_id`` out of ``_inflight``; it never re-enters, so its timeout is moot."""
+        """End ``txn_id``'s endorsement: out of ``_inflight``, its timeout cancelled."""
         del self._inflight[txn_id]
         self.clients.cancel_timer(self._endorse_timers.pop(txn_id))
 
@@ -283,9 +285,8 @@ class ExecuteOrderValidatePipeline(PipelineBase):
         if isinstance(msg, EndorseResp):
             self._on_endorse_resp(msg)
         elif isinstance(msg, EndorseTimeout):
-            if msg.txn_id in self._inflight:
-                self._end_endorsement(msg.txn_id)
-                self.settle(self.records[msg.txn_id], TxnOutcome.DROPPED)
+            self._end_endorsement(msg.txn_id)
+            self.settle(self.records[msg.txn_id], TxnOutcome.DROPPED)
         elif isinstance(msg, EovDone):
             self.txn_finished(self.records[msg.txn_id])
         elif isinstance(msg, Retry):

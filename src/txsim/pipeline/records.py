@@ -22,7 +22,18 @@ class PhaseTimings:
 
 @dataclass
 class TxnRecord:
-    """The lifecycle of one transaction: mutable, settled at most once."""
+    """The lifecycle of one transaction: mutable, settled at most once.
+
+    Phase bounds differ by pipeline, and so do the ``mean_*_us`` columns.
+    EOV: execute from submission to the last matching endorsement, order to
+    the block's seal, validate from the seal to the end of the observer's
+    validation (ordering delivery and the worker queue included).  OE and
+    serial: execute to the end of the proposer's pre-execution, order until
+    a peer is handed the block, validate the observer's apply cost only (no
+    queueing).  Storage-based: execute until every read or latch is in, order
+    to the decision, validate the constant ``exec_time_per_op``.  Sharded
+    runs set no phase.
+    """
 
     txn: Transaction
     submit_time: Optional[int] = None

@@ -38,7 +38,10 @@ def encode_op(txn_id: int, key: bytes, value: bytes) -> bytes:
 
 def decode_op(payload: bytes):
     r = Reader(payload)
-    return r.u64(), r.bytes(), r.bytes()
+    op = r.u64(), r.bytes(), r.bytes()
+    if not r.done():
+        raise ValueError("trailing bytes after operation")
+    return op
 
 
 @dataclass

@@ -32,7 +32,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .consensus import PbftComponent, PbftTiming, ProtocolHost
+from .consensus import PbftComponent, PbftTiming, ProtocolHost, bft_f_for
 from .consensus.pbft import Request
 from .core.encoding import digest
 from .core.types import ShardingMode, TxnOutcome
@@ -355,7 +355,7 @@ class ShardedRun(PipelineBase):
         coordinator shard cannot once more than f of its replicas have.
         """
         crashed = sum(1 for c in self.coordinator_ids if self.sim.fault_of(c) is FaultKind.CRASHED)
-        return crashed <= (len(self.coordinator_ids) - 1) // 3
+        return crashed <= bft_f_for(len(self.coordinator_ids))
 
     def _try_pause(self) -> None:
         """Pause every shard, once no decidable record is in flight."""

@@ -1,9 +1,9 @@
 """Deterministic discrete-event network simulator.
 
 One instance owns a virtual clock (integer units), a priority queue of
-events ordered by (fire_time, seq), a node table, and a fault table.  All
-randomness comes from the stream handed in at construction, so a run is a
-pure function of its inputs.
+events ordered by (fire_time, seq), a node table, and a fault table.  Its
+one source of randomness is the zero-argument latency drawer handed in at
+construction, so a run is a pure function of its inputs.
 
 Nodes model processing capacity: a handler returns the virtual time it spent,
 and messages arriving while the node is busy wait until it frees up.  That
@@ -152,14 +152,12 @@ class Node:
 class Simulator:
     def __init__(
         self,
-        rng=None,
-        latency_fn: Optional[Callable] = None,
+        latency: Optional[Callable[[], int]] = None,
         allow_byzantine: bool = False,
         trace: bool = False,
     ):
         self.now = 0
-        self.rng = rng
-        self._latency_fn = latency_fn or (lambda _rng: 0)
+        self._latency = latency or (lambda: 0)  # one draw per network send
         self.allow_byzantine = allow_byzantine
         self._queue: List[tuple] = []
         self._seq = 0
@@ -258,7 +256,7 @@ class Simulator:
         """Message send with a fresh latency draw; silent senders emit nothing."""
         if self._lossy and self.fault_of(src) in _MUTE:
             return None
-        delay = extra_delay + self._latency_fn(self.rng)
+        delay = extra_delay + self._latency()
         return self._schedule_at(self.now + delay, src, dst, payload)
 
     # -- the event loop ----------------------------------------------------
@@ -297,8 +295,7 @@ class Simulator:
         step.
         """
         queue, nodes, last_at = self._queue, self.nodes, self._last_at
-        counts, trace = self.delivered_counts, self.trace
-        latency, rng = self._latency_fn, self.rng
+        counts, trace, latency = self.delivered_counts, self.trace, self._latency
         budget = -1 if max_events is None else max_events
         now = self.now
         steps = 0
@@ -371,7 +368,7 @@ class Simulator:
                                 last_at[out.fire_time] = seq
                         elif not self._lossy or self.fault_of(node.node_id) not in _MUTE:
                             dst, payload, extra = out
-                            at = now + extra + cost + latency(rng)
+                            at = now + extra + cost + latency()
                             seq += 1
                             heappush(queue, (at, seq, Event(at, seq, node.node_id, dst, payload)))
                             last_at[at] = seq

@@ -9,8 +9,8 @@ Balances are integer cents.
 A stream is built in one pass with the same draws, in the same order, as
 ``Random.choices`` and ``Random.randint`` would make: the procedure pick
 bisects cumulative weights computed once (``procedure_picker``), amounts come
-from the ``getrandbits`` rejection loop that ``randint`` runs
-(``amount_drawer``), and customers from ``ZipfianSampler.drawer``.
+from ``core.rng.int_drawer``, the simulator's one uniform integer drawer,
+and customers from ``ZipfianSampler.drawer``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from bisect import bisect
 from itertools import accumulate
 from typing import Callable, List, Sequence
 
-from ..core.rng import seeded_rng
+from ..core.rng import int_drawer, seeded_rng
 from ..core.types import Transaction
 from .spec import SMALLBANK_PROCEDURES, WorkloadKind, WorkloadSpec
 from .zipf import ZipfianSampler
@@ -60,20 +60,6 @@ def procedure_picker(rng, names: Sequence[str], weights: Sequence[float]) -> Cal
     return lambda: names[bisect(cum_weights, random() * total, 0, hi)]
 
 
-def amount_drawer(rng, lo: int, hi: int) -> Callable[[], int]:
-    """``rng.randint(lo, hi)`` per call: the same ``getrandbits`` rejection loop, in one frame."""
-    getrandbits, n = rng.getrandbits, hi - lo + 1
-    k = n.bit_length()
-
-    def draw() -> int:
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return lo + r
-
-    return draw
-
-
 def gen_smallbank(spec: WorkloadSpec) -> List[Transaction]:
     if spec.kind is not WorkloadKind.SMALLBANK:
         raise ValueError(f"not a smallbank workload: {spec.kind}")
@@ -86,10 +72,10 @@ def gen_smallbank(spec: WorkloadSpec) -> List[Transaction]:
         names = list(SMALLBANK_PROCEDURES)
         weights = [1.0] * len(names)
     pick = procedure_picker(rng, names, weights)
-    deposit = amount_drawer(rng, 0, 500_00)
-    transact = amount_drawer(rng, -500_00, 500_00)
-    check = amount_drawer(rng, 1, 800_00)
-    payment = amount_drawer(rng, 1, 300_00)
+    deposit = int_drawer(rng, 0, 500_00)
+    transact = int_drawer(rng, -500_00, 500_00)
+    check = int_drawer(rng, 1, 800_00)
+    payment = int_drawer(rng, 1, 300_00)
     # reference balances, evolved as if the stream committed serially
     checking = [INITIAL_CHECKING] * spec.record_count
     savings = [INITIAL_SAVINGS] * spec.record_count

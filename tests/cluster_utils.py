@@ -17,8 +17,7 @@ from txsim.simnet import Simulator
 class RaftHarness:
     def __init__(self, n: int, seed: int, cost_model: CostModel = None, trace: bool = False):
         self.cm = cost_model or CostModel()
-        self.sim = Simulator(rng=seeded_rng(seed, "net"), latency_fn=self.cm.net_delay,
-                             trace=trace)
+        self.sim = Simulator(latency=self.cm.latency_drawer(seeded_rng(seed, "net")), trace=trace)
         timing = RaftTiming.from_mean_latency(self.cm.net_latency_mean)
         self.comps = {}
         self.commits = {i: [] for i in range(n)}
@@ -73,9 +72,7 @@ class PbftHarness:
     ):
         self.cm = cost_model or CostModel()
         self.sim = Simulator(
-            rng=seeded_rng(seed, "net"),
-            latency_fn=self.cm.net_delay,
-            allow_byzantine=True,
+            latency=self.cm.latency_drawer(seeded_rng(seed, "net")), allow_byzantine=True
         )
         timing = PbftTiming.from_mean_latency(self.cm.net_latency_mean)
         self.comps = {}

@@ -33,14 +33,12 @@ class ReferenceSimulator:
 
     def __init__(
         self,
-        rng=None,
-        latency_fn: Optional[Callable] = None,
+        latency: Optional[Callable[[], int]] = None,
         allow_byzantine: bool = False,
         trace: bool = False,
     ):
         self.now = 0
-        self.rng = rng
-        self._latency_fn = latency_fn or (lambda _rng: 0)
+        self._latency = latency or (lambda: 0)
         self.allow_byzantine = allow_byzantine
         self._queue: List[tuple] = []
         self._seq = 0
@@ -125,7 +123,7 @@ class ReferenceSimulator:
         """Message send with a fresh latency draw; silent senders emit nothing."""
         if self.fault_of(src) in (FaultKind.BYZANTINE_SILENT, FaultKind.CRASHED):
             return None
-        delay = extra_delay + self._latency_fn(self.rng)
+        delay = extra_delay + self._latency()
         return self._schedule_at(self.now + delay, src, dst, payload)
 
     # -- the event loop ----------------------------------------------------

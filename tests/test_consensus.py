@@ -13,7 +13,13 @@ from txsim.core import (
     ReplicationModel,
     seeded_rng,
 )
-from txsim.consensus import QuorumError, QuorumSpec, messages_per_commit, quorum_size
+from txsim.consensus import (
+    ProtocolHost,
+    QuorumError,
+    QuorumSpec,
+    messages_per_commit,
+    quorum_size,
+)
 from txsim.consensus.pbft import Request
 from txsim.consensus.raft import RaftComponent, RaftTiming
 from txsim.consensus.sharedlog import (
@@ -126,6 +132,24 @@ class TestRaft:
         assert first_commit_time - crash_at >= h.comps[follower].timing.election_min
         assert h.healthy_leader().term > leader.term
 
+    def test_bootstrapped_cluster_delivers_no_election_timer(self):
+        # heartbeats cancel every follower's election timer before it fires
+        cm = CostModel()
+        timing = RaftTiming.from_mean_latency(cm.net_latency_mean)
+        sim = Simulator(latency=cm.latency_drawer(seeded_rng(106, "net")))
+        comps = []
+        for i in range(5):
+            comp = RaftComponent(list(range(5)), timing, seeded_rng(106, f"timeout-{i}"))
+            comp.attach(sim.add_node(ProtocolHost(i)))
+            comp.start_bootstrapped(0)
+            comps.append(comp)
+        for k in range(12):
+            assert comps[0].propose(b"e%d" % k)
+            sim.run(until=sim.now + timing.election_max)
+        assert sim.delivered_counts["raft:hb_timer"] > 0
+        assert "raft:timer" not in sim.delivered_counts
+        assert all(c.term == 1 and c.commit_index == 12 for c in comps)
+
     def test_deterministic_given_seed(self):
         def run(seed):
             h = RaftHarness(5, seed=seed, trace=True)
@@ -175,7 +199,7 @@ class _TimerHost:
 
 
 class TestRandomDraws:
-    """The inlined ``getrandbits`` loops draw exactly what ``Random.randint`` draws."""
+    """Raft draws its election timeouts exactly as ``Random.randint`` would."""
 
     BOUNDS = [(0, 0), (7, 7), (0, 1), (5_000, 10_000), (10, 17), (1, 2**40)]
 
@@ -189,16 +213,6 @@ class TestRandomDraws:
                 comp._reset_election_timer()
             twin = seeded_rng(seed, "timeout-0")
             assert host.delays == [twin.randint(lo, hi) for _ in range(50)]
-
-    @pytest.mark.parametrize("lo, hi", BOUNDS[:-1])
-    def test_net_delays_match_randint(self, lo, hi):
-        if (hi - lo) % 2:
-            hi += 1  # net_delay spans [min, 2*mean - min], an even width
-        cm = CostModel(net_latency_min=lo, net_latency_mean=(lo + hi) // 2)
-        for seed in range(5):
-            rng, twin = seeded_rng(seed, "net"), seeded_rng(seed, "net")
-            draws = [cm.net_delay(rng) for _ in range(50)]
-            assert draws == [twin.randint(lo, hi) for _ in range(50)]
 
 
 class TestPbft:
@@ -255,6 +269,15 @@ class TestPbft:
         assert not any(h.comps[i]._unexecuted_work() for i in live)
         assert_agreement([h.comps[i].replica_state() for i in live])
 
+    def test_healthy_cluster_delivers_no_progress_timer(self):
+        # every progress timer is cancelled when the window restarts or the work runs out
+        h = PbftHarness(4, seed=305)
+        assert h.comps[1].timing is not None
+        h.drive([b"p%d" % i for i in range(10)], duration=200_000)
+        assert all(len(h.commits[i]) == 10 for i in range(4))
+        assert h.sim.delivered_counts.get("pbft:timer", 0) == 0
+        assert all(c.view == 0 and c._timer is None for c in h.comps.values())
+
     def test_deterministic_given_seed(self):
         def run(seed):
             h = PbftHarness(4, seed=seed)
@@ -277,9 +300,7 @@ class _Counter(Node):
 class TestSharedLog:
     def _make(self, consumers=2, seed=9, append_cost=0):
         cm = CostModel()
-        sim = Simulator(
-            rng=seeded_rng(seed, "net"), latency_fn=cm.net_delay, trace=True
-        )
+        sim = Simulator(latency=cm.latency_drawer(seeded_rng(seed, "net")), trace=True)
         log = sim.add_node(
             SharedLogService(delivery_delay=cm.net_latency_mean, append_cost=append_cost)
         )

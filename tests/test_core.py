@@ -29,6 +29,9 @@ from txsim.core import (
     validate_config,
 )
 from txsim.core.encoding import block_digest
+from txsim.core.rng import int_drawer
+from txsim.pipeline.eov import decode_entries, encode_entries
+from txsim.pipeline.storage import decode_op, encode_op
 
 # Published SHA-256 test vector for the empty message (FIPS 180-4 / NIST CAVP).
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -83,18 +86,37 @@ class TestSeededRng:
         ]
 
 
-class TestNetDelay:
-    # (min, mean): the defaults, a one-value range, powers of two either side
-    # of the draw width, and a zero minimum
-    @pytest.mark.parametrize("lo, mean", [(200, 500), (300, 300), (0, 0), (0, 1), (5, 9),
-                                          (100, 164), (100, 163), (0, 512)])
-    def test_draws_equal_randint(self, lo, mean):
-        cm = CostModel(net_latency_min=lo, net_latency_mean=mean)
+class TestIntDrawer:
+    """``int_drawer`` draws exactly what ``Random.randint`` draws, and leaves the same state."""
+
+    # one-value ranges; draw widths of 2, 8, 128 and 1024 and one either side;
+    # negative ranges; the bounds the callers use (latency defaults, election
+    # timeouts, Smallbank amounts); and a 2**40 span
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 0), (7, 7), (300, 300), (-5, -5),
+        (0, 1), (0, 2), (10, 16), (10, 17), (5, 13), (100, 226), (100, 227), (100, 228),
+        (0, 1022), (0, 1023), (0, 1024),
+        (-10, -3), (-500_00, 500_00),
+        (200, 800), (5_000, 10_000), (0, 500_00), (1, 800_00), (1, 300_00),
+        (1, 2**40), (-(2**40), 0),
+    ])
+    def test_draws_equal_randint(self, lo, hi):
         for seed in (0, 1, 7, 42):
-            ours, theirs = seeded_rng(seed, "net"), seeded_rng(seed, "net")
-            draws = [cm.net_delay(ours) for _ in range(500)]
-            assert draws == [theirs.randint(lo, 2 * mean - lo) for _ in range(500)]
+            ours, theirs = seeded_rng(seed, "draw"), seeded_rng(seed, "draw")
+            draw = int_drawer(ours, lo, hi)
+            assert [draw() for _ in range(300)] == [theirs.randint(lo, hi) for _ in range(300)]
             assert ours.getstate() == theirs.getstate()
+
+    def test_empty_range_is_refused(self):
+        with pytest.raises(ValueError, match="empty range"):
+            int_drawer(seeded_rng(0, "draw"), 5, 4)
+
+    @pytest.mark.parametrize("lo, mean", [(200, 500), (300, 300), (0, 1)])
+    def test_latency_drawer_spans_min_to_twice_the_mean(self, lo, mean):
+        cm = CostModel(net_latency_min=lo, net_latency_mean=mean)
+        for seed in range(5):
+            draw, twin = cm.latency_drawer(seeded_rng(seed, "net")), seeded_rng(seed, "net")
+            assert [draw() for _ in range(50)] == [twin.randint(lo, 2 * mean - lo) for _ in range(50)]
 
 
 def _random_txn(rng: random.Random) -> Transaction:
@@ -223,6 +245,39 @@ class TestWireBytes:
         enc[-offset] = 1
         with pytest.raises(ValueError, match="reserved"):
             decode_transaction(bytes(enc))
+
+
+class TestCanonicalDecoding:
+    """A decoder accepts only bytes its encoder writes, so each re-encodes to itself."""
+
+    # offsets into encode_transaction(Transaction(id=1, read_set=((b"a", 7),), app_abort=True)):
+    # the present read version's flag, and ``app_abort``
+    @pytest.mark.parametrize("offset", [17, -1])
+    @pytest.mark.parametrize("byte", [2, 255])
+    def test_transaction_flag_other_than_0_or_1_is_refused(self, offset, byte):
+        enc = bytearray(encode_transaction(Transaction(id=1, read_set=((b"a", 7),), app_abort=True)))
+        assert enc[offset] == 1
+        enc[offset] = byte
+        with pytest.raises(ValueError, match="flag"):
+            decode_transaction(bytes(enc))
+
+    def test_state_root_flag_other_than_0_or_1_is_refused(self):
+        enc = bytearray(encode_block(_PINNED_BLOCKS[2]))
+        assert enc[48] == 1  # after height, parent digest and proposer
+        enc[48] = 2
+        with pytest.raises(ValueError, match="flag"):
+            decode_block(bytes(enc))
+
+    @pytest.mark.parametrize("decode, enc", [
+        (decode_transaction, encode_transaction(_PINNED_TXNS[1])),
+        (decode_block, encode_block(_PINNED_BLOCKS[1])),
+        (decode_entries, encode_entries([(1, ((b"k", 3),)), (2, ())])),
+        (decode_op, encode_op(1, b"k", b"v")),
+    ], ids=["transaction", "block", "eov_entries", "storage_op"])
+    def test_trailing_bytes_are_refused(self, decode, enc):
+        decode(enc)
+        with pytest.raises(ValueError, match="trailing"):
+            decode(enc + b"junk")
 
 
 class TestTransactionInvariants:

@@ -19,6 +19,10 @@ leave them all as they are.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +240,25 @@ def _untimed(trace: bytes) -> bytes:
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_golden_cell(name, tmp_path, monkeypatch):
     assert cell_digests(name, tmp_path, monkeypatch) == GOLDEN[name]
+
+
+def test_golden_cells_do_not_depend_on_the_hash_seed():
+    """The whole matrix passes in two child processes with different string hashing.
+
+    This process runs under one random ``PYTHONHASHSEED``; an output that
+    followed set or dict order over hashed keys could pass here by chance.
+    """
+    root = Path(__file__).resolve().parents[1]
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "tests/test_golden.py::test_golden_cell"],
+            cwd=root, env={**os.environ, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        for seed in ("0", "1")
+    ]
+    for child in children:
+        out, _ = child.communicate(timeout=600)
+        assert child.returncode == 0, out
+        assert f"{len(CELLS)} passed" in out

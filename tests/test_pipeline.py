@@ -290,6 +290,8 @@ class TestExecuteOrderValidate:
         # a drop is its record's outcome, and every report reads it from there
         dropped = {i for i, r in res.records.items() if r.outcome is TxnOutcome.DROPPED}
         assert len(dropped) == res.dropped == metrics_from_run(res).dropped
+        # a timeout is delivered only for the transactions it drops; the rest are cancelled
+        assert pipeline.sim.delivered_counts["cl:endorse_timeout"] == res.dropped
         rows = [line.split("\t") for line in txn_report(res).splitlines()[1:]]
         assert {int(row[0]) for row in rows if row[4:] == ["dropped", "endorsement_timeout"]} == dropped
 

@@ -39,7 +39,7 @@ class Recorder(Node):
 
 def _sim(seed=1, **kwargs) -> Simulator:
     cm = CostModel()
-    return Simulator(rng=seeded_rng(seed, "net"), latency_fn=cm.net_delay, **kwargs)
+    return Simulator(latency=cm.latency_drawer(seeded_rng(seed, "net")), **kwargs)
 
 
 class TestScheduling:
@@ -193,7 +193,7 @@ class TestFaultFlag:
         out = []
         for sim_cls in (Simulator, ReferenceSimulator):
             cm = CostModel()
-            sim = sim_cls(rng=seeded_rng(5, "net"), latency_fn=cm.net_delay, trace=True, **kwargs)
+            sim = sim_cls(latency=cm.latency_drawer(seeded_rng(5, "net")), trace=True, **kwargs)
             nodes, seqs = scenario(sim)
             seen = {n.node_id: [(t, m.hop) for t, m in n.seen] for n in nodes}
             out.append((sim.dump_trace(), sim.dropped_count, seqs, seen))
@@ -617,8 +617,8 @@ scenarios = st.fixed_dictionaries({
 def _play(sim_cls, scenario):
     """Run one scenario in slices; returns everything observable after each."""
     n = scenario["nodes"]
-    sim = sim_cls(rng=random.Random(scenario["seed"]),
-                  latency_fn=lambda r: r.choice((0, 0, 1, 4)), trace=True)
+    rng = random.Random(scenario["seed"])
+    sim = sim_cls(latency=lambda: rng.choice((0, 0, 1, 4)), trace=True)
     budget = [scenario["budget"]]
     timers = []
     for i in range(n):

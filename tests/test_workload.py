@@ -25,7 +25,6 @@ from txsim.workload import (
 from txsim.workload.smallbank import (
     INITIAL_CHECKING,
     INITIAL_SAVINGS,
-    amount_drawer,
     decode_balance,
     procedure_picker,
 )
@@ -406,7 +405,7 @@ class TestSmallbank:
 
 
 class TestRandomDraws:
-    """Smallbank's procedure picks and amounts draw exactly what ``choices`` and ``randint`` draw."""
+    """Smallbank's procedure picks draw exactly what ``choices`` draws."""
 
     @pytest.mark.parametrize(
         "weights",
@@ -425,16 +424,6 @@ class TestRandomDraws:
             pick = procedure_picker(rng, names, weights)
             picks = [pick() for _ in range(300)]
             assert picks == [twin.choices(names, weights=weights, k=1)[0] for _ in range(300)]
-            assert rng.random() == twin.random()
-
-    @pytest.mark.parametrize(
-        "lo, hi", [(0, 500_00), (-500_00, 500_00), (1, 800_00), (1, 300_00)]
-    )
-    def test_amounts_match_randint(self, lo, hi):
-        for seed in range(5):
-            rng, twin = seeded_rng(seed, "workload"), seeded_rng(seed, "workload")
-            draw = amount_drawer(rng, lo, hi)
-            assert [draw() for _ in range(300)] == [twin.randint(lo, hi) for _ in range(300)]
             assert rng.random() == twin.random()
 
 
