@@ -20,6 +20,11 @@ class ProtocolHost(Node):
         self._handlers = {}
         self._routes = {}  # message kind -> the handler registered for its prefix
         self._pending_cost = 0
+        self.components = []  # attached components, told when the host heals
+
+    def on_heal(self) -> None:
+        for component in self.components:
+            component.on_heal()
 
     def charge(self, cost: int) -> None:
         """Add ``cost`` to what the delivery being handled costs."""
@@ -55,6 +60,7 @@ class Component:
     def attach(self, host: ProtocolHost) -> "Component":
         self.host = host
         host.register(self.prefix, self.handle)
+        host.components.append(self)
         return self
 
     @property
@@ -76,6 +82,9 @@ class Component:
 
     def handle(self, msg) -> int:
         raise NotImplementedError
+
+    def on_heal(self) -> None:
+        """The host healed from a crash, during which its timers were dropped."""
 
 
 @dataclass(frozen=True)

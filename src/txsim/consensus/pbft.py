@@ -377,6 +377,12 @@ class PbftComponent(Component):
         if self._unexecuted_work():
             self._start_view_change(self.view + 1)
 
+    def on_heal(self) -> None:
+        """Restart the progress window: a timer that came up during the crash was dropped."""
+        self._disarm_timer()
+        if self._unexecuted_work():
+            self._arm_timer()
+
     def _start_view_change(self, new_view: int) -> None:
         self.view = new_view
         # certificates of live seqs only, each with the payload it holds

@@ -103,6 +103,7 @@ class RaftComponent(Component):
         self._next = {}
         self._match = {}
         self._timer = None  # the armed election timer's handle
+        self._heartbeat = None  # the leader's armed heartbeat tick
 
     def peers(self):
         return [r for r in self.replicas if r != self.node_id]
@@ -122,7 +123,7 @@ class RaftComponent(Component):
             self.role = "leader"
             self._next = {p: len(self.log) + 1 for p in self.peers()}
             self._match = {p: 0 for p in self.peers()}
-            self.set_timer(self.timing.heartbeat_interval, HeartbeatTick(self.term))
+            self._arm_heartbeat()
         else:
             self.role = "follower"
             self._reset_election_timer()
@@ -167,7 +168,7 @@ class RaftComponent(Component):
         elif cls is HeartbeatTick:
             if self.role == "leader" and msg.term == self.term:
                 self._replicate_all()
-                self.set_timer(self.timing.heartbeat_interval, HeartbeatTick(self.term))
+                self._arm_heartbeat()
         elif cls is VoteRequest or cls is VoteReply:
             if msg.term > self.term:
                 self._step_down(msg.term)
@@ -233,7 +234,17 @@ class RaftComponent(Component):
             # a no-op from this term lets earlier-term entries commit
             self.log.append((self.term, None))
             self._replicate_all()
-            self.set_timer(self.timing.heartbeat_interval, HeartbeatTick(self.term))
+            self._arm_heartbeat()
+
+    def _arm_heartbeat(self) -> None:
+        self._heartbeat = self.set_timer(self.timing.heartbeat_interval, HeartbeatTick(self.term))
+
+    def on_heal(self) -> None:
+        """Restart as a follower: the election timer is armed afresh, no heartbeat is left."""
+        if self._heartbeat is not None:
+            self.cancel_timer(self._heartbeat)
+        self.role = "follower"
+        self._reset_election_timer()
 
     # -- log replication -------------------------------------------------------
 

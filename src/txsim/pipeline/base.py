@@ -89,43 +89,46 @@ class Retry:
 
 @dataclass
 class BlockTimer:
-    token: int
     kind: str  # each block former keeps its owner's message kind
 
 
 class BlockFormer:
-    """Batch-or-timeout block formation.
+    """Batch-or-timeout block formation; the former closes its own blocks.
 
-    Requests queue until ``take`` hands out a block of at most
-    ``block_size_limit`` of them: once the block is full, or when forced (its
-    timeout fired, or the owner flushes).  The first request queued arms the
-    block timeout, a ``BlockTimer`` of kind ``timer_kind``.
+    ``add`` queues a request: the first one queued arms the block timeout, a
+    ``BlockTimer`` of kind ``timer_kind``, and a full queue closes a block.
+    ``flush`` closes a block of whatever is queued; the owner calls it when
+    the timer fires.  A block holds at most ``block_size_limit`` requests and
+    closes only while ``ready()``, by a call of ``close(batch)``.  A close
+    that empties the queue cancels the block timer, so the timer is
+    delivered only for a block still open.
     """
 
-    def __init__(self, host, timer_kind: str):
+    def __init__(self, host, timer_kind: str, close, ready=lambda: True):
         self.host = host
         self.cm = host.pipeline.cm
         self.timer_kind = timer_kind
+        self.close = close
+        self.ready = ready
         self.pending: list = []
-        self.token = 0
+        self.timer = None  # the block timer's handle
 
     def add(self, request) -> None:
         self.pending.append(request)
         if len(self.pending) == 1:
-            self.token += 1
-            self.host.set_timer(self.cm.block_timeout, BlockTimer(self.token, self.timer_kind))
+            self.timer = self.host.set_timer(self.cm.block_timeout, BlockTimer(self.timer_kind))
+        if len(self.pending) >= self.cm.block_size_limit:
+            self.flush()
 
-    def timed_out(self, timer: BlockTimer) -> bool:
-        """False for a stale timer, armed for a block that has closed."""
-        return timer.token == self.token
-
-    def take(self, force: bool = False) -> list:
-        """The next block; empty while it is neither full nor forced."""
+    def flush(self) -> None:
+        """Close a block of what is queued, full or not, if any is and ``ready()``."""
+        if not self.pending or not self.ready():
+            return
         limit = self.cm.block_size_limit
-        if len(self.pending) < limit and not force:
-            return []
         block, self.pending = self.pending[:limit], self.pending[limit:]
-        return block
+        if not self.pending:
+            self.host.cancel_timer(self.timer)
+        self.close(block)
 
 
 class PeerNode(ProtocolHost):
@@ -171,6 +174,8 @@ class ClientManager(ProtocolHost):
 
     def handle_client(self, msg) -> int:
         if isinstance(msg, SubmitTimer):
+            # latency counts from here, also over retries and drained resubmissions
+            self.pipeline.records[msg.txn_id].submit_time = self.now
             self.pipeline.begin_txn(msg.txn_id)
         else:
             self.pipeline.client_message(msg)

@@ -108,7 +108,7 @@ class EovOrderer(SharedLogService):
     def __init__(self, pipeline):
         super().__init__("orderer", delivery_delay=pipeline.cm.net_latency_mean)
         self.pipeline = pipeline
-        self.blocks = BlockFormer(self, "ord:timer")
+        self.blocks = BlockFormer(self, "ord:timer", lambda b: self.append(pipeline.seal_block(b)))
 
     def on_message(self, msg) -> int:
         return self.handle(msg)
@@ -116,13 +116,10 @@ class EovOrderer(SharedLogService):
     def handle(self, msg) -> int:
         if isinstance(msg, OrderRequest):
             self.blocks.add((msg.txn_id, msg.reads))
-            batch = self.blocks.take()
         elif isinstance(msg, BlockTimer):
-            batch = self.blocks.take(force=True) if self.blocks.timed_out(msg) else []
+            self.blocks.flush()
         else:
             return super().on_message(msg)
-        if batch:
-            self.append(self.pipeline.seal_block(batch, self.now))
         return 0
 
 
@@ -131,30 +128,21 @@ class EovPeer(PeerNode):
         super().__init__(node_id, pipeline)
         self.register("eov", self.handle_eov)
         self.register("ord", self.handle_ordering)
-        self.blocks = BlockFormer(self, "ord:timer")  # used by the consensus leader
+        self.blocks = BlockFormer(  # consensus mode: the leader forms the blocks
+            self, "ord:timer", lambda b: self.ordering.propose(pipeline.seal_block(b)),
+            ready=lambda: self.ordering.is_leader())
 
     def handle_eov(self, msg) -> int:
         if isinstance(msg, EndorseReq):
             self.to_worker(EndorseTask(msg.txn_id))
         return 0
 
-    # -- consensus-mode block formation (leader only) -------------------------------
-
     def handle_ordering(self, msg) -> int:
         if isinstance(msg, OrderRequest):
             self.blocks.add((msg.txn_id, msg.reads))
-            self.propose_block()
         elif isinstance(msg, BlockTimer):
-            if self.blocks.timed_out(msg):
-                self.propose_block(force=True)
+            self.blocks.flush()
         return 0
-
-    def propose_block(self, force: bool = False) -> None:
-        if not self.ordering.is_leader():
-            return
-        batch = self.blocks.take(force)
-        if batch:
-            self.ordering.propose(self.pipeline.seal_block(batch, self.now))
 
 
 class EovWorker(WorkerNode):
@@ -258,17 +246,15 @@ class ExecuteOrderValidatePipeline(PipelineBase):
         self.preload()
         self.schedule_arrivals()
 
-    def seal_block(self, batch, at: int) -> bytes:
-        """Stamp each request's order time; returns the block payload."""
+    def seal_block(self, batch) -> bytes:
+        """Stamp each request's order time, now; returns the block payload."""
         for txn_id, _ in batch:
-            self.records[txn_id].mark_ordered(at)
+            self.records[txn_id].mark_ordered(self.sim.now)
         return encode_entries(batch)
 
     # -- the client side -----------------------------------------------------------
 
     def begin_txn(self, txn_id: int) -> None:
-        record = self.records[txn_id]
-        record.submit_time = self.sim.now
         self._inflight[txn_id] = {}
         for peer in self.peers:
             self.clients.send(peer.node_id, EndorseReq(txn_id))

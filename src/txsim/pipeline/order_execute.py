@@ -8,7 +8,8 @@ ledger, and recomputes the index root when one is configured.  Serial
 execution admits no conflicts, so the abort rate is structurally zero; each
 transaction is executed exactly twice along its lifecycle (proposal and
 commit).  The next block is proposed only after the previous one commits,
-which couples throughput to the ledger's sequentiality.
+which couples throughput to the ledger's sequentiality: only the proposer,
+waiting with its block in flight, hears ``OeApplied`` and closes the next.
 
 Execution runs on each replica's worker lane, so heavy block applies delay
 later blocks (they queue) without freezing consensus heartbeats.
@@ -64,32 +65,28 @@ class OePeer(PeerNode):
     def __init__(self, node_id, pipeline):
         super().__init__(node_id, pipeline)
         self.register("oe", self.handle_oe)
-        self.blocks = BlockFormer(self, "oe:block_timer")
+        # one block in flight: the next is pre-executed at the tip this one leaves
         self.in_flight = False
+        self.blocks = BlockFormer(
+            self, "oe:block_timer", self.close_block,
+            ready=lambda: not self.in_flight and self.ordering.is_leader(),
+        )
 
     def handle_oe(self, msg) -> int:
         if isinstance(msg, OeSubmit):
             self.blocks.add(msg.txn_id)
-            self.maybe_close_block()
         elif isinstance(msg, BlockTimer):
-            if self.blocks.timed_out(msg):
-                self.maybe_close_block(force=True)
+            self.blocks.flush()
         elif isinstance(msg, OeProposeReady):
             self.ordering.propose(msg.payload)
         elif isinstance(msg, OeApplied):
-            if self.ordering.is_leader():
-                self.in_flight = False
-                self.maybe_close_block(force=True)
+            self.in_flight = False
+            self.blocks.flush()
         return 0
 
-    def maybe_close_block(self, force: bool = False) -> None:
-        # one block in flight: the next is pre-executed at the tip this one leaves
-        if self.in_flight or not self.ordering.is_leader():
-            return
-        batch = self.blocks.take(force)
-        if batch:
-            self.in_flight = True
-            self.to_worker(PreExecTask(tuple(batch)))
+    def close_block(self, batch) -> None:
+        self.in_flight = True
+        self.to_worker(PreExecTask(tuple(batch)))
 
 
 class OeWorker(WorkerNode):
@@ -155,7 +152,8 @@ class OeWorker(WorkerNode):
                 else:
                     record.settle(TxnOutcome.COMMITTED, done_at)
                 self.send("clients", OeDone(txn.id))
-        self.local(self.peer.node_id, OeApplied())
+        if self.peer.in_flight:  # only the proposer waits for a block to apply
+            self.local(self.peer.node_id, OeApplied())
 
 
 class OrderExecutePipeline(PipelineBase):
@@ -171,9 +169,6 @@ class OrderExecutePipeline(PipelineBase):
         self.schedule_arrivals()
 
     def begin_txn(self, txn_id: int) -> None:
-        record = self.records[txn_id]
-        if record.submit_time is None:
-            record.submit_time = self.sim.now
         leader = self.leader_or_retry(txn_id)
         if leader is not None:
             self.clients.send(leader.node_id, OeSubmit(txn_id))

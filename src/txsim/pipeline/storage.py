@@ -16,7 +16,8 @@ Under a hot key the locking mode spends its time queued behind latch holders
 whose writes must round-trip replication, which is why throughput collapses
 far faster than the abort rate rises.  Coordination tables (latches,
 intents, pending counts) live on the serving peer's protocol lane; state
-application runs on each peer's worker lane.
+application runs on each peer's worker lane.  Only the serving peer, which
+holds a transaction's pending count, hears ``OpApplied`` and counts it down.
 """
 
 from __future__ import annotations
@@ -217,11 +218,8 @@ class StoragePeer(PeerNode):
     # -- completion tracking ------------------------------------------------------------
 
     def finish_write(self, txn_id: int) -> None:
-        left = self.pending_writes.get(txn_id)
-        if left is None:
-            return
-        left -= 1
-        if left > 0:
+        left = self.pending_writes[txn_id] - 1
+        if left:
             self.pending_writes[txn_id] = left
             return
         del self.pending_writes[txn_id]
@@ -244,7 +242,8 @@ class StorageWorker(WorkerNode):
             head = self.pipeline.peers[0].node_id
             successor = self.peer.node_id + 1  # peers are numbered 0..N-1 down the chain
             if not self.pipeline.chained:
-                self.local(self.peer.node_id, OpApplied(txn_id))
+                if txn_id in self.peer.pending_writes:  # this peer serves the transaction
+                    self.local(self.peer.node_id, OpApplied(txn_id))
             elif successor < len(self.pipeline.peers):
                 self.send(successor, ChainOp(txn_id, msg.payload))
             elif self.peer.node_id == head:  # a chain of one
@@ -275,35 +274,34 @@ class StorageReplicatedPipeline(PipelineBase):
             log=SharedLogService("oplog", delivery_delay=self.cm.net_latency_mean),
         )
         self.preload()
-        self._acquiring: Dict[int, list] = {}  # txn id -> [keys, requested]
+        self._acquiring: Dict[int, list] = {}  # txn id -> [keys, requested, lock timeout or None]
         self.schedule_arrivals()
 
     # -- the transaction manager ---------------------------------------------------
 
     def begin_txn(self, txn_id: int) -> None:
-        record = self.records[txn_id]
-        if record.submit_time is None:
-            record.submit_time = self.sim.now
-        txn = record.txn
+        txn = self.records[txn_id].txn
         if self.leader_or_retry(txn_id) is None:
             return
         if self.locking:
-            self._acquiring[txn_id] = [sorted(txn.keys_touched()), 0]
-            self.clients.set_timer(self.lock_timeout, LockTimeout(txn_id))
+            timeout = self.clients.set_timer(self.lock_timeout, LockTimeout(txn_id))
+            self._acquiring[txn_id] = [sorted(txn.keys_touched()), 0, timeout]
         else:
-            self._acquiring[txn_id] = [[k for k, _ in txn.read_set], 0]
+            self._acquiring[txn_id] = [[k for k, _ in txn.read_set], 0, None]
         self._acquire_next(txn_id)
 
     def _acquire_next(self, txn_id: int) -> None:
         """Latch (locking) or read (optimistic) the next key; with all in, commit."""
         acquiring = self._acquiring[txn_id]
-        keys, requested = acquiring
+        keys, requested, timeout = acquiring
         if requested < len(keys):
             acquiring[1] = requested + 1
             request = DbLock if self.locking else DbRead
             self.clients.send(self.leader().node_id, request(txn_id, keys[requested]))
             return
         del self._acquiring[txn_id]
+        if timeout is not None:
+            self.clients.cancel_timer(timeout)
         record = self.records[txn_id]
         record.execute_us = self.sim.now - record.submit_time
         txn = record.txn
@@ -329,8 +327,8 @@ class StorageReplicatedPipeline(PipelineBase):
                 self.records[msg.txn_id].read_versions[msg.key] = msg.version
             self._acquire_next(msg.txn_id)
         elif isinstance(msg, LockTimeout):
-            if self._acquiring.pop(msg.txn_id, None) is not None:
-                self.clients.send(self.leader().node_id, DbCancel(msg.txn_id))
+            del self._acquiring[msg.txn_id]
+            self.clients.send(self.leader().node_id, DbCancel(msg.txn_id))
         elif isinstance(msg, DbDecision):
             self._settle(msg.txn_id, msg.outcome)
 

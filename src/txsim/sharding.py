@@ -306,9 +306,6 @@ class ShardedRun(PipelineBase):
     # -- client behavior -----------------------------------------------------------
 
     def begin_txn(self, txn_id: int) -> None:
-        # latency counts from the first arrival, also for a submission that
-        # a reconfiguration drains and ``resume_drained`` submits again
-        self.records[txn_id].submit_time = self.sim.now
         self.submit(txn_id)
 
     def submit(self, txn_id: int) -> None:

@@ -39,6 +39,8 @@ healthy and every message deliverable, so ``send``, delivery and the waiting
 groups skip the fault table and the partition map.  A heal leaves a
 ``HEALTHY`` entry in the fault table, so the checks stay on after it: from the
 first fault change on, every check runs as it would without the shortcut.
+A crashed node's timers that come up are dropped like its messages, so a
+heal from a crash calls the node's ``on_heal``, where it can re-arm them.
 """
 
 from __future__ import annotations
@@ -147,6 +149,9 @@ class Node:
 
     def receive(self, msg, kind: str) -> int:
         return self.on_message(msg)
+
+    def on_heal(self) -> None:
+        """Called when the node heals from a crash; does nothing by default."""
 
 
 class Simulator:
@@ -321,8 +326,11 @@ class Simulator:
                 head, n = entry, 0
                 if entry.payload.__class__ is _FaultChange:
                     change = entry.payload
+                    restarts = self.fault_of(change.node_id) is FaultKind.CRASHED
                     self._faults[change.node_id] = NodeFault(change.node_id, change.fault, now)
                     self._lossy = True
+                    if restarts and change.fault is FaultKind.HEALTHY:
+                        nodes[change.node_id].on_heal()
                 elif (node := nodes.get(entry.target)) is None:
                     entry.state = _DROPPED
                     self.dropped_count += 1

@@ -150,6 +150,44 @@ class TestRaft:
         assert "raft:timer" not in sim.delivered_counts
         assert all(c.term == 1 and c.commit_index == 12 for c in comps)
 
+    def test_followers_healed_from_a_crash_elect_a_leader(self):
+        # their election timers came up while they were crashed and were dropped
+        h = RaftHarness(3, seed=101)
+        h.sim.run(until=50_000)
+        leader = h.healthy_leader()
+        followers = [i for i in h.comps if i != leader.node_id]
+        for i in followers:
+            h.sim.inject_fault(i, FaultKind.CRASHED)
+        h.sim.run(until=h.sim.now + 100_000)
+        for i in followers:
+            h.sim.heal(i)
+        h.sim.inject_fault(leader.node_id, FaultKind.CRASHED)
+        h.sim.run(until=h.sim.now + 1_000_000)
+        new_leader = h.healthy_leader()
+        assert new_leader is not None and new_leader.node_id in followers
+        assert new_leader.term > leader.term
+
+    def test_a_healed_leader_restarts_as_a_follower_with_no_heartbeat_left(self):
+        h = RaftHarness(3, seed=107, trace=True)
+        h.sim.run(until=50_000)
+        leader = h.healthy_leader()
+        interval = leader.timing.heartbeat_interval
+        h.sim.run(until=leader._heartbeat.fire_time)  # a tick fires and the next is armed
+        h.sim.inject_fault(leader.node_id, FaultKind.CRASHED)
+        h.sim.heal(leader.node_id, at_time=h.sim.now + 100)  # before the next tick comes up
+        h.sim.run(until=h.sim.now + 100)
+        assert leader.role == "follower"
+        healed_at = h.sim.now
+        h.sim.run(until=healed_at + interval)
+        ticks = [
+            line for line in h.sim.dump_trace().splitlines()
+            if line.endswith("\traft:hb_timer") and line.split("\t")[3] == str(leader.node_id)
+            and int(line.split("\t")[0]) >= healed_at
+        ]
+        assert ticks == []
+        assert h.drive([b"after"], duration=400_000) == []
+        assert_agreement([c.replica_state() for c in h.comps.values()])
+
     def test_deterministic_given_seed(self):
         def run(seed):
             h = RaftHarness(5, seed=seed, trace=True)
@@ -186,6 +224,7 @@ class _TimerHost:
 
     def __init__(self):
         self.delays = []
+        self.components = []
 
     def register(self, prefix, handler):
         pass
@@ -277,6 +316,24 @@ class TestPbft:
         assert all(len(h.commits[i]) == 10 for i in range(4))
         assert h.sim.delivered_counts.get("pbft:timer", 0) == 0
         assert all(c.view == 0 and c._timer is None for c in h.comps.values())
+
+    def test_backups_healed_from_a_crash_time_out_a_crashed_primary(self):
+        # their progress timers came up while they were crashed and were dropped
+        h = PbftHarness(4, seed=101)
+        h.drive([b"a"], duration=50_000)
+        h.submit(b"b")
+        h.sim.run(until=h.sim.now + 1)
+        for i in (1, 2):
+            h.sim.inject_fault(i, FaultKind.CRASHED)
+        h.sim.run(until=h.sim.now + 100_000)
+        for i in (1, 2):
+            h.sim.heal(i)
+        h.sim.inject_fault(0, FaultKind.CRASHED)  # primary of view 0
+        h.submit(b"c")
+        h.sim.run(until=h.sim.now + 1_000_000)
+        live = (1, 2, 3)
+        assert all([p for _, p in h.commits[i]] == [b"a", b"b", b"c"] for i in live)
+        assert_agreement([h.comps[i].replica_state() for i in live])
 
     def test_deterministic_given_seed(self):
         def run(seed):

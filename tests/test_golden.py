@@ -10,6 +10,17 @@ Each cell runs ~200 transactions through ``run_experiment`` and pins:
   whose kind ends in ``timer`` or ``timeout``) and without its seq column.
   Cancelling a timer that would have fired unheeded removes its line and
   can shift later seqs, but must leave every other delivery as it was.
+  Removing a same-machine hand-off that its handler ignored (say, an
+  ``OpApplied`` to a replica that serves no transaction) moves the
+  ``untimed`` digest too, since the hand-off is not a timer.
+
+Such a change re-records ``trace`` and ``untimed`` digests, never ``row``,
+and is justified line by line.  ``python tests/test_golden.py NEW_DIR
+--against OLD_DIR`` runs every cell, writes its trace TSV to ``NEW_DIR``,
+prints the digests as ``GOLDEN`` entries and the lines each cell lost by
+(kind, target), and exits 1 unless every new trace, seqs aside, is the old
+trace minus exactly those lines.  ``OLD_DIR`` is written by the same
+command run on the parent's sources (``PYTHONPATH`` set to its ``src``).
 
 The matrix covers every concurrency mode, every index, both failure models,
 every ordering approach, both 2PC coordinators and one sharded run with
@@ -18,20 +29,24 @@ seq or delivery order changes a digest here, so a host-time optimisation must
 leave them all as they are.
 """
 
+import argparse
 import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import pytest
 
 from txsim.core import ConcurrencyMode, DesignConfig, IndexKind
 from txsim.core.encoding import Writer, digest
 from txsim.core.types import FailureModel, ReplicationApproach, ReplicationModel, ShardingMode
-from txsim.harness import emit_csv, run_experiment, run_row
+from txsim.harness import Metrics, emit_csv, run_experiment, run_row
 from txsim.pipeline import Arrival
 from txsim.pipeline.base import PipelineBase
+from txsim.pipeline.storage import StorageReplicatedPipeline
 from txsim.sharding import ShardedRun
 from txsim.workload import WorkloadKind, WorkloadSpec
 
@@ -118,7 +133,7 @@ GOLDEN = {
     },
     "eov_raft_plain": {
         "row": "be3039100f9a5bed90873dc951f6ac1783e0a48413ed51292b5370ea5a722466",
-        "trace": "80f05e00dd6223847bc0c65c0fe84899c08989daa8da62f5e2626f000205eb13",
+        "trace": "2fe5706ffac98dfb40930c26e9abce30835ff201790e4ffd2e636d60d2aed781",
         "untimed": "0b0cfb2ead8f3c27234f92dbcc511d03e1eeccab657f087b00d50ebae62c01f2",
     },
     "eov_sharedlog_plain": {
@@ -128,48 +143,48 @@ GOLDEN = {
     },
     "locking_pb_mpt": {
         "row": "6bcdc7157da0a9d9047b4e9f98028c6db9b3291efb13933da686851f8fca11ba",
-        "trace": "d72c77c3ecf313717196a037bafd2fc157656725118a11b5cf04af8d4ed18cf5",
+        "trace": "2503d44753fbd9e1cb5b4f4cf59ed86203dc28ddf47b3244ee3a3df19615edd0",
         "untimed": "d9a1a47776b0042a72956dae671c7ab7574dd5bbe130ff81ee0ba8a5e4d6f336",
     },
     "locking_raft_smallbank": {
         "row": "223ca06d0357ed0b36fff1b4f666aaeaff8aeeccad20c0170c7305ad481f0fd9",
-        "trace": "a2d454faa32c3a19edeaeceabc744d42504dbd1e59998de8d1b246d3750d3142",
-        "untimed": "60b518fb34b3e64193bccacdd0f07656ae19d2fce2094c34cc79929a3486bcb6",
+        "trace": "df3262caa16db41f4819d385f2726c3b5c25f51d52a98b2e72c4471bec4e3d4e",
+        "untimed": "d03ae9d6dc3f280ed833c8677c26b445d60eeb9be78f31608e8c81cb776b350d",
     },
     "occ_pbft_plain": {
         "row": "5203aa6757ece06ad508a57abdea72da3e7dc0ef00222854e7d7d26614d4dd06",
-        "trace": "e187f0d1f8b4b3f72d2552985fafb3d8f5fe7250ad323767254a1b4b6afb37ef",
-        "untimed": "58d3717b55c03a40e4a264b326c70c55604776ba9d2557bc59af66d027cceb0a",
+        "trace": "30b20145e51bb63f6678d8ff5b6014040c0014813b853d45c81da606a283e4ab",
+        "untimed": "676561e9a41804f8d11e396dc2f10823038f0498949ab160f74d95c91647d0e5",
     },
     "occ_sharedlog_mbt": {
         "row": "376101b7e2525c8334778900402990116e4a97c71ea773c17fdbe8de773eb973",
-        "trace": "ecf57b50fee5fa2d3840c339e9f4df550c42061cb8844973a3ba34a951432375",
-        "untimed": "3222f567fb8dc3a64f84b586dfcbb266a61ff5688e03e65ace45772800f05082",
+        "trace": "b38b57912fb07dfa7b799522aef2b41288be33e978223cfb3011f2cfebc4fb92",
+        "untimed": "49867b24bcaff0ccb085c5de533acc98ef6a6718bedafd62c7a8325af61748e9",
     },
     "occ_raft_mbt": {
         "row": "3cc73b61c8ef5033080bd1eddf000e99747ea081171513eb5fab2f973d9cfabb",
-        "trace": "9fb3fabe79507603b13e8586e47ecbcd860ba2d7db2f73fc5cc689d1d1a782df",
-        "untimed": "defad0c02521ea5cf8fb87db8089e50a8f43aeeea64dd58a8573b0b319f5be88",
+        "trace": "0dad8d107697420f23f1438e9a32faec134bc03d2e224a2df8c3cea9e4db60c9",
+        "untimed": "711c0004fd940279a4f2db8050efbd41ad0b4a412c54514ceb0358a0dce45e86",
     },
     "oe_pbft_mbt": {
         "row": "d6bb754689f297ea34f3caa599d1a931de59da17be9f7e27326b56b271d639db",
-        "trace": "45b5da82bbf0235dbeb33ed76e83c735ccd4caf49782bb7ec50a1b5daa8d4ba6",
-        "untimed": "4978969e2f7c50ffd055aa4620ce374cf261de990e1e8947a63ae1d1d72b98fe",
+        "trace": "c17df06c67e0122e81f241df1c3042b91e680b90d8e8d759d3f62464e4b1171b",
+        "untimed": "6400c12b3f4f30dfd3571d5a43fa3f41ac376f5bf2f9f0138467793911a46c5b",
     },
     "oe_raft_mpt": {
         "row": "addd885cbde0d3e63d07687bf81b53a8a3d6bbb7a5e5036f57ff46946f78ee86",
-        "trace": "5a4b0e8ce620237d03664529f842d2ce2f34f9cf60df0f57901acafff004a18b",
-        "untimed": "63c8b6f117fcbc54c21f88e44c93e09ddc28dd7154c3eab06d17ed8773677805",
+        "trace": "ac1f01cab8ac567fca61e02d65af3ee73fb84e68f4af301fb6aad4a0d59904b7",
+        "untimed": "6878a1436b2363875accb4a5f982c1f61d375184472ec3145393e54f6e4efea1",
     },
     "oe_sharedlog_plain": {
         "row": "f6484f6e18083fffea18cd21fb4a3bfba88e474e2e1c5f7f8bdcce2222a2730b",
-        "trace": "fd43ab273df32c9203e76249e9042ace9e5848189c5acfad804c3f9a574209de",
-        "untimed": "c8552a3df1aec481f791132c059e3d364cd58bb327e80f7fa2475ebf0e0a621c",
+        "trace": "b0d0fae0eaef901dda790ed00e0b2588f8ac725a37ea46441fad45ab75b90993",
+        "untimed": "ed769b1637bfbb3e2e1a55e90417f8d8ee698821b7d54544d50b489d37ba1106",
     },
     "serial_raft_plain": {
         "row": "c76726d5a53220e00f91e9917891f6f6f0c175c88880117a39307109f2ec577c",
-        "trace": "b2c8539988f739f8af9c9fe078cdc98111ad4c787f3fe9a88af9415f0bfe47cf",
-        "untimed": "77b55f4d597f7b8e9d0e113eee4fe9abfec23532f584df2bbb955d68221cc880",
+        "trace": "2b6ddf862bcae24622b5a693f505baca28bfbdb68b11e35c5bf1e31222f86fde",
+        "untimed": "392fff092521a18d7621cae1be1b1b47624032f194a18376959bb4a3d0a6f699",
     },
     "sharded_bft2pc": {
         "row": "9d7331e036c5e6916d1df05489e17eca2270d9e7382045d87336d6b14455c50d",
@@ -198,8 +213,15 @@ def _shard_fingerprint(runner) -> bytes:
     return digest(w.getvalue())
 
 
-def cell_digests(name, tmp_path, monkeypatch):
-    """Run one cell; returns {"row": hex, "trace": hex, "untimed": hex}."""
+class CellRun(NamedTuple):
+    digests: dict  # {"row": hex, "trace": hex, "untimed": hex}
+    trace: bytes
+    metrics: Metrics
+    owner: object  # the cell's pipeline, or its ``ShardedRun``
+
+
+def run_cell(name, out_dir) -> CellRun:
+    """Run one cell, writing its trace TSV to ``out_dir/<name>.tsv``."""
     cfg, spec, arrival, seed = CELLS[name]
     seen = {}
 
@@ -210,36 +232,122 @@ def cell_digests(name, tmp_path, monkeypatch):
 
         return hooked
 
-    monkeypatch.setattr(PipelineBase, "drive", keep("pipeline", PipelineBase.drive))
-    monkeypatch.setattr(ShardedRun, "run", keep("runner", ShardedRun.run))
-    trace_path = tmp_path / "trace.tsv"
-    metrics = run_experiment(cfg, spec, arrival, seed=seed, trace_path=trace_path)
+    trace_path = Path(out_dir) / f"{name}.tsv"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PipelineBase, "drive", keep("pipeline", PipelineBase.drive))
+        mp.setattr(ShardedRun, "run", keep("runner", ShardedRun.run))
+        metrics = run_experiment(cfg, spec, arrival, seed=seed, trace_path=trace_path)
     if cfg.sharding_mode is not ShardingMode.NONE:
-        fingerprint = _shard_fingerprint(seen["runner"])
+        owner = seen["runner"]
+        fingerprint = _shard_fingerprint(owner)
     else:
-        pipeline = seen["pipeline"]
-        fingerprint = pipeline.peers[pipeline.observer_id].state.kv.state_fingerprint()
-    csv_path = tmp_path / "row.csv"
+        owner = seen["pipeline"]
+        fingerprint = owner.peers[owner.observer_id].state.kv.state_fingerprint()
+    csv_path = Path(out_dir) / f"{name}.csv"
     emit_csv([run_row(cfg, spec, arrival, seed, metrics)], csv_path)
     trace = trace_path.read_bytes()
-    return {"row": hashlib.sha256(csv_path.read_bytes() + fingerprint).hexdigest(),
-            "trace": hashlib.sha256(trace).hexdigest(),
-            "untimed": hashlib.sha256(_untimed(trace)).hexdigest()}
+    digests = {"row": hashlib.sha256(csv_path.read_bytes() + fingerprint).hexdigest(),
+               "trace": hashlib.sha256(trace).hexdigest(),
+               "untimed": hashlib.sha256(b"".join(
+                   line for line in _unseq(trace) if not _is_timer(line))).hexdigest()}
+    return CellRun(digests, trace, metrics, owner)
 
 
-def _untimed(trace: bytes) -> bytes:
-    """The trace TSV without timer firings and without the seq column."""
-    kept = []
+def _unseq(trace: bytes) -> list:
+    """The trace TSV's lines without their seq column."""
+    out = []
     for line in trace.splitlines(keepends=True):
         t, _seq, rest = line.split(b"\t", 2)
-        if not rest.rstrip().endswith((b"timer", b"timeout")):
-            kept.append(t + b"\t" + rest)
-    return b"".join(kept)
+        out.append(t + b"\t" + rest)
+    return out
+
+
+def _is_timer(line: bytes) -> bool:
+    return line.rstrip().endswith((b"timer", b"timeout"))
+
+
+def lost_lines(old: bytes, new: bytes) -> Optional[list]:
+    """The lines of trace ``old`` that trace ``new`` lacks, seq columns aside.
+
+    None unless ``new`` is ``old`` with exactly those lines taken out, every
+    other line in its place and none added.
+    """
+    kept, lost, j = _unseq(new), [], 0
+    for line in _unseq(old):
+        if j < len(kept) and kept[j] == line:
+            j += 1
+        else:
+            lost.append(line)
+    return lost if j == len(kept) else None
+
+
+@pytest.fixture(scope="module")
+def cell_runs(tmp_path_factory):
+    """``cell_runs(name)``: the cell's ``CellRun``, run once per module."""
+    out_dir, runs = tmp_path_factory.mktemp("golden"), {}
+
+    def get(name):
+        if name not in runs:
+            runs[name] = run_cell(name, out_dir)
+        return runs[name]
+
+    return get
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))
-def test_golden_cell(name, tmp_path, monkeypatch):
-    assert cell_digests(name, tmp_path, monkeypatch) == GOLDEN[name]
+def test_golden_cell(name, cell_runs):
+    assert cell_runs(name).digests == GOLDEN[name]
+
+
+def _deliveries(trace: bytes, kind: str) -> list:
+    """(src, target) of every delivery of ``kind`` in a trace TSV."""
+    out = []
+    for line in trace.decode().splitlines():
+        _t, _seq, src, dst, k = line.split("\t")
+        if k == kind:
+            out.append((src, dst))
+    return out
+
+
+FLAT = sorted(n for n, (cfg, *_rest) in CELLS.items() if cfg.sharding_mode is ShardingMode.NONE)
+
+
+@pytest.mark.parametrize("name", FLAT)
+def test_applied_hand_offs_reach_only_the_peer_that_waits(name, cell_runs):
+    """``oe:applied`` reaches only the proposer, ``db:op_applied`` only the serving peer.
+
+    The matrix never moves leadership, so the peer that waits is the
+    bootstrapped leader: it hears one ``oe:applied`` per block it proposed,
+    and one ``db:op_applied`` per op its own worker applied.
+    """
+    run = cell_runs(name)
+    pipeline, trace = run.owner, run.trace
+    leader = str(pipeline.leader().node_id)
+    proposed = _deliveries(trace, "oe:propose")
+    applied = _deliveries(trace, "oe:applied")
+    assert {dst for _, dst in proposed + applied} <= {leader}
+    assert len(applied) == len(proposed)
+    op_applied = _deliveries(trace, "db:op_applied")
+    assert {dst for _, dst in op_applied} <= {leader}
+    if isinstance(pipeline, StorageReplicatedPipeline) and not pipeline.chained:
+        worker = str(pipeline.leader().worker.node_id)
+        leader_applies = [d for d in _deliveries(trace, "dbx:apply") if d[1] == worker]
+        assert len(op_applied) == len(leader_applies) > 0
+
+
+@pytest.mark.parametrize("name", [n for n in FLAT if n.startswith("locking")])
+def test_every_lock_timeout_aborts_its_transaction(name, cell_runs):
+    """A lock timeout is delivered only while its transaction still acquires latches."""
+    run = cell_runs(name)
+    assert len(_deliveries(run.trace, "cl:lock_timeout")) == run.metrics.aborted_blocked > 0
+
+
+def test_lost_lines_are_the_old_trace_minus_the_new_one():
+    old = b"1\t1\ta\tb\tx\n2\t2\ta\tc\ty\n3\t3\tb\ta\tz\n"
+    assert lost_lines(old, b"1\t1\ta\tb\tx\n3\t2\tb\ta\tz\n") == [b"2\ta\tc\ty\n"]
+    assert lost_lines(old, old) == []
+    assert lost_lines(old, old + b"4\t4\ta\tb\tx\n") is None  # a line added
+    assert lost_lines(old, b"3\t1\tb\ta\tz\n1\t2\ta\tb\tx\n") is None  # lines reordered
 
 
 def test_golden_cells_do_not_depend_on_the_hash_seed():
@@ -262,3 +370,43 @@ def test_golden_cells_do_not_depend_on_the_hash_seed():
         out, _ = child.communicate(timeout=600)
         assert child.returncode == 0, out
         assert f"{len(CELLS)} passed" in out
+
+
+def main(argv=None) -> int:
+    """Re-record the golden digests; see ``python tests/test_golden.py --help``."""
+    parser = argparse.ArgumentParser(
+        description="Run every golden cell, write its trace TSV to DIR and print its digests "
+        "as GOLDEN entries, each marked with the digests that moved.")
+    parser.add_argument("dir", type=Path, help="where each cell's trace TSV is written")
+    parser.add_argument(
+        "--against", type=Path, metavar="OLD_DIR",
+        help="also print the lines each cell lost against the traces in OLD_DIR, by "
+        "(kind, target), and exit 1 unless every new trace, without seqs, is the old "
+        "trace minus those lines")
+    args = parser.parse_args(argv)
+    args.dir.mkdir(parents=True, exist_ok=True)
+    ok = True
+    for name in sorted(CELLS):
+        run = run_cell(name, args.dir)
+        moved = [k for k, v in run.digests.items() if v != GOLDEN[name][k]]
+        print(f'    "{name}": {{' + (f"  # moved: {', '.join(moved)}" if moved else ""))
+        for key, value in run.digests.items():
+            print(f'        "{key}": "{value}",')
+        print("    },")
+        if args.against is not None:
+            lost = lost_lines((args.against / f"{name}.tsv").read_bytes(), run.trace)
+            if lost is None:
+                ok = False
+                print("    # NOT the old trace minus some lines")
+                continue
+            by_kind = Counter()
+            for line in lost:
+                _t, _src, target, kind = line.decode().rstrip("\n").split("\t")
+                by_kind[kind, target] += 1
+            for (kind, target), count in sorted(by_kind.items()):
+                print(f"    # lost {count} {kind} at {target}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

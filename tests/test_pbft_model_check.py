@@ -27,6 +27,7 @@ class FakeHost:
     def __init__(self, node_id):
         self.node_id = node_id
         self.outbox = []
+        self.components = []
 
     def register(self, prefix, handler):
         pass

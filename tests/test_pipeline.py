@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,12 +35,13 @@ from txsim.pipeline import (
     run_pipeline,
     txn_report,
 )
-from txsim.pipeline.base import _PRELOADED, PipelineBase
+from txsim.consensus import ProtocolHost
+from txsim.pipeline.base import _PRELOADED, BlockFormer, PipelineBase
 from txsim.pipeline.eov import ExecuteOrderValidatePipeline
 from txsim.consensus.pbft import PbftComponent
 from txsim.pipeline.order_execute import OeWorker, OrderExecutePipeline
 from txsim.pipeline.storage import StorageReplicatedPipeline
-from txsim.simnet import FaultKind
+from txsim.simnet import FaultKind, Simulator
 from txsim.workload import WorkloadSpec, WorkloadKind, initial_state
 
 
@@ -574,6 +576,57 @@ class TestNoLeaderRetry:
         assert pipeline.leader() not in (None, pipeline.peers[0])
         assert pipeline.committed_count() > 0
         assert len({p.state.kv.state_fingerprint() for p in pipeline.peers}) == 1
+
+
+    @pytest.mark.parametrize(
+        "mode", [ConcurrencyMode.CONCURRENT_OCC, ConcurrencyMode.CONCURRENT_LOCKING]
+    )
+    def test_a_leader_that_steps_down_while_writes_replicate_settles_them(self, mode):
+        pipeline = StorageReplicatedPipeline(
+            db_config(concurrency_mode=mode), update_spec(txn_count=40, ops_per_txn=3),
+            Arrival.closed_loop(1), seed=3,
+        )
+        serving = pipeline.peers[0]
+        while not serving.pending_writes:
+            pipeline.sim.step()
+        # the bootstrapped Raft leader steps down; its proposed writes commit
+        # under the next leader, and only it counts them
+        serving.ordering.role = "follower"
+        replicating = list(serving.pending_writes)
+        assert not pipeline.drive()
+        assert pipeline.leader() not in (None, serving)
+        assert all(pipeline.records[t].outcome is TxnOutcome.COMMITTED for t in replicating)
+        assert all(not p.pending_writes for p in pipeline.peers)
+        assert len({p.state.kv.state_fingerprint() for p in pipeline.peers}) == 1
+
+
+class TestBlockFormer:
+    @staticmethod
+    def _former(limit):
+        sim = Simulator()
+        host = sim.add_node(ProtocolHost("former"))
+        host.pipeline = SimpleNamespace(cm=CostModel(block_size_limit=limit))
+        closed = []
+        former = BlockFormer(host, "blk:timer", closed.append)
+        host.register("blk", lambda timer: former.flush())
+        return sim, former, closed
+
+    def test_a_block_closed_by_size_leaves_no_block_timer(self):
+        sim, former, closed = self._former(limit=2)
+        for request in "abcd":
+            former.add(request)
+        sim.run()
+        assert closed == [["a", "b"], ["c", "d"]]
+        assert "blk:timer" not in sim.delivered_counts and sim.pending() == 0
+
+    def test_a_partial_block_closes_when_its_timer_fires(self):
+        sim, former, closed = self._former(limit=3)
+        for request in "abcd":
+            former.add(request)
+        sim.run()
+        assert closed == [["a", "b", "c"], ["d"]]
+        assert sim.delivered_counts["blk:timer"] == 1
+        assert sim.now == CostModel().block_timeout
 
 
 def _owned_containers(state):

@@ -129,6 +129,22 @@ class TestCrashSemantics:
         sim.run()
         assert [m.hop for _, m in node.seen] == [2]
 
+    def test_only_a_heal_from_a_crash_calls_on_heal(self):
+        class Healing(Recorder):
+            def on_heal(self):
+                self.seen.append((self.now, "healed"))
+
+        sim = Simulator(allow_byzantine=True)
+        node = sim.add_node(Healing("a"))
+        sim.heal("a", at_time=5)  # healthy already
+        sim.inject_fault("a", FaultKind.BYZANTINE_SILENT, at_time=10)
+        sim.heal("a", at_time=20)
+        sim.inject_fault("a", FaultKind.CRASHED, at_time=30)
+        sim.heal("a", at_time=40)
+        sim.heal("a", at_time=50)
+        sim.run()
+        assert node.seen == [(40, "healed")]
+
     def test_byzantine_rejected_unless_enabled(self):
         sim = Simulator()
         sim.add_node(Recorder("a"))
