@@ -364,9 +364,6 @@ class PipelineBase:
 
     # -- the drive loop ----------------------------------------------------------
 
-    def committed_count(self) -> int:
-        return sum(1 for r in self.records.values() if r.outcome is TxnOutcome.COMMITTED)
-
     def all_done(self) -> bool:
         return self._terminal >= len(self.txns)
 

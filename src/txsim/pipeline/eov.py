@@ -192,9 +192,7 @@ class EovWorker(WorkerNode):
                 self.pipeline.sig_time_total += cm.sig_verify_time
                 self.pipeline.validate_time_total += cost
                 record.read_versions = read_versions
-                done_at = self.now + cumulative
-                record.validate_us = done_at - record.order_time
-                record.settle(outcome, done_at)
+                record.settle(outcome, self.now + cumulative)
                 self.send("clients", EovDone(txn_id))
         if self.state.ledger is not None:
             block = Block(
@@ -249,7 +247,7 @@ class ExecuteOrderValidatePipeline(PipelineBase):
     def seal_block(self, batch) -> bytes:
         """Stamp each request's order time, now; returns the block payload."""
         for txn_id, _ in batch:
-            self.records[txn_id].mark_ordered(self.sim.now)
+            self.records[txn_id].order_time = self.sim.now
         return encode_entries(batch)
 
     # -- the client side -----------------------------------------------------------
@@ -301,6 +299,6 @@ class ExecuteOrderValidatePipeline(PipelineBase):
         if len(responses) < self.endorsement_k:
             return
         self._end_endorsement(msg.txn_id)
-        record.execute_us = self.sim.now - record.submit_time
+        record.executed_time = self.sim.now
         record.read_versions = dict(first)
         self._send_for_ordering(msg.txn_id)

@@ -51,7 +51,6 @@ class PreExecTask:
 @dataclass
 class ApplyTask:
     payload: bytes
-    ordered_at: int  # when the ordering layer handed this block to the peer
     kind: str = field(default="oex:apply", init=False)
 
 
@@ -98,7 +97,7 @@ class OeWorker(WorkerNode):
         if isinstance(msg, PreExecTask):
             self.pre_execute(msg.txn_ids)
         elif isinstance(msg, ApplyTask):
-            self.apply_block(msg.payload, msg.ordered_at)
+            self.apply_block(msg.payload)
         return 0
 
     def pre_execute(self, txn_ids) -> None:
@@ -109,7 +108,7 @@ class OeWorker(WorkerNode):
             record = self.pipeline.records[txn_id]
             cumulative += self.pipeline.exec_cost(record.txn)
             record.executions += 1
-            record.execute_us = self.now + cumulative - record.submit_time
+            record.executed_time = self.now + cumulative
             txns.append(record.txn)
         self.charge(cumulative)
         ledger = self.state.ledger
@@ -124,7 +123,7 @@ class OeWorker(WorkerNode):
         )
         self.local(self.peer.node_id, OeProposeReady(encode_block(block)))
 
-    def apply_block(self, payload: bytes, ordered_at: int) -> None:
+    def apply_block(self, payload: bytes) -> None:
         block = self.pipeline.decoded(payload, decode_block)
         observer = self.peer.node_id == self.pipeline.observer_id
         cumulative = 0
@@ -134,23 +133,18 @@ class OeWorker(WorkerNode):
             self.charge(ledger_cost)
             cumulative += ledger_cost
         for txn in block.txn_list:
-            record = self.pipeline.records[txn.id]
             cost = self.pipeline.exec_cost(txn)
             if not txn.app_abort and txn.write_set:
                 _, hops, hbytes = self.state.apply_batch(txn.write_set)
                 cost += self.pipeline.cm.hash_cost(hops, hbytes)
             self.charge(cost)
             cumulative += cost
-            if record.order_time is None:
-                record.mark_ordered(ordered_at)
             if observer:
+                record = self.pipeline.records[txn.id]
                 record.executions += 1
-                done_at = self.now + cumulative
-                record.validate_us = cumulative
-                if txn.app_abort:
-                    record.settle(TxnOutcome.ABORTED_APPLICATION, done_at)
-                else:
-                    record.settle(TxnOutcome.COMMITTED, done_at)
+                record.order_time = self.now  # the block reached the observer's worker
+                outcome = TxnOutcome.ABORTED_APPLICATION if txn.app_abort else TxnOutcome.COMMITTED
+                record.settle(outcome, self.now + cumulative)
                 self.send("clients", OeDone(txn.id))
         if self.peer.in_flight:  # only the proposer waits for a block to apply
             self.local(self.peer.node_id, OeApplied())
@@ -162,7 +156,7 @@ class OrderExecutePipeline(PipelineBase):
         self.next_height = 0
         self.build_peers(OePeer, OeWorker)
         self.attach_ordering(
-            lambda peer: lambda idx, payload, p=peer: p.to_worker(ApplyTask(payload, p.now)),
+            lambda peer: lambda idx, payload, p=peer: p.to_worker(ApplyTask(payload)),
             log=SharedLogService("orderer", delivery_delay=self.cm.net_latency_mean),
         )
         self.preload()

@@ -1,8 +1,11 @@
 """Per-transaction runtime state and phase timing aggregation.
 
 A ``Transaction`` is the request alone; its ``TxnRecord`` is the one home of
-its lifecycle: times, phase durations, read versions and the outcome, which
-settles once from ``PENDING`` to ``COMMITTED``, an ``ABORTED_*`` or ``DROPPED``.
+its lifecycle: four stamps, read versions and the outcome, which settles once
+from ``PENDING`` to ``COMMITTED``, an ``ABORTED_*`` or ``DROPPED``.  Each
+phase spans two adjacent stamps, the same in every pipeline, so a committed
+record's phases sum to its latency: execute from submission until executed,
+order until the ordering layer's decision, validate until the commit.
 """
 
 from __future__ import annotations
@@ -20,41 +23,45 @@ class PhaseTimings:
     validate_commit: float
 
 
+def _span(start: Optional[int], end: Optional[int]) -> int:
+    """The time from stamp ``start`` to stamp ``end``; 0 while either is unset."""
+    return 0 if start is None or end is None else end - start
+
+
 @dataclass
 class TxnRecord:
     """The lifecycle of one transaction: mutable, settled at most once.
 
-    Phase bounds differ by pipeline, and so do the ``mean_*_us`` columns.
-    EOV: execute from submission to the last matching endorsement, order to
-    the block's seal, validate from the seal to the end of the observer's
-    validation (ordering delivery and the worker queue included).  OE and
-    serial: execute to the end of the proposer's pre-execution, order until
-    a peer is handed the block, validate the observer's apply cost only (no
-    queueing).  Storage-based: execute until every read or latch is in, order
-    to the decision, validate the constant ``exec_time_per_op``.  Sharded
-    runs set no phase.
+    Its phases: ``execute_us`` from submission until executed (endorsed,
+    pre-executed, or with every read or latch in); ``order_us`` until the
+    ordering layer decided it (its block sealed or handed to the observer's
+    worker, the serving peer's decision, a 2PC coordinator's first
+    announcement); ``validate_us`` until the observer committed it.
+    ``settle`` fills a skipped stamp with the next one set, or the settle
+    time, so a record settled without ordering has zero-length later phases.
     """
 
     txn: Transaction
     submit_time: Optional[int] = None
+    executed_time: Optional[int] = None
     order_time: Optional[int] = None
     commit_time: Optional[int] = None
     outcome: TxnOutcome = TxnOutcome.PENDING
-    execute_us: int = 0
-    order_us: int = 0
-    validate_us: int = 0
     executions: int = 0
     read_versions: Dict[bytes, int] = field(default_factory=dict)
 
-    def mark_ordered(self, at: int) -> None:
-        """The ordering layer handed the transaction on at ``at``."""
-        self.order_time = at
-        self.order_us = max(0, at - self.submit_time - self.execute_us)
+    execute_us = property(lambda r: _span(r.submit_time, r.executed_time))
+    order_us = property(lambda r: _span(r.executed_time, r.order_time))
+    validate_us = property(lambda r: _span(r.order_time, r.commit_time))
 
     def settle(self, outcome: TxnOutcome, at: int) -> None:
         if self.outcome is not TxnOutcome.PENDING:
             return
         self.outcome = outcome
+        if self.order_time is None:
+            self.order_time = at
+        if self.executed_time is None:
+            self.executed_time = self.order_time
         if outcome is TxnOutcome.COMMITTED:
             self.commit_time = at
 

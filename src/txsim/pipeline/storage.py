@@ -160,10 +160,10 @@ class StoragePeer(PeerNode):
         if not self.pipeline.locking:  # latched reads need no check
             outcome = occ_validate(dict(msg.reads), msg.write_keys, self.state, self.intents)
             if outcome is not TxnOutcome.COMMITTED:
-                self.send("clients", DbDecision(msg.txn_id, outcome))
+                self.decide(msg.txn_id, outcome)
                 return
         if not msg.write_keys:
-            self.send("clients", DbDecision(msg.txn_id, TxnOutcome.COMMITTED))
+            self.decide(msg.txn_id, TxnOutcome.COMMITTED)
             return
         for key in msg.write_keys:
             current = max(self.state.version(key), self.intents.get(key, 0))
@@ -197,7 +197,7 @@ class StoragePeer(PeerNode):
                 if not queue:
                     del self.lock_queue[key]
         if reply:
-            self.send("clients", DbDecision(txn_id, TxnOutcome.ABORTED_BLOCKED))
+            self.decide(txn_id, TxnOutcome.ABORTED_BLOCKED)
 
     def release_locks(self, txn_id: int) -> None:
         """Hand each key ``txn_id`` holds to its first waiter, or free it."""
@@ -225,7 +225,12 @@ class StoragePeer(PeerNode):
         del self.pending_writes[txn_id]
         if self.pipeline.locking:
             self.release_locks(txn_id)
-        self.send("clients", DbDecision(txn_id, TxnOutcome.COMMITTED))
+        self.decide(txn_id, TxnOutcome.COMMITTED)
+
+    def decide(self, txn_id: int, outcome: TxnOutcome) -> None:
+        """Stamp ``txn_id``'s order time, now, and send the client its decision."""
+        self.pipeline.records[txn_id].order_time = self.now
+        self.send("clients", DbDecision(txn_id, outcome))
 
 
 class StorageWorker(WorkerNode):
@@ -303,15 +308,15 @@ class StorageReplicatedPipeline(PipelineBase):
         if timeout is not None:
             self.clients.cancel_timer(timeout)
         record = self.records[txn_id]
-        record.execute_us = self.sim.now - record.submit_time
+        record.executed_time = self.sim.now
         txn = record.txn
         write_keys = tuple(k for k, _ in txn.write_set)
         if self.locking and (txn.app_abort or not write_keys):
             self.clients.send(self.leader().node_id, DbCancel(txn_id, reply=False))
             outcome = TxnOutcome.ABORTED_APPLICATION if txn.app_abort else TxnOutcome.COMMITTED
-            self._settle(txn_id, outcome)
+            self.settle(record, outcome)
         elif txn.app_abort:
-            self._settle(txn_id, TxnOutcome.ABORTED_APPLICATION)
+            self.settle(record, TxnOutcome.ABORTED_APPLICATION)
         else:
             # reads are current while latched; no version check needed
             reads = () if self.locking else tuple(sorted(record.read_versions.items()))
@@ -330,11 +335,4 @@ class StorageReplicatedPipeline(PipelineBase):
             del self._acquiring[msg.txn_id]
             self.clients.send(self.leader().node_id, DbCancel(msg.txn_id))
         elif isinstance(msg, DbDecision):
-            self._settle(msg.txn_id, msg.outcome)
-
-    def _settle(self, txn_id: int, outcome: TxnOutcome) -> None:
-        record = self.records[txn_id]
-        if record.outcome is TxnOutcome.PENDING:
-            record.order_us = max(0, self.sim.now - record.submit_time - record.execute_us)
-            record.validate_us = self.cm.exec_time_per_op
-            self.settle(record, outcome)
+            self.settle(self.records[msg.txn_id], msg.outcome)

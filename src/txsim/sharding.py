@@ -145,11 +145,15 @@ class ShardNode(ProtocolHost):
 
     def handle_shard(self, msg) -> int:
         if isinstance(msg, ShardExec):
+            cost = self.exec_cost(msg.writes)
+            self.runner.records[msg.txn_id].executed_time = self.now + cost
             for key, value in msg.writes:
                 self.store[key] = value
             self.send(self.runner.clients.node_id, ShardExecDone(msg.txn_id))
-            return self.exec_cost(msg.writes)
+            return cost
         if isinstance(msg, VoteReady):
+            # the last participant's durable vote stamps the transaction executed
+            self.runner.records[msg.txn_id].executed_time = self.now
             for dst in self.runner.coordinator_ids:
                 self.send(dst, TpcVote(msg.txn_id, self.shard_id, msg.yes))
             return 0
@@ -204,9 +208,10 @@ class Coordinator(ProtocolHost):
         return None
 
     def announce(self, record: TwoPcRecord, commit: bool) -> None:
-        """Record the decision, if no replica has yet, and send it to the shards and the client."""
+        """Record the decision and its order time, if no replica has yet, and send it on."""
         if record.decision is None:
             record.decision = TpcDecision.COMMIT if commit else TpcDecision.ABORT
+            self.runner.records[record.txn_id].order_time = self.now
         for shard in record.participants:
             self.send(self.runner.shard_node_id(shard), TpcDecide(record.txn_id, commit))
         self.send(self.runner.clients.node_id, ShardExecDone(record.txn_id))

@@ -14,13 +14,15 @@ Each cell runs ~200 transactions through ``run_experiment`` and pins:
   ``OpApplied`` to a replica that serves no transaction) moves the
   ``untimed`` digest too, since the hand-off is not a timer.
 
-Such a change re-records ``trace`` and ``untimed`` digests, never ``row``,
-and is justified line by line.  ``python tests/test_golden.py NEW_DIR
---against OLD_DIR`` runs every cell, writes its trace TSV to ``NEW_DIR``,
-prints the digests as ``GOLDEN`` entries and the lines each cell lost by
-(kind, target), and exits 1 unless every new trace, seqs aside, is the old
-trace minus exactly those lines.  ``OLD_DIR`` is written by the same
-command run on the parent's sources (``PYTHONPATH`` set to its ``src``).
+Such a change re-records ``trace`` and ``untimed`` digests and is justified
+line by line.  A behaviour change may re-record ``row`` too, but only with
+its moved columns named.  ``python tests/test_golden.py NEW_DIR --against
+OLD_DIR`` runs every cell, writes its trace TSV and CSV row to ``NEW_DIR``,
+prints the digests as ``GOLDEN`` entries, each CSV column whose value moved
+as ``# row moved: COLUMN old -> new``, and the lines each cell lost by
+(kind, target).  It exits 1 unless every new trace, seqs aside, is the old
+trace minus exactly those lines.  ``OLD_DIR`` is written by the same command
+run on the parent's sources (``PYTHONPATH`` set to its ``src``).
 
 The matrix covers every concurrency mode, every index, both failure models,
 every ordering approach, both 2PC coordinators and one sharded run with
@@ -30,7 +32,9 @@ leave them all as they are.
 """
 
 import argparse
+import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -42,7 +46,9 @@ import pytest
 
 from txsim.core import ConcurrencyMode, DesignConfig, IndexKind
 from txsim.core.encoding import Writer, digest
-from txsim.core.types import FailureModel, ReplicationApproach, ReplicationModel, ShardingMode
+from txsim.core.types import (
+    FailureModel, ReplicationApproach, ReplicationModel, ShardingMode, TxnOutcome,
+)
 from txsim.harness import Metrics, emit_csv, run_experiment, run_row
 from txsim.pipeline import Arrival
 from txsim.pipeline.base import PipelineBase
@@ -142,32 +148,32 @@ GOLDEN = {
         "untimed": "6be3e641b4c86a9a46e3e0806a53e15c35567f3519a9d6994dd15b5fef40a59c",
     },
     "locking_pb_mpt": {
-        "row": "6bcdc7157da0a9d9047b4e9f98028c6db9b3291efb13933da686851f8fca11ba",
+        "row": "b41d6e0bf15160c5e73c8ccb94621bf3dc34a9aa70a07b6aacc5b5ae7fd49c03",
         "trace": "2503d44753fbd9e1cb5b4f4cf59ed86203dc28ddf47b3244ee3a3df19615edd0",
         "untimed": "d9a1a47776b0042a72956dae671c7ab7574dd5bbe130ff81ee0ba8a5e4d6f336",
     },
     "locking_raft_smallbank": {
-        "row": "223ca06d0357ed0b36fff1b4f666aaeaff8aeeccad20c0170c7305ad481f0fd9",
+        "row": "b788308a005ae204d306c62b23347b142dbbcd6e0f1f159a26dbf733bf27d8c9",
         "trace": "df3262caa16db41f4819d385f2726c3b5c25f51d52a98b2e72c4471bec4e3d4e",
         "untimed": "d03ae9d6dc3f280ed833c8677c26b445d60eeb9be78f31608e8c81cb776b350d",
     },
     "occ_pbft_plain": {
-        "row": "5203aa6757ece06ad508a57abdea72da3e7dc0ef00222854e7d7d26614d4dd06",
+        "row": "e69b0867d7e7facb3608e0edc50dea8e0fdb30a117ef24dc33c82e4872101827",
         "trace": "30b20145e51bb63f6678d8ff5b6014040c0014813b853d45c81da606a283e4ab",
         "untimed": "676561e9a41804f8d11e396dc2f10823038f0498949ab160f74d95c91647d0e5",
     },
     "occ_sharedlog_mbt": {
-        "row": "376101b7e2525c8334778900402990116e4a97c71ea773c17fdbe8de773eb973",
+        "row": "2f7bf21f77e60dc82789e73decc96b3b6fbdbff0d4b909aea53941d237df45cc",
         "trace": "b38b57912fb07dfa7b799522aef2b41288be33e978223cfb3011f2cfebc4fb92",
         "untimed": "49867b24bcaff0ccb085c5de533acc98ef6a6718bedafd62c7a8325af61748e9",
     },
     "occ_raft_mbt": {
-        "row": "3cc73b61c8ef5033080bd1eddf000e99747ea081171513eb5fab2f973d9cfabb",
+        "row": "e626cf746f90922a036ebae3111474ba21ee3cc5419582220705d52f91b7058c",
         "trace": "0dad8d107697420f23f1438e9a32faec134bc03d2e224a2df8c3cea9e4db60c9",
         "untimed": "711c0004fd940279a4f2db8050efbd41ad0b4a412c54514ceb0358a0dce45e86",
     },
     "oe_pbft_mbt": {
-        "row": "d6bb754689f297ea34f3caa599d1a931de59da17be9f7e27326b56b271d639db",
+        "row": "553062ceb5c826c980670dfc85800267320c2ff4f13d033920af020bbe71f51e",
         "trace": "c17df06c67e0122e81f241df1c3042b91e680b90d8e8d759d3f62464e4b1171b",
         "untimed": "6400c12b3f4f30dfd3571d5a43fa3f41ac376f5bf2f9f0138467793911a46c5b",
     },
@@ -177,7 +183,7 @@ GOLDEN = {
         "untimed": "6878a1436b2363875accb4a5f982c1f61d375184472ec3145393e54f6e4efea1",
     },
     "oe_sharedlog_plain": {
-        "row": "f6484f6e18083fffea18cd21fb4a3bfba88e474e2e1c5f7f8bdcce2222a2730b",
+        "row": "0d2e6ca91fe4da5356b24778db8f93838df73651e0cd3664b4d2f413be514579",
         "trace": "b0d0fae0eaef901dda790ed00e0b2588f8ac725a37ea46441fad45ab75b90993",
         "untimed": "ed769b1637bfbb3e2e1a55e90417f8d8ee698821b7d54544d50b489d37ba1106",
     },
@@ -187,17 +193,17 @@ GOLDEN = {
         "untimed": "392fff092521a18d7621cae1be1b1b47624032f194a18376959bb4a3d0a6f699",
     },
     "sharded_bft2pc": {
-        "row": "9d7331e036c5e6916d1df05489e17eca2270d9e7382045d87336d6b14455c50d",
+        "row": "2b3e82de0341693a295afa2e5f18c2fa831ffe26b0cfa9f356c9339988f415b5",
         "trace": "7bd74899376888ec5f37c8c982f4655aff4a625a63754b7416841a090a5752e3",
         "untimed": "f3e844462b8fc273b7b1fcbbbdb5fd98a7ae1884847f9bc0e1f459b7d7eadfa2",
     },
     "sharded_trusted2pc_reconfig": {
-        "row": "9ada7604a7c627061ea7c32eeaa60a59cf79dd5320c51b6da834f8b556028d55",
+        "row": "1e008474569226e4359320ddb8514d3a61aa6494f793d192fdae99c6697bfba0",
         "trace": "5ebbefa8289596a4c05f6fbff43a1756e13ab56f8ec0270c1c5f3ac4102dc013",
         "untimed": "faf6a9cc86d20b55cfe063b9cfa85d8044c891fb041e3700e0be7ab49e093cc5",
     },
     "sharded_trusted2pc": {
-        "row": "6e89bac63e12d691f02fc3641cdc5e2d2f6c24bf81e13ddd9962bbb375201c8a",
+        "row": "c516770eb524846415b1d239f345b3fd4856a22ae5ca9b7cfc6e8c3926ddaeb5",
         "trace": "da05dcc5696d0b5fd5445815f1b66156677be5d761841a3ffd29d44cc3cff865",
         "untimed": "95bb402558ae7a31151ec33a258195debef7ba86e01c4e43ad42636603ab3777",
     },
@@ -221,7 +227,7 @@ class CellRun(NamedTuple):
 
 
 def run_cell(name, out_dir) -> CellRun:
-    """Run one cell, writing its trace TSV to ``out_dir/<name>.tsv``."""
+    """Run one cell, writing its trace TSV and CSV row to ``out_dir/<name>.tsv`` and ``.csv``."""
     cfg, spec, arrival, seed = CELLS[name]
     seen = {}
 
@@ -279,6 +285,15 @@ def lost_lines(old: bytes, new: bytes) -> Optional[list]:
         else:
             lost.append(line)
     return lost if j == len(kept) else None
+
+
+def moved_columns(old: bytes, new: bytes) -> list:
+    """(column, old value, new value) for each column whose value differs
+    between two one-row CSVs; a column that one of them lacks reads None."""
+    old_row, new_row = (next(csv.DictReader(io.StringIO(text.decode()))) for text in (old, new))
+    return [(column, old_row.get(column), new_row.get(column))
+            for column in dict.fromkeys([*old_row, *new_row])
+            if old_row.get(column) != new_row.get(column)]
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +365,25 @@ def test_lost_lines_are_the_old_trace_minus_the_new_one():
     assert lost_lines(old, b"3\t1\tb\ta\tz\n1\t2\ta\tb\tx\n") is None  # lines reordered
 
 
+def test_moved_columns_are_the_row_values_that_differ():
+    old = b"a,b,c\n1,2,3\n"
+    assert moved_columns(old, b"a,b,c\n1,5,3\n") == [("b", "2", "5")]
+    assert moved_columns(old, b"a,b,c\n0,2,4\n") == [("a", "1", "0"), ("c", "3", "4")]
+    assert moved_columns(old, old) == []
+    assert moved_columns(old, b"a,b,c,d\n1,2,3,4\n") == [("d", None, "4")]  # a column added
+
+
+@pytest.mark.parametrize("name", sorted(CELLS))
+def test_phases_partition_latency(name, cell_runs):
+    """Every committed record's three phases are non-negative and sum to its latency."""
+    records = cell_runs(name).owner.records.values()
+    committed = [r for r in records if r.outcome is TxnOutcome.COMMITTED]
+    assert committed
+    for r in committed:
+        phases = (r.execute_us, r.order_us, r.validate_us)
+        assert min(phases) >= 0 and sum(phases) == r.latency, (r.txn.id, phases, r.latency)
+
+
 def test_golden_cells_do_not_depend_on_the_hash_seed():
     """The whole matrix passes in two child processes with different string hashing.
 
@@ -375,14 +409,14 @@ def test_golden_cells_do_not_depend_on_the_hash_seed():
 def main(argv=None) -> int:
     """Re-record the golden digests; see ``python tests/test_golden.py --help``."""
     parser = argparse.ArgumentParser(
-        description="Run every golden cell, write its trace TSV to DIR and print its digests "
-        "as GOLDEN entries, each marked with the digests that moved.")
-    parser.add_argument("dir", type=Path, help="where each cell's trace TSV is written")
+        description="Run every golden cell, write its trace TSV and CSV row to DIR and print "
+        "its digests as GOLDEN entries, each marked with the digests that moved.")
+    parser.add_argument("dir", type=Path, help="where each cell's trace TSV and CSV row are written")
     parser.add_argument(
         "--against", type=Path, metavar="OLD_DIR",
-        help="also print the lines each cell lost against the traces in OLD_DIR, by "
-        "(kind, target), and exit 1 unless every new trace, without seqs, is the old "
-        "trace minus those lines")
+        help="also print each CSV column that moved against the rows in OLD_DIR, and the "
+        "lines each cell lost against the traces there, by (kind, target); exit 1 unless "
+        "every new trace, without seqs, is the old trace minus those lines")
     args = parser.parse_args(argv)
     args.dir.mkdir(parents=True, exist_ok=True)
     ok = True
@@ -394,6 +428,10 @@ def main(argv=None) -> int:
             print(f'        "{key}": "{value}",')
         print("    },")
         if args.against is not None:
+            old_csv = (args.against / f"{name}.csv").read_bytes()
+            new_csv = (args.dir / f"{name}.csv").read_bytes()
+            for column, old, new in moved_columns(old_csv, new_csv):
+                print(f"    # row moved: {column} {old} -> {new}")
             lost = lost_lines((args.against / f"{name}.tsv").read_bytes(), run.trace)
             if lost is None:
                 ok = False

@@ -574,7 +574,7 @@ class TestNoLeaderRetry:
         assert not pipeline.drive()
         assert pipeline.sim.delivered_counts["cl:retry"] > 0
         assert pipeline.leader() not in (None, pipeline.peers[0])
-        assert pipeline.committed_count() > 0
+        assert any(r.outcome is TxnOutcome.COMMITTED for r in pipeline.records.values())
         assert len({p.state.kv.state_fingerprint() for p in pipeline.peers}) == 1
 
 
