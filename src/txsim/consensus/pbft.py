@@ -4,17 +4,19 @@ Pre-prepare / prepare / commit with a round-robin proposer per view.  The
 quorum is n - floor((n-1)/3), i.e. 2f+1 when n = 3f+1.  Clients broadcast
 requests to every replica: the primary proposes them, backups arm a progress
 timer and force a view change if execution stalls.  View changes carry
-prepared certificates (with payloads) so a new primary re-proposes anything
-that might have committed; gaps are filled with no-ops.
+prepared certificates, each with its payload, so a new primary re-proposes
+anything that might have committed; gaps are filled with no-ops.
 
-A replica frees a sequence's protocol state when it executes that sequence:
-its accepted pre-prepare, votes, commit flag, prepared certificate and, once
-no live sequence holds the digest, the payload.  Votes that arrive for an
-executed sequence are dropped.  What stays is the decided log (``committed``
-and ``executed_requests``), one digest per sequence.  No checkpoint messages
-are exchanged: each replica frees only what it has executed itself, a view
-change certifies only sequences above the sender's cursor, and a new view
-never re-proposes a sequence at or below the highest cursor reported.
+A replica holds one ``Slot`` per live sequence: the pre-prepare it took
+(view, digest and payload), the prepare and commit votes, the view it sent
+its commit in and its prepared certificate.  The first message naming a
+sequence creates its slot, and executing the sequence pops it.  Votes that
+arrive for an executed sequence are dropped.  Only the decided log
+(``committed`` and ``executed_requests``, one digest per sequence) outlives
+the slot.  No checkpoint messages are exchanged: each replica frees only what
+it has executed itself, a view change certifies only sequences above the
+sender's cursor, and a new view never re-proposes a sequence at or below the
+highest cursor reported.
 
 Byzantine behavior is restricted to a menu: a silent node sends nothing (the
 network layer enforces that), and an equivocating primary sends conflicting
@@ -25,9 +27,8 @@ messages: the menu contains no forgery.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..core.encoding import digest
 from .base import Component, ReplicaState
@@ -91,6 +92,19 @@ class ProgressTimer:
     kind: str = field(default="pbft:timer", init=False)
 
 
+@dataclass(slots=True, eq=False)
+class Slot:
+    """One live sequence's protocol state; ``view`` is -1 until a pre-prepare is taken."""
+
+    view: int = -1
+    digest: bytes = b""
+    payload: bytes = b""
+    prepares: Dict[tuple, set] = field(default_factory=dict)  # (view, digest) -> senders
+    commits: Dict[tuple, set] = field(default_factory=dict)
+    commit_view: int = -1  # the view this replica sent its commit in
+    cert: Optional[tuple] = None  # prepared certificate: (view, digest, payload)
+
+
 @dataclass(frozen=True)
 class PbftTiming:
     view_timeout: int
@@ -123,15 +137,7 @@ class PbftComponent(Component):
 
         self.view = 0
         self.next_seq = 1
-        # per-seq tables hold live seqs only: accepted and not yet executed
-        self.accepted: Dict[int, tuple] = {}  # seq -> (view, digest)
-        self.payloads: Dict[bytes, bytes] = {}  # digest -> payload, while held
-        self._holds: Dict[bytes, int] = {}  # digest -> accepted and cert entries holding it
-        # seq -> (view, digest) -> senders
-        self.prep_votes: Dict[int, Dict[tuple, set]] = defaultdict(lambda: defaultdict(set))
-        self.commit_votes: Dict[int, Dict[tuple, set]] = defaultdict(lambda: defaultdict(set))
-        self.sent_commit: Dict[int, int] = {}  # seq -> the view this replica sent its commit in
-        self.prepared_cert: Dict[int, tuple] = {}  # seq -> (view, digest)
+        self.slots: Dict[int, Slot] = {}  # live seqs only: named and not yet executed
         self.committed: Dict[int, bytes] = {}
         self.exec_cursor = 0
         self.pending: Dict[bytes, bytes] = {}  # request digest -> payload
@@ -167,8 +173,9 @@ class PbftComponent(Component):
         seq = self.next_seq
         self.next_seq += 1
         self._accept(self.view, seq, payload)
+        msg = PrePrepare(self.view, seq, payload)
         for peer in self.others():
-            self.send(peer, PrePrepare(self.view, seq, payload))
+            self.send(peer, msg)
         return True
 
     def replica_state(self) -> ReplicaState:
@@ -187,12 +194,14 @@ class PbftComponent(Component):
             self._on_pre_prepare(msg)
         elif isinstance(msg, Prepare):
             if msg.seq > self.exec_cursor:  # a vote on an executed seq changes nothing
-                self.prep_votes[msg.seq][(msg.view, msg.digest)].add(msg.sender)
-                self._check_prepared(msg.view, msg.seq)
+                slot = self._slot(msg.seq)
+                slot.prepares.setdefault((msg.view, msg.digest), set()).add(msg.sender)
+                self._check_prepared(msg.view, msg.seq, slot)
         elif isinstance(msg, CommitMsg):
             if msg.seq > self.exec_cursor:
-                self.commit_votes[msg.seq][(msg.view, msg.digest)].add(msg.sender)
-                self._check_committed(msg.view, msg.seq)
+                slot = self._slot(msg.seq)
+                slot.commits.setdefault((msg.view, msg.digest), set()).add(msg.sender)
+                self._check_committed(msg.view, msg.seq, slot)
         elif isinstance(msg, ViewChange):
             self._on_view_change(msg)
         elif isinstance(msg, NewView):
@@ -224,17 +233,17 @@ class PbftComponent(Component):
                 self.propose(payload)
 
     def _propose_conflicting(self, payload: bytes) -> None:
-        """Equivocate: disjoint peer subsets see different payloads at one seq."""
+        """Equivocate: disjoint peer subsets see conflicting pre-prepares at one seq."""
         seq = self.next_seq
         self.next_seq += 1
         alt = payload + b"/equivocated"
         others = self.others()
         k = 1 + (seq % (len(others) - 1)) if len(others) > 1 else 1
         group_a, group_b = others[:k], others[k:]
-        for peer in group_a:
-            self.send(peer, PrePrepare(self.view, seq, payload))
-        for peer in group_b:
-            self.send(peer, PrePrepare(self.view, seq, alt))
+        for group, p in ((group_a, payload), (group_b, alt)):
+            msg = PrePrepare(self.view, seq, p)
+            for peer in group:
+                self.send(peer, msg)
         # commit votes for both digests, the worst the menu allows
         for p in (payload, alt):
             vote = CommitMsg(self.view, seq, digest(p), self.node_id)
@@ -243,106 +252,70 @@ class PbftComponent(Component):
 
     # -- normal three-phase flow ---------------------------------------------------
 
-    @staticmethod
-    def _votes(table: Dict[int, Dict[tuple, set]], view: int, seq: int, d: bytes) -> int:
-        # reads with ``get``: indexing would insert empty entries
-        return len(table.get(seq, {}).get((view, d), ()))
-
-    def _hold(self, d: bytes) -> None:
-        self._holds[d] = self._holds.get(d, 0) + 1
-
-    def _release(self, d: bytes) -> None:
-        left = self._holds[d] - 1
-        if left:
-            self._holds[d] = left
-        else:
-            del self._holds[d], self.payloads[d]
-
-    def _forget(self, seq: int) -> None:
-        """Free an executed seq's protocol state; its decided digest stays in ``committed``."""
-        d = self.accepted.pop(seq)[1]
-        self._release(d)
-        cert = self.prepared_cert.pop(seq, None)
-        if cert is not None:
-            self._release(cert[1])
-        self.prep_votes.pop(seq, None)
-        self.commit_votes.pop(seq, None)
-        self.sent_commit.pop(seq, None)
-        self.proposed_requests.discard(d)
+    def _slot(self, seq: int) -> Slot:
+        slot = self.slots.get(seq)
+        if slot is None:
+            slot = self.slots[seq] = Slot()
+        return slot
 
     def _accept(self, view: int, seq: int, payload: bytes) -> None:
         if seq <= self.exec_cursor or seq in self.committed:
             return  # never re-decide a settled sequence
+        slot = self._slot(seq)
+        if slot.view >= view:
+            return  # first pre-prepare per (view, seq) wins
         d = digest(payload)
-        prev = self.accepted.get(seq)
-        if prev is not None:
-            if prev[0] >= view:
-                return  # first pre-prepare per (view, seq) wins
-            self._release(prev[1])
-        self.accepted[seq] = (view, d)
-        self.payloads[d] = payload
-        self._hold(d)
-        self.prep_votes[seq][(view, d)].update((self.primary_of(view), self.node_id))
+        slot.view, slot.digest, slot.payload = view, d, payload
+        slot.prepares.setdefault((view, d), set()).update((self.primary_of(view), self.node_id))
         if self.node_id != self.primary_of(view):
+            msg = Prepare(view, seq, d, self.node_id)
             for peer in self.others():
-                self.send(peer, Prepare(view, seq, d, self.node_id))
+                self.send(peer, msg)
         if view == self.view and self._timer is not None:
             self._disarm_timer()  # a live primary is working; restart the window
         self._arm_timer()
-        self._check_prepared(view, seq)
+        self._check_prepared(view, seq, slot)
 
     def _on_pre_prepare(self, msg: PrePrepare) -> None:
-        if msg.view != self.view:
-            return
-        if self.accepted.get(msg.seq, (None, None))[0] == msg.view:
-            return
-        self._accept(msg.view, msg.seq, msg.payload)
+        if msg.view == self.view:
+            self._accept(msg.view, msg.seq, msg.payload)
 
-    def _check_prepared(self, view: int, seq: int) -> None:
-        acc = self.accepted.get(seq)
-        if acc is None or acc[0] != view or view != self.view:
+    def _check_prepared(self, view: int, seq: int, slot: Slot) -> None:
+        if slot.view != view or view != self.view:
             return
-        d = acc[1]
-        if self._votes(self.prep_votes, view, seq, d) < self.quorum:
+        d = slot.digest
+        if len(slot.prepares.get((view, d), ())) < self.quorum:
             return
-        cert = self.prepared_cert.get(seq)
-        if cert is None or cert[0] < view:
-            if cert is not None:
-                self._release(cert[1])
-            self.prepared_cert[seq] = (view, d)
-            self._hold(d)
-        if self.sent_commit.get(seq) == view:
+        if slot.cert is None or slot.cert[0] < view:
+            slot.cert = (view, d, slot.payload)
+        if slot.commit_view == view:
             return
-        self.sent_commit[seq] = view
-        self.commit_votes[seq][(view, d)].add(self.node_id)
+        slot.commit_view = view
+        slot.commits.setdefault((view, d), set()).add(self.node_id)
+        msg = CommitMsg(view, seq, d, self.node_id)
         for peer in self.others():
-            self.send(peer, CommitMsg(view, seq, d, self.node_id))
-        self._check_committed(view, seq)
+            self.send(peer, msg)
+        self._check_committed(view, seq, slot)
 
-    def _check_committed(self, view: int, seq: int) -> None:
-        if seq in self.committed:
+    def _check_committed(self, view: int, seq: int, slot: Slot) -> None:
+        if seq in self.committed or slot.view != view:
             return
-        acc = self.accepted.get(seq)
-        if acc is None or acc[0] != view:
-            return
-        d = acc[1]
-        if self.sent_commit.get(seq) != view:
+        if slot.commit_view != view:
             return  # committed-local requires the prepared certificate
-        if self._votes(self.commit_votes, view, seq, d) < self.quorum:
+        if len(slot.commits.get((view, slot.digest), ())) < self.quorum:
             return
-        self.committed[seq] = d
+        self.committed[seq] = slot.digest
         self._try_execute()
 
     def _try_execute(self) -> None:
         progressed = False
-        while self.committed.get(self.exec_cursor + 1) is not None:
+        while self.exec_cursor + 1 in self.committed:
             seq = self.exec_cursor + 1
-            d = self.committed[seq]
-            payload = self.payloads.get(d)
-            if payload is None:
-                break  # digest decided but payload never seen; stay safe and stall
+            # a seq commits only on the digest its slot took, so the slot holds its payload
+            slot = self.slots.pop(seq)
+            d, payload = slot.digest, slot.payload
             self.exec_cursor = seq
-            self._forget(seq)
+            self.proposed_requests.discard(d)
             already_delivered = d in self.executed_requests
             self.executed_requests.add(d)
             self.pending.pop(d, None)
@@ -359,8 +332,8 @@ class PbftComponent(Component):
     # -- progress timer and view change ------------------------------------------
 
     def _unexecuted_work(self) -> bool:
-        # a seq leaves ``accepted`` when it executes, so every key is above the cursor
-        return bool(self.pending) or bool(self.accepted)
+        # a seq's slot is popped when it executes, so every slot is above the cursor
+        return bool(self.pending) or any(slot.view >= 0 for slot in self.slots.values())
 
     def _arm_timer(self) -> None:
         if self._timer is None and self.timing is not None:
@@ -385,8 +358,8 @@ class PbftComponent(Component):
 
     def _start_view_change(self, new_view: int) -> None:
         self.view = new_view
-        # certificates of live seqs only, each with the payload it holds
-        certs = {seq: (view, d, self.payloads[d]) for seq, (view, d) in self.prepared_cert.items()}
+        # certificates of live seqs only, each with its payload
+        certs = {seq: slot.cert for seq, slot in self.slots.items() if slot.cert is not None}
         vc = ViewChange(new_view, self.node_id, certs, self.exec_cursor)
         self.vc_msgs.setdefault(new_view, {})[self.node_id] = (certs, self.exec_cursor)
         for peer in self.others():
@@ -462,17 +435,13 @@ class PbftComponent(Component):
 
     def snapshot(self) -> tuple:
         """Canonical hashable state, for exhaustive interleaving exploration."""
-        return (
-            self.view,
-            self.next_seq,
-            tuple(sorted(self.accepted.items())),
-            _vote_rows(self.prep_votes),
-            _vote_rows(self.commit_votes),
-            tuple(sorted(self.sent_commit.items())),
-            tuple(sorted(self.committed.items())),
-            self.exec_cursor,
+        slots = tuple(
+            (seq, slot.view, slot.digest, _vote_rows(slot.prepares), _vote_rows(slot.commits),
+             slot.commit_view, slot.cert and slot.cert[:2])
+            for seq, slot in sorted(self.slots.items())
         )
+        return (self.view, self.next_seq, slots, tuple(sorted(self.committed.items())), self.exec_cursor)
 
 
-def _vote_rows(table: Dict[int, Dict[tuple, set]]) -> tuple:
-    return tuple(sorted((seq, key, frozenset(v)) for seq, votes in table.items() for key, v in votes.items()))
+def _vote_rows(votes: Dict[tuple, set]) -> tuple:
+    return tuple(sorted((key, frozenset(v)) for key, v in votes.items()))

@@ -167,10 +167,8 @@ class Simulator:
         self._queue: List[tuple] = []
         self._seq = 0
         self._last_at: Dict[int, int] = {}  # fire time -> last seq queued at it, times still ahead
-        self._grouped = 0  # waiting events beyond the first of each group entry
         self._fired: Optional[Event] = None  # the event of the last step taken
-        self._cancelled = 0  # cancelled events still queued or waiting
-        self._cancelled_waiting = 0  # those of them that wait in a group
+        self._cancelled_waiting = 0  # cancelled events that wait in a group
         self.nodes: Dict[object, Node] = {}
         self._faults: Dict[object, NodeFault] = {}
         self._partition: Optional[Dict[object, int]] = None
@@ -243,12 +241,8 @@ class Simulator:
     def cancel(self, ev: Event) -> None:
         """Keep ``ev`` from being delivered; a no-op once it was delivered or dropped."""
         if ev.state == _WAITING:
-            self._cancelled += 1
             self._cancelled_waiting += 1
-        elif ev.state == _QUEUED:
-            if ev.seq:  # else armed by a handler still running: not queued yet
-                self._cancelled += 1
-        else:
+        elif ev.state != _QUEUED:
             return
         ev.state = _CANCELLED
 
@@ -317,10 +311,8 @@ class Simulator:
             if entry.__class__ is _Waiting:
                 node, events = entry.node, entry.events
                 n = len(events)
-                self._grouped -= n - 1
                 head = events[0]
             elif entry.state == _CANCELLED:
-                self._cancelled -= 1
                 continue
             else:
                 head, n = entry, 0
@@ -343,7 +335,6 @@ class Simulator:
                 ev = events[fired]
                 fired += 1
                 if ev.state == _CANCELLED:
-                    self._cancelled -= 1
                     self._cancelled_waiting -= 1
                     continue
                 ev.fire_time = now
@@ -390,7 +381,6 @@ class Simulator:
                     kept = []
                     for ev in events:
                         if ev.state == _CANCELLED:
-                            self._cancelled -= 1
                             self._cancelled_waiting -= 1
                         elif not self._deliverable(ev):
                             ev.state = _DROPPED
@@ -407,11 +397,9 @@ class Simulator:
                     if (group is not None and group.fire_time == until_free
                             and last_at[until_free] == group.last_seq):
                         group.events += events
-                        self._grouped += n
                     else:
                         group = node._group = _Waiting(node, until_free, events)
                         heappush(queue, (until_free, self._seq + 1, group))
-                        self._grouped += n - 1
                     self._seq += n
                     last_at[until_free] = group.last_seq = self._seq
         if until is not None and now < until and (not queue or queue[0][0] > until):
@@ -422,7 +410,13 @@ class Simulator:
 
     def pending(self) -> int:
         """Events still queued, waiting ones included (not queue entries nor cancelled events)."""
-        return len(self._queue) + self._grouped - self._cancelled
+        count = 0
+        for _, _, entry in self._queue:
+            if entry.__class__ is _Waiting:
+                count += sum(ev.state != _CANCELLED for ev in entry.events)
+            elif entry.state != _CANCELLED:
+                count += 1
+        return count
 
     def dump_trace(self) -> str:
         """Tab-separated trace: one line per delivered event."""

@@ -298,7 +298,7 @@ class TestPbft:
         while h.sim.step() is not None and steps < 100_000:
             steps += 1
             for c in h.comps.values():
-                above = any(s > c.exec_cursor for s in c.accepted)
+                above = any(s > c.exec_cursor and slot.view >= 0 for s, slot in c.slots.items())
                 assert c._unexecuted_work() == (bool(c.pending) or above), (steps, c.node_id)
                 accepted_only += above and not c.pending
         live = (1, 2, 3)
@@ -307,6 +307,26 @@ class TestPbft:
         assert all([p for _, p in h.commits[i]] == payloads for i in live)
         assert not any(h.comps[i]._unexecuted_work() for i in live)
         assert_agreement([h.comps[i].replica_state() for i in live])
+
+    def test_one_digest_at_two_live_seqs_is_delivered_once(self):
+        # the view-1 primary re-proposes x at seq 1 from its certificate and
+        # again at seq 2 from its pending requests
+        h = PbftHarness(4, seed=300)
+        for i in h.comps:
+            h.sim.schedule(i, Request(b"x"), delay=0, src="client")
+        h.sim.inject_fault(0, FaultKind.CRASHED, at_time=740)
+        steps = doubled = 0
+        while h.sim.step() is not None and steps < 100_000:
+            steps += 1
+            for c in h.comps.values():
+                taken = [slot.digest for slot in c.slots.values() if slot.view >= 0]
+                doubled += len(taken) != len(set(taken))
+        assert doubled > 0  # one digest sat at two live seqs
+        for i in (1, 2, 3):
+            c = h.comps[i]
+            assert c.exec_cursor == 2
+            assert h.commits[i] == [(1, b"x")]
+            assert c.slots == {}
 
     def test_healthy_cluster_delivers_no_progress_timer(self):
         # every progress timer is cancelled when the window restarts or the work runs out

@@ -702,9 +702,6 @@ class TestRunPipelineDispatch:
         assert res.committed + counts["aborted_application"] == 300
 
 
-_PBFT_SEQ_TABLES = ("accepted", "prep_votes", "commit_votes", "sent_commit", "prepared_cert")
-
-
 class TestBoundedReplicaState:
     """Replica state follows the working set, not the run length."""
 
@@ -712,20 +709,18 @@ class TestBoundedReplicaState:
         # the occ_pbft_smallbank benchmark cell; every write is one PBFT seq
         cfg = db_config(failure_model=FailureModel.BFT, node_count=4, tolerated_failures=1)
         clients = 16
-        handle, peaks = PbftComponent.handle, {}
+        handle, peak = PbftComponent.handle, 0
 
         def watched(comp, msg):
+            nonlocal peak
             out = handle(comp, msg)
-            for name in _PBFT_SEQ_TABLES:
-                table = getattr(comp, name)
-                assert min(table, default=comp.exec_cursor + 1) > comp.exec_cursor, name
-                peaks[name] = max(peaks.get(name, 0), len(table))
-            peaks["payloads"] = max(peaks.get("payloads", 0), len(comp.payloads))
+            assert min(comp.slots, default=comp.exec_cursor + 1) > comp.exec_cursor
+            peak = max(peak, len(comp.slots))
             return out
 
         monkeypatch.setattr(PbftComponent, "handle", watched)
         for txn_count in (400, 4000):
-            peaks.clear()
+            peak = 0
             spec = WorkloadSpec(kind=WorkloadKind.SMALLBANK, txn_count=txn_count, seed=7)
             pipeline = StorageReplicatedPipeline(cfg, spec, Arrival.closed_loop(clients), seed=7)
             assert not pipeline.drive()
@@ -733,13 +728,12 @@ class TestBoundedReplicaState:
             assert all(c.exec_cursor > txn_count for c in comps)
             for c in comps:
                 # everything ordered was executed, and nothing of it is left
-                assert [len(getattr(c, name)) for name in _PBFT_SEQ_TABLES] == [0] * 5
-                assert (c.payloads, c.proposed_requests) == ({}, set())
+                assert (c.slots, c.proposed_requests) == ({}, set())
                 assert len(c.committed) == c.exec_cursor  # the decided log stays
             # live seqs are the writes in flight, at most one transaction per
             # client, so the peak is the same bound at either length
             window = clients * max(len(t.write_set) for t in pipeline.txns)
-            assert 0 < max(peaks.values()) <= window < txn_count
+            assert 0 < peak <= window < txn_count
 
     def test_mpt_store_holds_only_reachable_nodes_after_every_block(self, monkeypatch):
         # the oe_raft_mpt benchmark cell: 1000 keys, 1000-byte values, ten times as long
