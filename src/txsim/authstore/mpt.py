@@ -206,8 +206,8 @@ class TransitionMemo:
 
     __slots__ = ("sharers", "entries")
 
-    def __init__(self, sharers: int = 0):
-        self.sharers = sharers
+    def __init__(self):
+        self.sharers = 0
         self.entries: Dict[tuple, list] = {}
 
 
@@ -221,22 +221,16 @@ class MerklePatriciaTrie:
     def root(self) -> bytes:
         return EMPTY_ROOT if self._root is None else self._root.digest
 
-    def share(self, twin: "MerklePatriciaTrie", memo: Optional[TransitionMemo] = None) -> None:
+    def share(self, twin: "MerklePatriciaTrie", memo: TransitionMemo) -> None:
         """Make ``twin`` an equal trie, and a sharer of ``memo``; nothing is copied.
 
         The twin takes this trie's root node, so the two share one node
         graph until a put copies the path it rewrites.  The memo rule: every
         sharer must apply the memo's batches, since an entry is dropped only
-        once each sharer has taken it.  By default ``twin`` joins this trie's
-        memo, which the first share creates with this trie counted in.  A
-        trie kept pristine only to be forked passes its twins a fresh
-        ``memo`` and stays out of it.
+        once each sharer has taken it.  This trie stays out of ``memo``: it
+        is kept pristine to be forked, as ``PipelineBase.preload`` keeps it.
         """
         twin._root = self._root
-        if memo is None:
-            if self.memo is None:
-                self.memo = TransitionMemo(sharers=1)
-            memo = self.memo
         memo.sharers += 1
         twin.memo = memo
 

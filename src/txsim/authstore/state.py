@@ -73,7 +73,7 @@ class StateStore:
                 self.index.put_batch(records)
         self.meter.ops = self.meter.bytes = 0
 
-    def fork(self, memo: Optional[TransitionMemo] = None) -> "StateStore":
+    def fork(self, memo: TransitionMemo) -> "StateStore":
         """A replica of this store: equal contents, independent from here on.
 
         The fork owns its KV dict, its MBT containers, a zeroed meter and an
@@ -84,10 +84,9 @@ class StateStore:
         rewrites; a replaced node is freed once no root or memo entry reaches
         it.  An MPT fork also joins a transition memo, so a batch that every
         replica applies at the same root is computed once.  Only stores that
-        apply batches may share a memo (``MerklePatriciaTrie.share``): by
-        default the fork joins this store's memo, with this store counted
-        in; a store kept pristine to fork from passes its forks one fresh
-        ``memo`` and stays out of it.  Other indexes ignore ``memo``.
+        apply batches may share a memo (``MerklePatriciaTrie.share``), so
+        this store, kept pristine to fork from, stays out of ``memo``.  Other
+        indexes ignore ``memo``.
         """
         index, ledger_enabled = self.index, self.ledger is not None
         if self.index_kind is IndexKind.MBT:

@@ -6,11 +6,9 @@ and fixed-width, variable-length byte strings are length-prefixed with a
 portable, which is all the hash layer needs.  Decoders refuse a flag byte
 other than 0 or 1 and trailing bytes, so what they accept re-encodes to itself.
 
-A transaction keeps four reserved zero bytes (``TXN_RESERVED``) where it once
-encoded lifecycle fields that now live on the pipeline's ``TxnRecord``.
-Dropping them would change block bytes and ledger hash costs, and so the
-virtual outputs of every run that keeps a ledger; the decoder refuses any
-other value there.
+A transaction encodes its request only: id, read keys, writes, op count and
+the application-abort flag.  Read versions and lifecycle stamps live on the
+pipeline's ``TxnRecord``.
 """
 
 from __future__ import annotations
@@ -19,9 +17,6 @@ import hashlib
 import struct
 
 DIGEST_SIZE = 32
-
-# three absent optional timestamps (one zero flag byte each) and outcome 0
-TXN_RESERVED = bytes(4)
 
 
 def digest(data: bytes) -> bytes:
@@ -56,11 +51,6 @@ class Writer:
         self._parts.append(struct.pack(">I", len(b)))
         self._parts.append(b)
         return self
-
-    def opt_u64(self, v) -> "Writer":
-        if v is None:
-            return self.u8(0)
-        return self.u8(1).u64(v)
 
     def opt_raw(self, b, width: int) -> "Writer":
         if b is None:
@@ -107,9 +97,6 @@ class Reader:
     def bytes(self) -> bytes:
         return self._take(self.u32())
 
-    def opt_u64(self):
-        return self.u64() if self.flag() else None
-
     def opt_raw(self, width: int):
         return self.raw(width) if self.flag() else None
 
@@ -120,16 +107,14 @@ class Reader:
 def encode_transaction(txn) -> bytes:
     w = Writer()
     w.u64(txn.id)
-    w.u32(len(txn.read_set))
-    for key, version in txn.read_set:
+    w.u32(len(txn.read_keys))
+    for key in txn.read_keys:
         w.bytes(key)
-        w.opt_u64(version)
     w.u32(len(txn.write_set))
     for key, value in txn.write_set:
         w.bytes(key)
         w.bytes(value)
     w.u32(txn.op_count)
-    w.raw(TXN_RESERVED)
     w.u8(1 if txn.app_abort else 0)
     return w.getvalue()
 
@@ -139,17 +124,15 @@ def decode_transaction(data: bytes):
 
     r = Reader(data)
     txn_id = r.u64()
-    read_set = tuple((r.bytes(), r.opt_u64()) for _ in range(r.u32()))
+    read_keys = tuple(r.bytes() for _ in range(r.u32()))
     write_set = tuple((r.bytes(), r.bytes()) for _ in range(r.u32()))
     op_count = r.u32()
-    if r.raw(len(TXN_RESERVED)) != TXN_RESERVED:
-        raise ValueError("reserved transaction bytes must be zero")
     app_abort = r.flag()
     if not r.done():
         raise ValueError("trailing bytes after transaction")
     return Transaction(
         id=txn_id,
-        read_set=read_set,
+        read_keys=read_keys,
         write_set=write_set,
         op_count=op_count,
         app_abort=app_abort,
@@ -186,7 +169,3 @@ def decode_block(data: bytes):
         proposer=proposer,
         state_root=state_root,
     )
-
-
-def block_digest(block) -> bytes:
-    return digest(encode_block(block))

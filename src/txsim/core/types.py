@@ -212,16 +212,17 @@ class TxnOutcome(enum.Enum):
 
 @dataclass(frozen=True)
 class Transaction:
-    """A request: a read/write set over keys, immutable once generated.
+    """A request: the keys it reads and the values it writes, immutable once
+    generated.
 
-    ``read_set`` holds (key, version-read) pairs; versions are None until an
-    execution phase captures them.  ``write_set`` holds (key, value-bytes).
-    What happens to the request (submit, order and commit times, outcome)
-    lives on its ``pipeline.records.TxnRecord``.
+    ``read_keys`` holds the keys read; the versions an execution phase reads
+    live on the pipeline's ``TxnRecord.read_versions``.  ``write_set`` holds
+    (key, value-bytes).  What happens to the request (submit, order and
+    commit times, outcome) lives on its ``pipeline.records.TxnRecord``.
     """
 
     id: int
-    read_set: Tuple[Tuple[bytes, Optional[int]], ...] = ()
+    read_keys: Tuple[bytes, ...] = ()
     write_set: Tuple[Tuple[bytes, bytes], ...] = ()
     op_count: int = 0
     app_abort: bool = False
@@ -231,7 +232,7 @@ class Transaction:
             object.__setattr__(self, "op_count", len(self.keys_touched()))
 
     def keys_touched(self):
-        return {k for k, _ in self.read_set} | {k for k, _ in self.write_set}
+        return set(self.read_keys) | {k for k, _ in self.write_set}
 
 
 @dataclass(frozen=True)

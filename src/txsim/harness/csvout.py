@@ -69,9 +69,3 @@ def emit_csv(rows: Iterable[dict], path) -> None:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def parse_csv(text: str):
-    lines = text.strip("\n").split("\n")
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:]]

@@ -162,7 +162,7 @@ class EovWorker(WorkerNode):
         record = self.pipeline.records[txn_id]
         txn = record.txn
         self.charge(self.pipeline.exec_cost(txn))
-        reads = tuple(sorted((key, self.state.version(key)) for key, _ in txn.read_set))
+        reads = tuple(sorted((key, self.state.version(key)) for key in txn.read_keys))
         self.send("clients", EndorseResp(txn_id, self.peer.node_id, reads))
 
     def validate_block(self, payload: bytes) -> None:
@@ -176,11 +176,10 @@ class EovWorker(WorkerNode):
             record = self.pipeline.records[txn_id]
             txn = record.txn
             cost = cm.sig_verify_time
-            read_versions = dict(reads)
             if txn.app_abort:
                 outcome = TxnOutcome.ABORTED_APPLICATION
             else:
-                outcome = occ_validate(read_versions, (), self.state)
+                outcome = occ_validate(dict(reads), (), self.state)
             if outcome is TxnOutcome.COMMITTED and txn.write_set:
                 _, hops, hbytes = self.state.apply_batch(txn.write_set)
                 cost += cm.exec_time_per_op * len(txn.write_set)
@@ -191,7 +190,6 @@ class EovWorker(WorkerNode):
             if observer:
                 self.pipeline.sig_time_total += cm.sig_verify_time
                 self.pipeline.validate_time_total += cost
-                record.read_versions = read_versions
                 record.settle(outcome, self.now + cumulative)
                 self.send("clients", EovDone(txn_id))
         if self.state.ledger is not None:

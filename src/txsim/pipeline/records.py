@@ -1,11 +1,13 @@
 """Per-transaction runtime state and phase timing aggregation.
 
-A ``Transaction`` is the request alone; its ``TxnRecord`` is the one home of
-its lifecycle: four stamps, read versions and the outcome, which settles once
-from ``PENDING`` to ``COMMITTED``, an ``ABORTED_*`` or ``DROPPED``.  Each
-phase spans two adjacent stamps, the same in every pipeline, so a committed
-record's phases sum to its latency: execute from submission until executed,
-order until the ordering layer's decision, validate until the commit.
+A ``Transaction`` is the request alone, its read keys without versions; its
+``TxnRecord`` is the one home of its lifecycle: four stamps, the versions its
+execution read (set once, by EOV's endorsement or the storage pipeline's
+reads) and the outcome, which settles once from ``PENDING`` to
+``COMMITTED``, an ``ABORTED_*`` or ``DROPPED``.  Each phase spans two
+adjacent stamps, the same in every pipeline, so a committed record's phases
+sum to its latency: execute from submission until executed, order until the
+ordering layer's decision, validate until the commit.
 """
 
 from __future__ import annotations

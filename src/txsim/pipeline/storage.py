@@ -292,7 +292,7 @@ class StorageReplicatedPipeline(PipelineBase):
             timeout = self.clients.set_timer(self.lock_timeout, LockTimeout(txn_id))
             self._acquiring[txn_id] = [sorted(txn.keys_touched()), 0, timeout]
         else:
-            self._acquiring[txn_id] = [[k for k, _ in txn.read_set], 0, None]
+            self._acquiring[txn_id] = [txn.read_keys, 0, None]
         self._acquire_next(txn_id)
 
     def _acquire_next(self, txn_id: int) -> None:

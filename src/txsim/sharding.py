@@ -190,7 +190,8 @@ class Coordinator(ProtocolHost):
     """A 2PC coordinator: tallies the shards' votes and announces the decision.
 
     Every shard votes once per prepare, to every coordinator node, so a
-    node's tally of a transaction completes exactly once.
+    node's tally of a transaction completes exactly once, and its vote table
+    goes then.
     """
 
     def __init__(self, node_id, runner):
@@ -203,9 +204,10 @@ class Coordinator(ProtocolHost):
         """Count one vote; the decision (commit or not) once every participant has voted."""
         table = self.votes.setdefault(msg.txn_id, {})
         table[msg.shard] = msg.yes
-        if len(table) == len(record.participants):
-            return all(table.values())
-        return None
+        if len(table) < len(record.participants):
+            return None
+        del self.votes[msg.txn_id]
+        return all(table.values())
 
     def announce(self, record: TwoPcRecord, commit: bool) -> None:
         """Record the decision and its order time, if no replica has yet, and send it on."""

@@ -1,6 +1,6 @@
 """Synthetic workloads: YCSB-style key-value streams and a Smallbank OLTP profile."""
 
-from .zipf import ZipfianSampler, zipfian_sample
+from .zipf import ZipfianSampler
 from .spec import WorkloadKind, WorkloadSpec, workload_from_file, workload_from_text
 from .ycsb import gen_ycsb, scramble_rank, ycsb_key
 from .smallbank import SMALLBANK_PROCEDURES, gen_smallbank
@@ -21,5 +21,4 @@ __all__ = [
     "workload_from_file",
     "workload_from_text",
     "ycsb_key",
-    "zipfian_sample",
 ]

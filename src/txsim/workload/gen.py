@@ -37,7 +37,7 @@ def dump_stream(txns) -> str:
     """One line per transaction: id, reads, writes; for cross-run diffing."""
     lines = []
     for txn in txns:
-        reads = ",".join(k.decode("latin-1") for k, _ in txn.read_set)
+        reads = ",".join(k.decode("latin-1") for k in txn.read_keys)
         writes = ",".join(
             f"{k.decode('latin-1')}={len(v)}B" for k, v in txn.write_set
         )

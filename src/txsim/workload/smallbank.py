@@ -89,16 +89,16 @@ def gen_smallbank(spec: WorkloadSpec) -> List[Transaction]:
         aborted = False
 
         if proc == "balance":
-            reads = ((chk, None), (savings_key(cust), None))
+            reads = (chk, savings_key(cust))
         elif proc == "deposit_checking":
             new = checking[cust] + deposit()
-            reads = ((chk, None),)
+            reads = (chk,)
             writes = ((chk, encode_balance(new)),)
             checking[cust] = new
         elif proc == "transact_savings":
             sav = savings_key(cust)
             new = savings[cust] + transact()
-            reads = ((sav, None),)
+            reads = (sav,)
             if new < 0:
                 aborted = True
             else:
@@ -106,7 +106,7 @@ def gen_smallbank(spec: WorkloadSpec) -> List[Transaction]:
                 savings[cust] = new
         elif proc == "write_check":
             amount = check()
-            reads = ((chk, None), (savings_key(cust), None))
+            reads = (chk, savings_key(cust))
             if checking[cust] + savings[cust] < amount:
                 aborted = True
             else:
@@ -119,7 +119,7 @@ def gen_smallbank(spec: WorkloadSpec) -> List[Transaction]:
                 dst = (cust + 1) % spec.record_count
             dst_chk = checking_key(dst)
             amount = payment()
-            reads = ((chk, None), (dst_chk, None))
+            reads = (chk, dst_chk)
             if checking[cust] < amount:
                 aborted = True
             else:
@@ -137,7 +137,7 @@ def gen_smallbank(spec: WorkloadSpec) -> List[Transaction]:
                 dst = (cust + 1) % spec.record_count
             sav = savings_key(cust)
             dst_chk = checking_key(dst)
-            reads = ((chk, None), (sav, None), (dst_chk, None))
+            reads = (chk, sav, dst_chk)
             dst_new = checking[dst] + checking[cust] + savings[cust]
             writes = (
                 (chk, encode_balance(0)),

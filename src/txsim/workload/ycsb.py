@@ -78,22 +78,22 @@ def gen_ycsb(spec: WorkloadSpec) -> List[Transaction]:
     always_update = spec.kind is WorkloadKind.YCSB_UPDATE
     mixed = spec.kind is WorkloadKind.YCSB_MIXED
     random, read_fraction = rng.random, spec.read_fraction
-    entries = {}  # record index -> its read-set entry (key, None), built on first use
+    keys = {}  # record index -> its key, built on first use
     txns = []
     for txn_id in range(1, spec.txn_count + 1):
-        read_set = []
-        while len(read_set) < ops:
+        read_keys = []
+        while len(read_keys) < ops:
             idx = (draw() - 1) * c % n
-            entry = entries.get(idx)
-            if entry is None:
-                entry = entries[idx] = (ycsb_key(idx), None)
-            if entry not in read_set:
-                read_set.append(entry)
+            key = keys.get(idx)
+            if key is None:
+                key = keys[idx] = ycsb_key(idx)
+            if key not in read_keys:
+                read_keys.append(key)
         if always_update or (mixed and random() >= read_fraction):
-            write_set = tuple([(key, value(txn_id, op)) for op, (key, _) in enumerate(read_set)])
+            write_set = tuple([(key, value(txn_id, op)) for op, key in enumerate(read_keys)])
         else:
             write_set = ()
-        txns.append(Transaction(txn_id, tuple(read_set), write_set, ops))
+        txns.append(Transaction(txn_id, tuple(read_keys), write_set, ops))
     return txns
 
 

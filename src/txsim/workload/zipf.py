@@ -8,8 +8,7 @@ uniform and theta = 1 is handled through the log-limit helpers.
 
 There is one draw path: ``ZipfianSampler.drawer`` binds the sampler's
 constants and ``rng.random`` into a closure that runs the scheme's float
-operations inline, and ``sample`` calls that closure.  Generators call the
-closure directly; either way the same seed gives the same ranks.
+operations inline.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class ZipfianSampler:
         self._h_x1 = self._h_integral(1.5) - 1.0
         self._h_n = self._h_integral(n + 0.5)
         self._s = 2.0 - self._h_integral_inverse(self._h_integral(2.5) - self._h(2.0))
-        self._bound = None  # (rng, its drawer) of the last ``sample`` call
 
     def _h(self, x: float) -> float:
         return math.exp(-self.theta * math.log(x))
@@ -88,19 +86,7 @@ class ZipfianSampler:
 
         return draw
 
-    def sample(self, rng) -> int:
-        """One rank from ``rng``, through the drawer bound to it."""
-        bound = self._bound
-        if bound is None or bound[0] is not rng:
-            bound = self._bound = (rng, self.drawer(rng))
-        return bound[1]()
-
     def pmf(self, i: int) -> float:
         """Analytic probability of rank i, for distribution tests."""
         norm = sum(1.0 / j**self.theta for j in range(1, self.n + 1))
         return (1.0 / i**self.theta) / norm
-
-
-def zipfian_sample(n: int, theta: float, rng) -> int:
-    """One draw; build a ZipfianSampler directly when drawing many."""
-    return ZipfianSampler(n, theta).sample(rng)

@@ -636,7 +636,7 @@ class TestStateStoreFork:
             return store
 
         source, fresh = preloaded(), preloaded()
-        fork = source.fork()
+        fork = source.fork(TransitionMemo())
         assert fork.index_kind is index and fork.meter.snapshot() == (0, 0)
         assert fork.ledger is not source.ledger and len(fork.ledger) == 0
         if fork.index is not None:
@@ -697,8 +697,9 @@ class TestMptTransitionSharing:
         if diverge is not None:
             victim, at = diverge[0] % replicas, min(diverge[1], len(batches))
             plans[victim][at:at] = [_DIVERGED]
-        built = preloaded()
-        stores = [built] + [built.fork() for _ in range(replicas - 1)]
+        # forks of one pristine store with one memo, as ``preload`` builds them
+        built, memo = preloaded(), TransitionMemo()
+        stores = [built.fork(memo) for _ in range(replicas)]
         unshared = [preloaded() for _ in range(replicas)]
         assert unshared[0].index.memo is None
 
@@ -720,7 +721,7 @@ class TestMptTransitionSharing:
                 assert trie.prove(key).nodes == fresh.prove(key).nodes
                 assert mpt_mod.verify(trie.root, key, value, trie.prove(key))
 
-        memo = built.index.memo
+        assert built.index.memo is None  # the pristine store stays out of the memo
         assert memo.sharers == replicas and all(s.index.memo is memo for s in stores)
         if diverge is None:
             assert memo.entries == {}

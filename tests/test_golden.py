@@ -19,10 +19,12 @@ line by line.  A behaviour change may re-record ``row`` too, but only with
 its moved columns named.  ``python tests/test_golden.py NEW_DIR --against
 OLD_DIR`` runs every cell, writes its trace TSV and CSV row to ``NEW_DIR``,
 prints the digests as ``GOLDEN`` entries, each CSV column whose value moved
-as ``# row moved: COLUMN old -> new``, and the lines each cell lost by
-(kind, target).  It exits 1 unless every new trace, seqs aside, is the old
-trace minus exactly those lines.  ``OLD_DIR`` is written by the same command
-run on the parent's sources (``PYTHONPATH`` set to its ``src``).
+as ``# row moved: COLUMN old -> new``, and each (kind, target) whose count
+of deliveries moved as ``# delivered KIND at TARGET old -> new``.  It exits
+1 unless every new trace, seqs aside, is the old trace minus some lines; a
+cell whose trace is not is marked so, and its moved counts show how a
+re-timed run differs.  ``OLD_DIR`` is written by the same command run on
+the parent's sources (``PYTHONPATH`` set to its ``src``).
 
 The matrix covers every concurrency mode, every index, both failure models,
 every ordering approach, both 2PC coordinators and one sharded run with
@@ -133,19 +135,19 @@ CELLS = {
 
 GOLDEN = {
     "eov_pbft_mpt": {
-        "row": "25ea368135de08c3b8343561f1217eb62c040baa6ca631a2d8d0cf513520f95c",
-        "trace": "e38eb8c932b953af74b149bf9644055805a528e6a66dc897799330f292e16fc8",
-        "untimed": "2be45941c38125a9f2af79639bd850b20bc076c26af698110d21297a70a6eeb7",
+        "row": "f8015365b79b76653ca055bd73422d37c7b3898af3a66d0f18fd7c0a2f9593af",
+        "trace": "890e24310f3757e44a7e5a7f0543fbc4fc16cdef083840d458df3a5cde1f4078",
+        "untimed": "c1b788b8b0d76032d8b8153eb9a6a79f27e99890c9d61e5948e2821b0b7d431a",
     },
     "eov_raft_plain": {
-        "row": "be3039100f9a5bed90873dc951f6ac1783e0a48413ed51292b5370ea5a722466",
-        "trace": "2fe5706ffac98dfb40930c26e9abce30835ff201790e4ffd2e636d60d2aed781",
-        "untimed": "0b0cfb2ead8f3c27234f92dbcc511d03e1eeccab657f087b00d50ebae62c01f2",
+        "row": "22edabedc542e04b76891ebf2129d9ce0801e889f0a7122fea9f974c7059abbc",
+        "trace": "56befb037e2dd149bec67f8d15a4ec27fd7e1e5f9b635c5f582c19b8a19122f3",
+        "untimed": "9cf2370f0d2bf66b288f0b655c246d4bdf8ca9ea5998bcffd39abc21f47ecc58",
     },
     "eov_sharedlog_plain": {
-        "row": "5fe2a82c6d847e1826e67963e356bdb438d560a49e85be08b2d2bd56e6ef78cc",
-        "trace": "6f6784ccb762e0347eea6e698a76e4e607539cce956dc01d9e921b2613bf289e",
-        "untimed": "6be3e641b4c86a9a46e3e0806a53e15c35567f3519a9d6994dd15b5fef40a59c",
+        "row": "a0a2b7f7f2abe0a733399086e97464525e98e793f8662b03860c58da3ce5cac9",
+        "trace": "fe0ed6aac0afbb443b5e095d64fa95b44298f075dfd64acbd928835dd7b7b53d",
+        "untimed": "a432ef9a231208f4b437726fff79b319575b7f84ff123f0b36c033158707f457",
     },
     "locking_pb_mpt": {
         "row": "b41d6e0bf15160c5e73c8ccb94621bf3dc34a9aa70a07b6aacc5b5ae7fd49c03",
@@ -173,19 +175,19 @@ GOLDEN = {
         "untimed": "711c0004fd940279a4f2db8050efbd41ad0b4a412c54514ceb0358a0dce45e86",
     },
     "oe_pbft_mbt": {
-        "row": "553062ceb5c826c980670dfc85800267320c2ff4f13d033920af020bbe71f51e",
-        "trace": "c17df06c67e0122e81f241df1c3042b91e680b90d8e8d759d3f62464e4b1171b",
-        "untimed": "6400c12b3f4f30dfd3571d5a43fa3f41ac376f5bf2f9f0138467793911a46c5b",
+        "row": "66f9bcaa8360269c0fe40c5f60c93971b4e63c90de75356905a0f70fbd8f739c",
+        "trace": "c89bc7c57e4c067afe71d79778af771e036fa8e62443965dd4c41580a50a0a87",
+        "untimed": "4688a43430a28984b10e1b8985b54b08dbdac1140ec487168e7bbf344bd7f0a3",
     },
     "oe_raft_mpt": {
-        "row": "addd885cbde0d3e63d07687bf81b53a8a3d6bbb7a5e5036f57ff46946f78ee86",
-        "trace": "ac1f01cab8ac567fca61e02d65af3ee73fb84e68f4af301fb6aad4a0d59904b7",
-        "untimed": "6878a1436b2363875accb4a5f982c1f61d375184472ec3145393e54f6e4efea1",
+        "row": "b9147129dcdff698299b45d1a3570c4e71a3c47ab5aa569e0d7f6c93643840dc",
+        "trace": "725961000f60e0fb5131146c88808e1b213bf260f632273b92b0ce6b43d92d23",
+        "untimed": "34801b4e86223eb0165c594ed3349313ec002c89f6bde2494a0eed10d032a492",
     },
     "oe_sharedlog_plain": {
-        "row": "0d2e6ca91fe4da5356b24778db8f93838df73651e0cd3664b4d2f413be514579",
-        "trace": "b0d0fae0eaef901dda790ed00e0b2588f8ac725a37ea46441fad45ab75b90993",
-        "untimed": "ed769b1637bfbb3e2e1a55e90417f8d8ee698821b7d54544d50b489d37ba1106",
+        "row": "f27623b817ef67eed83c294614c270b3e8af1a4c034664cd523a6b1256fd4445",
+        "trace": "f6e166eca3382d48f59c1e0ff7b292f242fb3281cc1d38cd45166a4d1a88ea2b",
+        "untimed": "f87ad045600d9822cf3d57d540317e7c2bc20dcfd35df9f41c387c2cda7b1d19",
     },
     "serial_raft_plain": {
         "row": "c76726d5a53220e00f91e9917891f6f6f0c175c88880117a39307109f2ec577c",
@@ -287,6 +289,19 @@ def lost_lines(old: bytes, new: bytes) -> Optional[list]:
     return lost if j == len(kept) else None
 
 
+def moved_deliveries(old: bytes, new: bytes) -> list:
+    """(kind, target, old count, new count) for each (kind, target) whose
+    number of deliveries differs between two trace TSVs."""
+    before, after = (
+        Counter((kind, dst) for _t, _seq, _src, dst, kind in
+                (line.split("\t") for line in trace.decode().splitlines()))
+        for trace in (old, new)
+    )
+    return [(kind, target, before[kind, target], after[kind, target])
+            for kind, target in sorted(before.keys() | after.keys())
+            if before[kind, target] != after[kind, target]]
+
+
 def moved_columns(old: bytes, new: bytes) -> list:
     """(column, old value, new value) for each column whose value differs
     between two one-row CSVs; a column that one of them lacks reads None."""
@@ -365,6 +380,16 @@ def test_lost_lines_are_the_old_trace_minus_the_new_one():
     assert lost_lines(old, b"3\t1\tb\ta\tz\n1\t2\ta\tb\tx\n") is None  # lines reordered
 
 
+def test_moved_deliveries_are_the_counts_that_differ():
+    old = b"1\t1\ta\tb\tx\n2\t2\ta\tc\ty\n3\t3\tb\tc\ty\n"
+    assert moved_deliveries(old, old) == []
+    # the lines one trace lacks, counted, as the old trace minus them
+    assert moved_deliveries(old, b"1\t1\ta\tb\tx\n") == [("y", "c", 2, 0)]
+    # a re-timed trace: one delivery gone and another added elsewhere
+    retimed = b"1\t1\ta\tb\tx\n4\t2\tc\tb\tx\n5\t3\ta\ta\tz\n6\t4\tb\tc\ty\n"
+    assert moved_deliveries(old, retimed) == [("x", "b", 1, 2), ("y", "c", 2, 1), ("z", "a", 0, 1)]
+
+
 def test_moved_columns_are_the_row_values_that_differ():
     old = b"a,b,c\n1,2,3\n"
     assert moved_columns(old, b"a,b,c\n1,5,3\n") == [("b", "2", "5")]
@@ -414,9 +439,9 @@ def main(argv=None) -> int:
     parser.add_argument("dir", type=Path, help="where each cell's trace TSV and CSV row are written")
     parser.add_argument(
         "--against", type=Path, metavar="OLD_DIR",
-        help="also print each CSV column that moved against the rows in OLD_DIR, and the "
-        "lines each cell lost against the traces there, by (kind, target); exit 1 unless "
-        "every new trace, without seqs, is the old trace minus those lines")
+        help="also print each CSV column that moved against the rows in OLD_DIR, and each "
+        "(kind, target) whose delivery count moved against the traces there; exit 1 unless "
+        "every new trace, without seqs, is the old trace minus some lines")
     args = parser.parse_args(argv)
     args.dir.mkdir(parents=True, exist_ok=True)
     ok = True
@@ -432,17 +457,12 @@ def main(argv=None) -> int:
             new_csv = (args.dir / f"{name}.csv").read_bytes()
             for column, old, new in moved_columns(old_csv, new_csv):
                 print(f"    # row moved: {column} {old} -> {new}")
-            lost = lost_lines((args.against / f"{name}.tsv").read_bytes(), run.trace)
-            if lost is None:
+            old_trace = (args.against / f"{name}.tsv").read_bytes()
+            if lost_lines(old_trace, run.trace) is None:
                 ok = False
                 print("    # NOT the old trace minus some lines")
-                continue
-            by_kind = Counter()
-            for line in lost:
-                _t, _src, target, kind = line.decode().rstrip("\n").split("\t")
-                by_kind[kind, target] += 1
-            for (kind, target), count in sorted(by_kind.items()):
-                print(f"    # lost {count} {kind} at {target}")
+            for kind, target, old, new in moved_deliveries(old_trace, run.trace):
+                print(f"    # delivered {kind} at {target} {old} -> {new}")
     return 0 if ok else 1
 
 

@@ -1,5 +1,6 @@
 """Experiment harness: runs, sweeps, CSV stability, forecast, CLI."""
 
+import csv
 import dataclasses
 import enum
 import hashlib
@@ -38,11 +39,15 @@ from txsim.harness import (
 )
 from txsim.harness import experiment
 from txsim.harness.cli import main as cli_main
-from txsim.harness.csvout import parse_csv
 from txsim.pipeline import Arrival
 from txsim.sharding import ShardedRun
 from txsim.simnet import FaultKind
 from txsim.workload import SMALLBANK_PROCEDURES, WorkloadSpec, WorkloadKind, workload_from_text
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def trivial_config():
@@ -395,7 +400,7 @@ class TestCsv:
         row = run_row(cfg, spec, arrival, 5, metrics)
         path = tmp_path / "one.csv"
         emit_csv([row], path)
-        parsed = parse_csv(path.read_text())
+        parsed = read_csv(path)
         assert len(parsed) == 1
         assert parsed[0]["committed"] == "30"
         assert parsed[0]["concurrency_mode"] == "serial"
@@ -544,7 +549,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        rows = parse_csv(out.read_text())
+        rows = read_csv(out)
         assert rows[0]["committed"] == "30"
         assert trace.read_text().count("\n") > 10
         txn_lines = txn_log.read_text().rstrip("\n").split("\n")
@@ -616,7 +621,7 @@ class TestCli:
     def sweep_rows(self, tmp_path, axis, values):
         code, out = self.sweep(tmp_path, axis, values)
         assert code == 0
-        return parse_csv(out.read_text())
+        return read_csv(out)
 
     def test_sweep_subcommand(self, tmp_path):
         assert len(self.sweep_rows(tmp_path, "workload.theta", [0.0, 0.5, 1.0])) == 3

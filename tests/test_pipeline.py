@@ -24,7 +24,6 @@ from txsim.core import (
     validate_config,
 )
 from txsim.core import encoding
-from txsim.core.encoding import block_digest
 from txsim.harness import emit_csv, run_experiment, run_row
 from txsim.harness.metrics import metrics_from_run
 from txsim.pipeline import (
@@ -134,7 +133,7 @@ class TestOrderExecute:
         ledgers = [p.state.ledger for p in pipeline.peers]
         assert len(ledgers[0]) > 1
         assert len({ledger.tip_digest for ledger in ledgers}) == 1
-        assert ledgers[0].tip_digest == block_digest(ledgers[0].blocks[-1])
+        assert ledgers[0].tip_digest == encoding.digest(encoding.encode_block(ledgers[0].blocks[-1]))
         assert [ledger.verify_chain() for ledger in ledgers] == [None] * len(ledgers)
 
     def test_mpt_preload_stores_only_reachable_nodes(self):

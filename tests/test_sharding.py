@@ -8,6 +8,7 @@ from txsim.core.types import ShardingMode
 from txsim.harness import run_experiment
 from txsim.pipeline import Arrival
 from txsim.sharding import (
+    Coordinator,
     ShardMap,
     ShardedRun,
     TpcDecision,
@@ -50,25 +51,48 @@ class TestShardAssignment:
             assert abs(c / n - 0.25) < 0.02
 
 
+def record_votes(monkeypatch):
+    """Every vote the coordinators tally, as txn_id -> shard -> yes."""
+    seen = {}
+    tally = Coordinator.tally
+
+    def spy(coordinator, msg, record):
+        seen.setdefault(msg.txn_id, {})[msg.shard] = msg.yes
+        return tally(coordinator, msg, record)
+
+    monkeypatch.setattr(Coordinator, "tally", spy)
+    return seen
+
+
 class TestTwoPhaseCommit:
-    def test_unanimous_yes_commits_atomically(self):
+    def test_unanimous_yes_commits_atomically(self, monkeypatch):
+        votes = record_votes(monkeypatch)
         run = sharded_run(spec_2keys(txn_count=300), shards=4, seed=31)
         res = run.run()
         assert res.committed > 250
-        votes = run.sim.nodes["coord"].votes
         commits = [r for r in res.tpc_records.values() if r.decision is TpcDecision.COMMIT]
         assert commits and all(all(votes[r.txn_id].values()) for r in commits)
         assert res.atomicity_violations() == []
 
-    def test_conflicting_prepares_vote_no_and_abort_everywhere(self):
+    def test_conflicting_prepares_vote_no_and_abort_everywhere(self, monkeypatch):
+        votes = record_votes(monkeypatch)
         run = sharded_run(spec_2keys(txn_count=500, record_count=30, theta=1.0), shards=4, seed=32)
         res = run.run()
         aborts = [r for r in res.tpc_records.values() if r.decision is TpcDecision.ABORT]
         assert aborts, "hot keys must produce at least one No vote"
-        votes = run.sim.nodes["coord"].votes
         for r in aborts:
             assert not all(votes[r.txn_id].values())
         assert res.atomicity_violations() == []
+
+    @pytest.mark.parametrize("bft", [False, True], ids=["trusted", "bft"])
+    def test_fault_free_coordinators_keep_no_vote_tables(self, bft):
+        run = sharded_run(spec_2keys(txn_count=200), shards=4, bft=bft, seed=36)
+        res = run.run()
+        assert len(res.tpc_records) > 100
+        assert all(r.decision is not None for r in res.tpc_records.values())
+        coordinators = [run.sim.nodes[c] for c in run.coordinator_ids]
+        assert len(coordinators) == (4 if bft else 1)
+        assert [c.votes for c in coordinators] == [{}] * len(coordinators)
 
     def test_trusted_coordinator_crash_blocks(self):
         run = sharded_run(spec_2keys(txn_count=120), shards=4, seed=33)
