@@ -266,16 +266,25 @@ class TestCanonicalDecoding:
         with pytest.raises(ValueError, match="flag"):
             decode_block(bytes(enc))
 
-    @pytest.mark.parametrize("decode, enc", [
+    _ENCODINGS = pytest.mark.parametrize("decode, enc", [
         (decode_transaction, encode_transaction(_PINNED_TXNS[1])),
         (decode_block, encode_block(_PINNED_BLOCKS[1])),
         (decode_entries, encode_entries([(1, ((b"k", 3),)), (2, ())])),
         (decode_op, encode_op(1, b"k", b"v")),
     ], ids=["transaction", "block", "eov_entries", "storage_op"])
+
+    @_ENCODINGS
     def test_trailing_bytes_are_refused(self, decode, enc):
         decode(enc)
         with pytest.raises(ValueError, match="trailing"):
             decode(enc + b"junk")
+
+    @_ENCODINGS
+    def test_truncated_encodings_are_refused(self, decode, enc):
+        # every proper prefix runs out of bytes before its last field
+        for end in range(len(enc)):
+            with pytest.raises(ValueError, match="truncated"):
+                decode(enc[:end])
 
 
 class TestTransactionInvariants:
