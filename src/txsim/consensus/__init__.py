@@ -1,7 +1,7 @@
 """Replication approaches as protocol state machines over the event simulator."""
 
-from .quorum import QuorumSpec, QuorumError, quorum_size, bft_f_for
-from .base import Component, ProtocolHost, ReplicaState, messages_per_commit
+from .quorum import QuorumError, quorum_size, bft_f_for
+from .base import Component, ProtocolHost, ReplicaState
 from .raft import RaftComponent, RaftTiming
 from .pbft import PbftComponent, PbftTiming
 from .sharedlog import SharedLogService
@@ -12,12 +12,10 @@ __all__ = [
     "PbftTiming",
     "ProtocolHost",
     "QuorumError",
-    "QuorumSpec",
     "RaftComponent",
     "RaftTiming",
     "ReplicaState",
     "SharedLogService",
     "bft_f_for",
-    "messages_per_commit",
     "quorum_size",
 ]

@@ -97,9 +97,6 @@ class ReplicaState:
     log: Tuple[Tuple[int, int, bytes], ...]  # (index, term/view, payload digest)
     commit_index: int
 
-    def committed_digests(self) -> Tuple[bytes, ...]:
-        return tuple(d for (_, _, d) in self.log[: self.commit_index])
-
 
 # every replication and commit protocol; a run uses at most a few of them
 PROTOCOL_PREFIXES = ("raft:", "pbft:", "slog:", "pb:", "2pc:")
@@ -113,9 +110,3 @@ def protocol_messages(delivered_counts, prefixes=PROTOCOL_PREFIXES) -> int:
         if kind.startswith(prefixes) and not kind.endswith("timer")
     )
 
-
-def messages_per_commit(sim, prefix: str, committed: int) -> float:
-    """Mean delivered protocol messages per committed entry, from the sim counters."""
-    if committed <= 0:
-        return 0.0
-    return protocol_messages(sim.delivered_counts, (prefix + ":",)) / committed

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.types import FailureModel
 
 
@@ -31,27 +29,3 @@ def quorum_size(n: int, model: FailureModel) -> int:
         raise QuorumError(f"BFT group size {n} is not of the form 3f+1")
     return 2 * f + 1
 
-
-@dataclass(frozen=True)
-class QuorumSpec:
-    n: int
-    f: int
-    quorum: int
-    model: FailureModel
-
-    @classmethod
-    def cft(cls, n: int, f: int = 0) -> "QuorumSpec":
-        return cls(n=n, f=f, quorum=quorum_size(n, FailureModel.CFT), model=FailureModel.CFT)
-
-    @classmethod
-    def bft(cls, n: int) -> "QuorumSpec":
-        return cls(
-            n=n,
-            f=bft_f_for(n),
-            quorum=quorum_size(n, FailureModel.BFT),
-            model=FailureModel.BFT,
-        )
-
-    def min_intersection(self) -> int:
-        """Overlap guaranteed between any two quorums."""
-        return 2 * self.quorum - self.n

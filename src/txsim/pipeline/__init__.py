@@ -1,6 +1,6 @@
 """Transaction lifecycles: order-execute, execute-order-validate, storage-replicated."""
 
-from .records import PhaseTimings, TxnRecord, latency_breakdown
+from .records import PhaseTimings, TxnRecord
 from .occ import occ_validate
 from .run import Arrival, RunResult, drive_and_collect, run_pipeline, txn_report
 
@@ -10,7 +10,6 @@ __all__ = [
     "RunResult",
     "TxnRecord",
     "drive_and_collect",
-    "latency_breakdown",
     "occ_validate",
     "run_pipeline",
     "txn_report",

@@ -171,7 +171,6 @@ class EovWorker(WorkerNode):
         observer = self.peer.node_id == self.pipeline.observer_id
         cm = self.pipeline.cm
         cumulative = 0
-        block_log = []
         for txn_id, reads in entries:
             record = self.pipeline.records[txn_id]
             txn = record.txn
@@ -186,10 +185,7 @@ class EovWorker(WorkerNode):
                 cost += cm.hash_cost(hops, hbytes)
             self.charge(cost)
             cumulative += cost
-            block_log.append((txn_id, outcome))
             if observer:
-                self.pipeline.sig_time_total += cm.sig_verify_time
-                self.pipeline.validate_time_total += cost
                 record.settle(outcome, self.now + cumulative)
                 self.send("clients", EovDone(txn_id))
         if self.state.ledger is not None:
@@ -206,8 +202,6 @@ class EovWorker(WorkerNode):
                 encodings[built] = encode_block(block)
             _, size = self.state.ledger.append(block, encodings[built])
             self.charge(cm.hash_cost(1, size))
-        if observer:
-            self.pipeline.block_log.append(tuple(block_log))
 
 
 class ExecuteOrderValidatePipeline(PipelineBase):
@@ -225,9 +219,6 @@ class ExecuteOrderValidatePipeline(PipelineBase):
         self.endorsement_k = endorsement_k or cfg.node_count
         if not 1 <= self.endorsement_k <= cfg.node_count:
             raise ValueError("endorsement_k must be in 1..node_count")
-        self.sig_time_total = 0
-        self.validate_time_total = 0
-        self.block_log = []
         self.endorse_timeout = 200 * self.cm.net_latency_mean
         self._inflight: Dict[int, dict] = {}
         self._endorse_timers: Dict[int, Event] = {}  # txn id -> its endorse_timeout

@@ -107,7 +107,6 @@ class OeWorker(WorkerNode):
         for txn_id in txn_ids:
             record = self.pipeline.records[txn_id]
             cumulative += self.pipeline.exec_cost(record.txn)
-            record.executions += 1
             record.executed_time = self.now + cumulative
             txns.append(record.txn)
         self.charge(cumulative)
@@ -141,7 +140,6 @@ class OeWorker(WorkerNode):
             cumulative += cost
             if observer:
                 record = self.pipeline.records[txn.id]
-                record.executions += 1
                 record.order_time = self.now  # the block reached the observer's worker
                 outcome = TxnOutcome.ABORTED_APPLICATION if txn.app_abort else TxnOutcome.COMMITTED
                 record.settle(outcome, self.now + cumulative)

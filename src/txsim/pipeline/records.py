@@ -1,4 +1,4 @@
-"""Per-transaction runtime state and phase timing aggregation.
+"""Per-transaction runtime state and the mean phase timings a run reports.
 
 A ``Transaction`` is the request alone, its read keys without versions; its
 ``TxnRecord`` is the one home of its lifecycle: four stamps, the versions its
@@ -49,7 +49,6 @@ class TxnRecord:
     order_time: Optional[int] = None
     commit_time: Optional[int] = None
     outcome: TxnOutcome = TxnOutcome.PENDING
-    executions: int = 0
     read_versions: Dict[bytes, int] = field(default_factory=dict)
 
     execute_us = property(lambda r: _span(r.submit_time, r.executed_time))
@@ -85,18 +84,3 @@ def mean_phase_timings(records) -> PhaseTimings:
         sum(r.validate_us for r in done) / n,
     )
 
-
-def latency_breakdown(unsaturated: PhaseTimings, saturated: PhaseTimings) -> dict:
-    """Per-phase means under both loads, flagging the phase that grew most."""
-    growth = {
-        "execute": saturated.execute - unsaturated.execute,
-        "order": saturated.order - unsaturated.order,
-        "validate_commit": saturated.validate_commit - unsaturated.validate_commit,
-    }
-    bottleneck = max(growth, key=lambda k: (growth[k], k))
-    return {
-        "unsaturated": unsaturated,
-        "saturated": saturated,
-        "growth": growth,
-        "bottleneck": bottleneck,
-    }

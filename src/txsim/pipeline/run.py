@@ -1,26 +1,27 @@
 """The flat entry point, and the run result that every cell reports.
 
-``run_pipeline`` is the one way to run a flat (unsharded) cell.  It validates
-the config, builds the pipeline class that ``PIPELINES`` names for the
-concurrency mode, and hands it to ``drive_and_collect``, which runs the one
-drive loop (``PipelineBase.drive``) and gathers the ``RunResult``.  A test
-that needs a pipeline built with test-only options builds the class itself
-and calls ``drive_and_collect`` too.
+``run_pipeline`` is the one way to run a flat (unsharded) cell; a sharded
+config is refused here and runs through ``harness.run_experiment``.  It
+validates the config, builds the pipeline class that ``PIPELINES`` names for
+the concurrency mode, and hands it to ``drive_and_collect``, which runs the
+one drive loop (``PipelineBase.drive``) and gathers the ``RunResult``.  A
+test that inspects replicas after a run, or needs test-only options, builds
+the pipeline itself and calls ``drive_and_collect`` too.
 
-``RunResult`` is the surface ``harness.metrics_from_run`` reads.  The sharded
-runner's ``ShardedResult`` is a ``RunResult`` as well, so one metrics path
-measures every cell.
+``RunResult`` holds only what ``harness.metrics_from_run`` reads, plus the
+trace when recorded.  The sharded runner's ``ShardedResult`` is a
+``RunResult`` as well, so one metrics path measures every cell.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..authstore.kv import state_fingerprints
 from ..consensus.base import protocol_messages
-from ..core.types import ConcurrencyMode, DesignConfig, TxnOutcome, check_config
+from ..core.types import ConcurrencyMode, DesignConfig, ShardingMode, TxnOutcome, check_config
 from ..workload import WorkloadSpec
 from .base import Arrival, PipelineBase
 from .eov import ExecuteOrderValidatePipeline
@@ -54,11 +55,7 @@ class RunResult:
     fingerprints: List[bytes]
     roots: Optional[List[bytes]]
     storage: dict
-    block_log: list = field(default_factory=list)
-    sig_time_total: int = 0
-    validate_time_total: int = 0
     trace: Optional[str] = None  # the simulator's trace TSV, when recorded
-    final_state: Optional[dict] = None  # observer's committed kv map
     # a flat cell is one shard that never reconfigures
     shard_count: int = 1
     cross_shard_ratio: float = 0.0
@@ -140,11 +137,7 @@ def drive_and_collect(pipeline: PipelineBase) -> RunResult:
         fingerprints=state_fingerprints([p.state.kv for p in peers]),
         roots=roots,
         storage=observer.state.storage_breakdown(),
-        block_log=list(getattr(pipeline, "block_log", [])),
-        sig_time_total=getattr(pipeline, "sig_time_total", 0),
-        validate_time_total=getattr(pipeline, "validate_time_total", 0),
         trace=pipeline.sim.dump_trace() if pipeline.sim.trace is not None else None,
-        final_state=dict(observer.state.kv.items()),
     )
 
 
@@ -169,6 +162,8 @@ def run_pipeline(
     cfg: DesignConfig, spec: WorkloadSpec, arrival: Arrival, seed: int = 0, trace: bool = False
 ) -> RunResult:
     """Run one flat cell through the lifecycle its concurrency mode names."""
+    if cfg.sharding_mode is not ShardingMode.NONE:
+        raise ValueError("run_pipeline runs flat cells only; run a sharded cell with run_experiment")
     check_config(cfg)
     pipeline = PIPELINES[cfg.concurrency_mode](cfg, spec, arrival, seed, trace=trace)
     return drive_and_collect(pipeline)

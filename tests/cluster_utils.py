@@ -1,7 +1,7 @@
-"""Shared cluster wiring for consensus and sharding tests."""
+"""Shared cluster and pipeline wiring for consensus, pipeline and sharding tests."""
 
 from txsim.core import CostModel, DesignConfig, seeded_rng
-from txsim.core.types import ShardingMode
+from txsim.core.types import ShardingMode, check_config
 from txsim.consensus import (
     PbftComponent,
     PbftTiming,
@@ -9,7 +9,9 @@ from txsim.consensus import (
     RaftComponent,
     RaftTiming,
 )
-from txsim.pipeline import Arrival
+from txsim.consensus.base import protocol_messages
+from txsim.pipeline import Arrival, drive_and_collect
+from txsim.pipeline.run import PIPELINES
 from txsim.sharding import NODES_PER_SHARD, ShardedRun
 from txsim.simnet import Simulator
 
@@ -105,11 +107,23 @@ class PbftHarness:
         self.sim.run(until=self.sim.now + duration)
 
 
+def committed_digests(state):
+    """The payload digests of a ``ReplicaState``'s committed log prefix."""
+    return tuple(d for (_, _, d) in state.log[: state.commit_index])
+
+
+def messages_per_commit(sim, prefix: str, committed: int) -> float:
+    """Mean delivered ``prefix:`` protocol messages per committed entry."""
+    if committed <= 0:
+        return 0.0
+    return protocol_messages(sim.delivered_counts, (prefix + ":",)) / committed
+
+
 def assert_agreement(states) -> None:
     """No two replicas commit different digests at the same log index."""
     by_index = {}
     for state in states:
-        for idx, d in enumerate(state.committed_digests(), start=1):
+        for idx, d in enumerate(committed_digests(state), start=1):
             assert by_index.setdefault(idx, d) == d, (
                 f"divergent commit at index {idx}"
             )
@@ -124,3 +138,15 @@ def sharded_run(spec, shards, bft=False, reconfiguration_interval=0, seed=0):
         reconfiguration_interval=reconfiguration_interval,
     )
     return ShardedRun(cfg, spec, Arrival.open_loop(2000), seed)
+
+
+def run_flat(cfg, spec, arrival, seed):
+    """Run a flat cell as ``run_pipeline`` does; returns the result and the driven pipeline."""
+    check_config(cfg)
+    pipeline = PIPELINES[cfg.concurrency_mode](cfg, spec, arrival, seed)
+    return drive_and_collect(pipeline), pipeline
+
+
+def observer_kv(pipeline) -> dict:
+    """The observer's committed records after a run: key -> (value, version)."""
+    return dict(pipeline.peers[pipeline.observer_id].state.kv.items())
