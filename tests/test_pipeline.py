@@ -711,15 +711,23 @@ class TestRunPipelineDispatch:
         assert calls.keys() == res.records.keys()
         assert set(calls.values()) == {1 + 5}
 
+    SHARDED = DesignConfig(
+        sharding_mode=ShardingMode.TRUSTED_2PC, node_count=6, tolerated_failures=1
+    )
+
     def test_sharded_config_is_refused(self):
-        cfg = DesignConfig(
-            sharding_mode=ShardingMode.TRUSTED_2PC, node_count=6, tolerated_failures=1
-        )
-        spec = WorkloadSpec(txn_count=50)
         with pytest.raises(ValueError, match="run_experiment"):
-            run_pipeline(cfg, spec, Arrival.open_loop(1000), seed=1)
+            run_pipeline(self.SHARDED, WorkloadSpec(txn_count=50), Arrival.open_loop(1000), seed=1)
+
+    def test_saturation_search_refuses_sharded_config(self):
         with pytest.raises(ValueError, match="run_experiment"):
-            find_saturation_rate(cfg, spec, seed=1)
+            find_saturation_rate(self.SHARDED, WorkloadSpec(txn_count=50), seed=1)
+
+    def test_run_experiment_runs_the_refused_sharded_config(self):
+        # the entry point the refusal names runs the cell on both shards
+        m = run_experiment(self.SHARDED, WorkloadSpec(txn_count=50), Arrival.open_loop(1000), seed=1)
+        assert m.shard_count == 2
+        assert (m.submitted, m.committed, m.pending) == (50, 50, 0)
 
     def test_invalid_config_raises(self):
         cfg = db_config(concurrency_mode=ConcurrencyMode.ORDER_EXECUTE)
