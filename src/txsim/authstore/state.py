@@ -19,20 +19,14 @@ from .mpt import MerklePatriciaTrie, TransitionMemo
 
 
 class StateStore:
-    def __init__(
-        self,
-        index: IndexKind = IndexKind.PLAIN,
-        ledger_enabled: bool = False,
-        bucket_count: int = 1000,
-        fanout: int = 4,
-    ):
+    def __init__(self, index: IndexKind = IndexKind.PLAIN, ledger_enabled: bool = False):
         self.kv = VersionedKV()
         self.index_kind = index
         self.meter = HashMeter()
         if index is IndexKind.MPT:
             self.index = MerklePatriciaTrie(meter=self.meter)
         elif index is IndexKind.MBT:
-            self.index = MerkleBucketTree(bucket_count, fanout, meter=self.meter)
+            self.index = MerkleBucketTree(meter=self.meter)
         else:
             self.index = None
         self.ledger: Optional[LedgerStore] = LedgerStore() if ledger_enabled else None
@@ -76,9 +70,12 @@ class StateStore:
     def fork(self, memo: TransitionMemo) -> "StateStore":
         """A replica of this store: equal contents, independent from here on.
 
-        The fork owns its KV dict, its MBT containers, a zeroed meter and an
-        empty ledger.  It shares only immutable objects with this store (trie
-        nodes, value bytes, bucket entries), so no record is hashed again.
+        The fork is a fresh store of this one's index kind and ledger
+        setting.  It owns its KV dict, its MBT containers (every store's MBT
+        has the same geometry, so copied bucket and level lists make it
+        equal), a zeroed meter and an empty ledger.  It shares only immutable
+        objects with this store (trie nodes, value bytes, bucket entries), so
+        no record is hashed again.
         An MPT fork copies nothing: trie nodes hold their children, so the
         fork takes this store's root node and a put copies only the path it
         rewrites; a replaced node is freed once no root or memo entry reaches
@@ -88,15 +85,13 @@ class StateStore:
         this store, kept pristine to fork from, stays out of ``memo``.  Other
         indexes ignore ``memo``.
         """
-        index, ledger_enabled = self.index, self.ledger is not None
+        index = self.index
+        twin = StateStore(self.index_kind, self.ledger is not None)
         if self.index_kind is IndexKind.MBT:
-            twin = StateStore(self.index_kind, ledger_enabled, index.bucket_count, index.fanout)
             twin.index.buckets = [list(bucket) for bucket in index.buckets]
             twin.index.levels = [list(level) for level in index.levels]
-        else:
-            twin = StateStore(self.index_kind, ledger_enabled)
-            if index is not None:
-                index.share(twin.index, memo)
+        elif index is not None:
+            index.share(twin.index, memo)
         twin.kv._data = dict(self.kv._data)
         return twin
 

@@ -121,7 +121,7 @@ class PbftComponent(Component):
         self,
         replicas: List,
         timing: PbftTiming,
-        on_commit=None,
+        on_commit,
         msg_cost: int = 0,
         equivocator: bool = False,
     ):
@@ -320,7 +320,7 @@ class PbftComponent(Component):
             self.executed_requests.add(d)
             self.pending.pop(d, None)
             progressed = True
-            if payload != NOOP_PAYLOAD and not already_delivered and self.on_commit is not None:
+            if payload != NOOP_PAYLOAD and not already_delivered:
                 self.on_commit(seq, payload)
         if self._unexecuted_work():
             if progressed:

@@ -85,7 +85,7 @@ class RaftTiming:
 class RaftComponent(Component):
     prefix = "raft"
 
-    def __init__(self, replicas: List, timing: RaftTiming, rng, on_commit=None):
+    def __init__(self, replicas: List, timing: RaftTiming, rng, on_commit):
         super().__init__()
         self.replicas = list(replicas)
         self.timing = timing
@@ -317,5 +317,5 @@ class RaftComponent(Component):
         while self._applied < self.commit_index:
             self._applied += 1
             _, payload = self.log[self._applied - 1]
-            if payload is not None and self.on_commit is not None:
+            if payload is not None:
                 self.on_commit(self._applied, payload)

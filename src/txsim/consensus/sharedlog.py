@@ -2,9 +2,9 @@
 
 The log is trusted and non-Byzantine: one sequencer assigns dense sequence
 numbers in arrival order and pushes entries to subscribers.  Its internal
-replication shows up as a per-append processing cost plus a delivery
-delay, not as simulated replicas.  Consumers never load the sequencer, so
-append throughput is flat in the number of consumers.
+replication shows up as a delivery delay, not as simulated replicas, and
+sequencing an append costs no processing time.  Consumers never load the
+sequencer, so append throughput is flat in the number of consumers.
 
 ``SharedLogService.append`` is the one sequence-and-fan-out step.  An
 append request goes through it, and so does each block of EOV's orderer,
@@ -34,9 +34,8 @@ class LogDeliver:
 
 
 class SharedLogService(Node):
-    def __init__(self, node_id="shared_log", append_cost: int = 0, delivery_delay: int = 0):
+    def __init__(self, node_id, delivery_delay: int):
         super().__init__(node_id)
-        self.append_cost = append_cost
         self.delivery_delay = delivery_delay
         self.appended = 0  # entries sequenced so far; the last one's seq
         self.subscribers: List = []
@@ -53,7 +52,7 @@ class SharedLogService(Node):
     def on_message(self, msg) -> int:
         if isinstance(msg, LogAppend):
             self.append(msg.entry)
-            return self.append_cost
+            return 0
         raise ValueError(f"shared log cannot handle {msg!r}")
 
 

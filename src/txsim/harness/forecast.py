@@ -10,11 +10,10 @@ throughput can collapse, so the ordering is only checked at low contention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.types import (
     ConcurrencyMode,
-    CostModel,
     DesignConfig,
     FailureModel,
     IndexKind,
@@ -53,45 +52,31 @@ def forecast_band(cfg: DesignConfig) -> ForecastBand:
     return ForecastBand(tier=tier, high_variance=cfg.concurrency_mode in _HIGH_VARIANCE_MODES)
 
 
-def corner_configs(node_count: int = 4, cost_model: Optional[CostModel] = None) -> List[DesignConfig]:
+def corner_configs() -> List[DesignConfig]:
     """One archetype per (replication model x failure model) corner.
 
     Transaction-based corners are serial order-execute chains with a ledger;
     storage-based corners are optimistic databases without one.  All four
-    share the node count and cost model so only the two forecast factors
-    differ.
+    share four nodes and the default cost model so only the two forecast
+    factors differ.
     """
-    cm = cost_model or CostModel()
-    corners = []
-    for failure in (FailureModel.BFT, FailureModel.CFT):
-        corners.append(
-            DesignConfig(
-                replication_model=ReplicationModel.TRANSACTION_BASED,
-                replication_approach=ReplicationApproach.CONSENSUS,
-                failure_model=failure,
-                concurrency_mode=ConcurrencyMode.ORDER_EXECUTE,
-                ledger_enabled=True,
-                index=IndexKind.PLAIN,
-                node_count=node_count,
-                tolerated_failures=1,
-                cost_model=cm,
-            )
+    return [
+        DesignConfig(
+            replication_model=model,
+            replication_approach=ReplicationApproach.CONSENSUS,
+            failure_model=failure,
+            concurrency_mode=mode,
+            ledger_enabled=ledger,
+            index=IndexKind.PLAIN,
+            node_count=4,
+            tolerated_failures=1,
         )
-    for failure in (FailureModel.BFT, FailureModel.CFT):
-        corners.append(
-            DesignConfig(
-                replication_model=ReplicationModel.STORAGE_BASED,
-                replication_approach=ReplicationApproach.CONSENSUS,
-                failure_model=failure,
-                concurrency_mode=ConcurrencyMode.CONCURRENT_OCC,
-                ledger_enabled=False,
-                index=IndexKind.PLAIN,
-                node_count=node_count,
-                tolerated_failures=1,
-                cost_model=cm,
-            )
+        for model, mode, ledger in (
+            (ReplicationModel.TRANSACTION_BASED, ConcurrencyMode.ORDER_EXECUTE, True),
+            (ReplicationModel.STORAGE_BASED, ConcurrencyMode.CONCURRENT_OCC, False),
         )
-    return corners
+        for failure in (FailureModel.BFT, FailureModel.CFT)
+    ]
 
 
 @dataclass(frozen=True)

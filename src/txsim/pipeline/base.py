@@ -9,7 +9,7 @@ every peer a handle, ``peer.ordering``, with two calls:
 * ``propose(payload)`` submits a payload for ordering;
 * ``is_leader()`` says whether this peer is the one proposals go through.
 
-Each ordered payload reaches the pipeline's one commit callback at every peer.
+Each ordered payload reaches every peer's worker lane as one worker task.
 Behind the handle is one of three backends: a Raft or PBFT component across
 the peers; a subscription to an external trusted shared log, whose peer 0
 leads; or the head of a primary-backup chain, which applies a proposal at
@@ -215,35 +215,37 @@ class PipelineBase:
 
     # -- construction helpers ------------------------------------------------
 
-    def build_peers(self, peer_cls, worker_cls=None) -> None:
+    def build_peers(self, peer_cls, worker_cls) -> None:
         for i in range(self.cfg.node_count):
             peer = peer_cls(i, self)
             self.sim.add_node(peer)
-            if worker_cls is not None:
-                peer.worker = worker_cls(peer)
-                self.sim.add_node(peer.worker)
+            peer.worker = worker_cls(peer)
+            self.sim.add_node(peer.worker)
             self.peers.append(peer)
         self.sim.add_node(self.clients)
 
-    def attach_ordering(self, on_commit_factory, log=None) -> None:
+    def attach_ordering(self, task, log) -> None:
         """Give every peer its ordering handle, ``peer.ordering``.
 
-        ``on_commit_factory(peer)`` returns the callback ``(index, payload)``
-        that each ordered payload reaches at ``peer``.  ``log`` is the
+        Each ordered payload reaches a peer's commit callback, which hands
+        ``task(payload)`` to the peer's worker lane.  ``log`` is the
         shared-log node the pipeline orders through under the shared-log
         approach; it is ignored otherwise.
         """
+        def on_commit(peer):
+            return lambda idx, payload: peer.to_worker(task(payload))
+
         approach = self.cfg.replication_approach
         replicas = [p.node_id for p in self.peers]
         if approach is ReplicationApproach.SHARED_LOG:
             self.sim.add_node(log)
             for peer in self.peers:
                 log.subscribe(peer.node_id)
-                handle = LogHandle(log.node_id, replicas[0], on_commit_factory(peer))
+                handle = LogHandle(log.node_id, replicas[0], on_commit(peer))
                 peer.ordering = handle.attach(peer)
         elif approach is ReplicationApproach.PRIMARY_BACKUP:
             for peer in self.peers:
-                peer.ordering = ChainHandle(peer.node_id, replicas[0], on_commit_factory(peer))
+                peer.ordering = ChainHandle(peer.node_id, replicas[0], on_commit(peer))
         elif self.cfg.failure_model is FailureModel.CFT:
             timing = RaftTiming.from_mean_latency(self.cm.net_latency_mean)
             for peer in self.peers:
@@ -251,7 +253,7 @@ class PipelineBase:
                     replicas,
                     timing,
                     seeded_rng(self.seed, f"timeout-{peer.node_id}"),
-                    on_commit=on_commit_factory(peer),
+                    on_commit=on_commit(peer),
                 )
                 peer.ordering.attach(peer)
                 # benchmark clusters run with leadership already settled
@@ -263,7 +265,7 @@ class PipelineBase:
                 peer.ordering = PbftComponent(
                     replicas,
                     timing=None,
-                    on_commit=on_commit_factory(peer),
+                    on_commit=on_commit(peer),
                     msg_cost=self.cm.sig_verify_time,
                 )
                 peer.ordering.attach(peer)

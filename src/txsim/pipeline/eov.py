@@ -24,7 +24,6 @@ from typing import Dict
 from ..consensus.sharedlog import SharedLogService
 from ..core.encoding import Reader, Writer, encode_block
 from ..core.types import Block, ReplicationApproach, TxnOutcome
-from ..simnet import Event
 from .base import Arrival, BlockFormer, BlockTimer, PeerNode, PipelineBase, Retry, WorkerNode
 from .occ import occ_validate
 
@@ -44,7 +43,6 @@ class EndorseTask:
 @dataclass
 class EndorseResp:
     txn_id: int
-    peer: int
     reads: tuple  # ((key, version), ...) sorted by key
     kind: str = field(default="cl:endorse_resp", init=False)
 
@@ -106,7 +104,7 @@ class EovOrderer(SharedLogService):
     """
 
     def __init__(self, pipeline):
-        super().__init__("orderer", delivery_delay=pipeline.cm.net_latency_mean)
+        super().__init__("orderer", pipeline.cm.net_latency_mean)
         self.pipeline = pipeline
         self.blocks = BlockFormer(self, "ord:timer", lambda b: self.append(pipeline.seal_block(b)))
 
@@ -163,7 +161,7 @@ class EovWorker(WorkerNode):
         txn = record.txn
         self.charge(self.pipeline.exec_cost(txn))
         reads = tuple(sorted((key, self.state.version(key)) for key in txn.read_keys))
-        self.send("clients", EndorseResp(txn_id, self.peer.node_id, reads))
+        self.send("clients", EndorseResp(txn_id, reads))
 
     def validate_block(self, payload: bytes) -> None:
         # decoded once for every peer, with a memo of the block encodings they build
@@ -178,7 +176,7 @@ class EovWorker(WorkerNode):
             if txn.app_abort:
                 outcome = TxnOutcome.ABORTED_APPLICATION
             else:
-                outcome = occ_validate(dict(reads), (), self.state)
+                outcome = occ_validate(dict(reads), (), self.state, {})
             if outcome is TxnOutcome.COMMITTED and txn.write_set:
                 _, hops, hbytes = self.state.apply_batch(txn.write_set)
                 cost += cm.exec_time_per_op * len(txn.write_set)
@@ -205,31 +203,17 @@ class EovWorker(WorkerNode):
 
 
 class ExecuteOrderValidatePipeline(PipelineBase):
-    def __init__(
-        self,
-        cfg,
-        spec,
-        arrival: Arrival,
-        seed: int,
-        endorsement_k: int = 0,  # matching endorsements required; 0 = all peers
-        trace: bool = False,
-    ):
+    def __init__(self, cfg, spec, arrival: Arrival, seed: int, trace: bool = False):
         super().__init__(cfg, spec, arrival, seed, trace)
         self.build_peers(EovPeer, EovWorker)
-        self.endorsement_k = endorsement_k or cfg.node_count
-        if not 1 <= self.endorsement_k <= cfg.node_count:
-            raise ValueError("endorsement_k must be in 1..node_count")
         self.endorse_timeout = 200 * self.cm.net_latency_mean
-        self._inflight: Dict[int, dict] = {}
-        self._endorse_timers: Dict[int, Event] = {}  # txn id -> its endorse_timeout
+        # txn id -> [first peer's reads, answers so far, endorse_timeout]
+        self._endorsing: Dict[int, list] = {}
         # on the shared log, clients send to the block-forming orderer itself
         self.orderer = None
         if cfg.replication_approach is ReplicationApproach.SHARED_LOG:
             self.orderer = EovOrderer(self)
-        self.attach_ordering(
-            lambda peer: lambda idx, payload, p=peer: p.to_worker(ValidateTask(payload)),
-            log=self.orderer,
-        )
+        self.attach_ordering(ValidateTask, log=self.orderer)
         self.preload()
         self.schedule_arrivals()
 
@@ -242,23 +226,20 @@ class ExecuteOrderValidatePipeline(PipelineBase):
     # -- the client side -----------------------------------------------------------
 
     def begin_txn(self, txn_id: int) -> None:
-        self._inflight[txn_id] = {}
         for peer in self.peers:
             self.clients.send(peer.node_id, EndorseReq(txn_id))
-        self._endorse_timers[txn_id] = self.clients.set_timer(
-            self.endorse_timeout, EndorseTimeout(txn_id)
-        )
+        timeout = self.clients.set_timer(self.endorse_timeout, EndorseTimeout(txn_id))
+        self._endorsing[txn_id] = [(), 0, timeout]
 
     def _end_endorsement(self, txn_id: int) -> None:
-        """End ``txn_id``'s endorsement: out of ``_inflight``, its timeout cancelled."""
-        del self._inflight[txn_id]
-        self.clients.cancel_timer(self._endorse_timers.pop(txn_id))
+        """End ``txn_id``'s endorsement: out of the table, its timeout cancelled."""
+        self.clients.cancel_timer(self._endorsing.pop(txn_id)[2])
 
     def client_message(self, msg) -> None:
         if isinstance(msg, EndorseResp):
             self._on_endorse_resp(msg)
         elif isinstance(msg, EndorseTimeout):
-            self._end_endorsement(msg.txn_id)
+            del self._endorsing[msg.txn_id]
             self.settle(self.records[msg.txn_id], TxnOutcome.DROPPED)
         elif isinstance(msg, EovDone):
             self.txn_finished(self.records[msg.txn_id])
@@ -274,20 +255,21 @@ class ExecuteOrderValidatePipeline(PipelineBase):
             self.clients.send(orderer.node_id, OrderRequest(txn_id, reads))
 
     def _on_endorse_resp(self, msg: EndorseResp) -> None:
-        responses = self._inflight.get(msg.txn_id)
-        if responses is None:
+        """Every peer must answer with the same reads before the transaction is ordered."""
+        endorsing = self._endorsing.get(msg.txn_id)
+        if endorsing is None:
             return  # already settled or dropped
-        record = self.records[msg.txn_id]
-        responses[msg.peer] = msg.reads
-        first = next(iter(responses.values()))
-        if msg.reads != first:
+        first, answers, _ = endorsing
+        if answers and msg.reads != first:
             # peers answered from different committed states
             self._end_endorsement(msg.txn_id)
-            self.settle(record, TxnOutcome.ABORTED_INCONSISTENT_READ)
+            self.settle(self.records[msg.txn_id], TxnOutcome.ABORTED_INCONSISTENT_READ)
             return
-        if len(responses) < self.endorsement_k:
+        if answers + 1 < len(self.peers):
+            endorsing[:2] = msg.reads, answers + 1
             return
         self._end_endorsement(msg.txn_id)
+        record = self.records[msg.txn_id]
         record.executed_time = self.sim.now
-        record.read_versions = dict(first)
+        record.read_versions = dict(msg.reads)
         self._send_for_ordering(msg.txn_id)

@@ -154,8 +154,7 @@ class OrderExecutePipeline(PipelineBase):
         self.next_height = 0
         self.build_peers(OePeer, OeWorker)
         self.attach_ordering(
-            lambda peer: lambda idx, payload, p=peer: p.to_worker(ApplyTask(payload)),
-            log=SharedLogService("orderer", delivery_delay=self.cm.net_latency_mean),
+            ApplyTask, log=SharedLogService("orderer", self.cm.net_latency_mean)
         )
         self.preload()
         self.schedule_arrivals()

@@ -125,7 +125,8 @@ class StoragePeer(PeerNode):
         self.lock_holder: Dict[bytes, int] = {}
         self.lock_queue: Dict[bytes, List[int]] = {}  # keys with waiters only
         self.held: Dict[int, List[bytes]] = {}
-        # the network may deliver a DbLock after its transaction's DbCancel
+        # lock-timeout aborts, whose last DbLock the network may deliver
+        # after their DbCancel
         self.cancelled: Set[int] = set()
 
     def handle_db(self, msg) -> int:
@@ -189,7 +190,6 @@ class StoragePeer(PeerNode):
     def on_cancel(self, txn_id: int, reply: bool) -> None:
         if txn_id in self.pending_writes:
             return  # commit already replicating; too late to abort
-        self.cancelled.add(txn_id)
         self.release_locks(txn_id)
         for key, queue in list(self.lock_queue.items()):
             if txn_id in queue:
@@ -197,6 +197,9 @@ class StoragePeer(PeerNode):
                 if not queue:
                     del self.lock_queue[key]
         if reply:
+            # a lock-timeout abort; a release (no reply) is sent only once
+            # every key is latched, so no DbLock can follow it
+            self.cancelled.add(txn_id)
             self.decide(txn_id, TxnOutcome.ABORTED_BLOCKED)
 
     def release_locks(self, txn_id: int) -> None:
@@ -275,8 +278,7 @@ class StorageReplicatedPipeline(PipelineBase):
         # a primary-backup op is applied down the chain and acknowledged by the tail
         self.chained = cfg.replication_approach is ReplicationApproach.PRIMARY_BACKUP
         self.attach_ordering(
-            lambda peer: lambda idx, payload, p=peer: p.to_worker(ApplyOpTask(payload)),
-            log=SharedLogService("oplog", delivery_delay=self.cm.net_latency_mean),
+            ApplyOpTask, log=SharedLogService("oplog", self.cm.net_latency_mean)
         )
         self.preload()
         self._acquiring: Dict[int, list] = {}  # txn id -> [keys, requested, lock timeout or None]

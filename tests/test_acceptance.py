@@ -452,7 +452,7 @@ class TestCriterion10ForecastConsistency:
             seed=5,
         )
         results = []
-        for cfg in corner_configs(node_count=4):
+        for cfg in corner_configs():
             metrics = run_experiment(cfg, spec, Arrival.closed_loop(32), seed=42)
             results.append((cfg, metrics))
         report_out = check_forecast_consistency(results, theta=0.0)

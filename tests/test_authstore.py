@@ -604,8 +604,8 @@ class TestStateStoreLoad:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(writes=_store_writes)
     def test_load_equals_apply_batch_without_metering(self, index, writes):
-        loaded = StateStore(index=index, ledger_enabled=True, bucket_count=8, fanout=2)
-        applied = StateStore(index=index, ledger_enabled=True, bucket_count=8, fanout=2)
+        loaded = StateStore(index=index, ledger_enabled=True)
+        applied = StateStore(index=index, ledger_enabled=True)
         loaded.load(writes)
         applied.apply_batch(writes)
         assert loaded.meter.snapshot() == (0, 0)
@@ -631,7 +631,7 @@ class TestStateStoreFork:
     @given(initial=_store_writes, later=st.lists(_store_writes, max_size=4))
     def test_fork_equals_a_fresh_store_and_stays_independent(self, index, initial, later):
         def preloaded():
-            store = StateStore(index=index, ledger_enabled=True, bucket_count=8, fanout=2)
+            store = StateStore(index=index, ledger_enabled=True)
             store.load(initial)
             return store
 
