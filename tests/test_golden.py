@@ -372,6 +372,22 @@ def test_every_lock_timeout_aborts_its_transaction(name, cell_runs):
     assert len(_deliveries(run.trace, "cl:lock_timeout")) == run.metrics.aborted_blocked > 0
 
 
+@pytest.mark.parametrize("name", [n for n in FLAT if n.startswith("locking")])
+def test_peers_remember_only_lock_timeout_cancels(name, cell_runs):
+    """Only a lock-timeout abort can still have a ``DbLock`` on the way, so
+    no peer remembers more cancelled transactions than there were such aborts."""
+    run = cell_runs(name)
+    for peer in run.owner.peers:
+        assert len(peer.cancelled) <= run.metrics.aborted_blocked
+
+
+@pytest.mark.parametrize("name", [n for n in FLAT if n.startswith("eov")])
+def test_every_endorsement_leaves_the_table(name, cell_runs):
+    """Each endorsement ends ordered, dropped or as an inconsistent read, and
+    each ending removes its entry from the client's endorsement table."""
+    assert cell_runs(name).owner._endorsing == {}
+
+
 def test_lost_lines_are_the_old_trace_minus_the_new_one():
     old = b"1\t1\ta\tb\tx\n2\t2\ta\tc\ty\n3\t3\tb\ta\tz\n"
     assert lost_lines(old, b"1\t1\ta\tb\tx\n3\t2\tb\ta\tz\n") == [b"2\ta\tc\ty\n"]
