@@ -1,7 +1,7 @@
 """Merkle bucket tree: fixed-size authenticated index.
 
-Records hash into ``bucket_count`` buckets; above them sits a Merkle tree of
-the given fanout, so the depth is capped at ceil(log_fanout(bucket_count))
+Records hash into ``BUCKET_COUNT`` buckets; above them sits a Merkle tree of
+fanout ``FANOUT``, so the depth is capped at ceil(log_FANOUT(BUCKET_COUNT)) = 5
 regardless of how many records exist.  One write touches a single
 bucket-to-root path: depth + 1 digest recomputations.
 """
@@ -9,12 +9,13 @@ bucket-to-root path: depth + 1 digest recomputations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.encoding import Writer, digest
 from .meter import HashMeter
 
-_EMPTY_LEVELS_CACHE: Dict[Tuple[int, int], List[List[bytes]]] = {}
+BUCKET_COUNT = 1000
+FANOUT = 4
 
 
 def _bucket_digest_bytes(entries) -> bytes:
@@ -24,15 +25,18 @@ def _bucket_digest_bytes(entries) -> bytes:
     return w.getvalue()
 
 
-def _build_empty_levels(bucket_count: int, fanout: int) -> List[List[bytes]]:
-    levels = [[digest(b"")] * bucket_count]
+def _build_empty_levels() -> List[List[bytes]]:
+    levels = [[digest(b"")] * BUCKET_COUNT]
     while len(levels[-1]) > 1:
         below = levels[-1]
         parents = []
-        for i in range(0, len(below), fanout):
-            parents.append(digest(b"".join(below[i : i + fanout])))
+        for i in range(0, len(below), FANOUT):
+            parents.append(digest(b"".join(below[i : i + FANOUT])))
         levels.append(parents)
     return levels
+
+
+_EMPTY_LEVELS = _build_empty_levels()
 
 
 @dataclass
@@ -52,17 +56,10 @@ class MbtProof:
 
 
 class MerkleBucketTree:
-    def __init__(self, bucket_count: int = 1000, fanout: int = 4, meter: Optional[HashMeter] = None):
-        if bucket_count < 1 or fanout < 2:
-            raise ValueError("bucket_count >= 1 and fanout >= 2 required")
-        self.bucket_count = bucket_count
-        self.fanout = fanout
-        self.meter = meter or HashMeter()
-        self.buckets: List[List[Tuple[bytes, bytes]]] = [[] for _ in range(bucket_count)]
-        cache_key = (bucket_count, fanout)
-        if cache_key not in _EMPTY_LEVELS_CACHE:
-            _EMPTY_LEVELS_CACHE[cache_key] = _build_empty_levels(bucket_count, fanout)
-        self.levels = [list(level) for level in _EMPTY_LEVELS_CACHE[cache_key]]
+    def __init__(self):
+        self.meter = HashMeter()
+        self.buckets: List[List[Tuple[bytes, bytes]]] = [[] for _ in range(BUCKET_COUNT)]
+        self.levels = [list(level) for level in _EMPTY_LEVELS]
 
     @property
     def depth(self) -> int:
@@ -73,7 +70,7 @@ class MerkleBucketTree:
         return self.levels[-1][0]
 
     def bucket_of(self, key: bytes) -> int:
-        return int.from_bytes(digest(key), "big") % self.bucket_count
+        return int.from_bytes(digest(key), "big") % BUCKET_COUNT
 
     def get(self, key: bytes) -> Optional[bytes]:
         for k, v in self.buckets[self.bucket_of(key)]:
@@ -105,9 +102,9 @@ class MerkleBucketTree:
         self.meter.count(len(data))
         idx = bucket_index
         for level in range(1, len(self.levels)):
-            idx //= self.fanout
-            start = idx * self.fanout
-            children = self.levels[level - 1][start : start + self.fanout]
+            idx //= FANOUT
+            start = idx * FANOUT
+            children = self.levels[level - 1][start : start + FANOUT]
             joined = b"".join(children)
             self.levels[level][idx] = digest(joined)
             self.meter.count(len(joined))
@@ -123,19 +120,19 @@ class MerkleBucketTree:
         path = []
         idx = bucket_index
         for level in range(1, len(self.levels)):
-            pos = idx % self.fanout
-            start = (idx // self.fanout) * self.fanout
-            group = self.levels[level - 1][start : start + self.fanout]
+            pos = idx % FANOUT
+            start = (idx // FANOUT) * FANOUT
+            group = self.levels[level - 1][start : start + FANOUT]
             siblings = tuple(d for i, d in enumerate(group) if i != pos)
             path.append((pos, siblings))
-            idx //= self.fanout
+            idx //= FANOUT
         return MbtProof(
             bucket_index=bucket_index,
             position=position,
             entries=tuple(bucket),
             path=tuple(path),
-            bucket_count=self.bucket_count,
-            fanout=self.fanout,
+            bucket_count=BUCKET_COUNT,
+            fanout=FANOUT,
         )
 
     def index_bytes(self) -> int:

@@ -212,9 +212,9 @@ class TransitionMemo:
 
 
 class MerklePatriciaTrie:
-    def __init__(self, meter: Optional[HashMeter] = None):
+    def __init__(self):
         self._root: Optional[StoredNode] = None  # None for the empty trie
-        self.meter = meter or HashMeter()
+        self.meter = HashMeter()
         self.memo: Optional[TransitionMemo] = None
 
     @property

@@ -22,13 +22,14 @@ class StateStore:
     def __init__(self, index: IndexKind = IndexKind.PLAIN, ledger_enabled: bool = False):
         self.kv = VersionedKV()
         self.index_kind = index
-        self.meter = HashMeter()
         if index is IndexKind.MPT:
-            self.index = MerklePatriciaTrie(meter=self.meter)
+            self.index = MerklePatriciaTrie()
         elif index is IndexKind.MBT:
-            self.index = MerkleBucketTree(meter=self.meter)
+            self.index = MerkleBucketTree()
         else:
             self.index = None
+        # the index meters its own hash work; a plain store has none to meter
+        self.meter = HashMeter() if self.index is None else self.index.meter
         self.ledger: Optional[LedgerStore] = LedgerStore() if ledger_enabled else None
 
     def get(self, key: bytes):

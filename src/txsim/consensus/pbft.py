@@ -122,7 +122,7 @@ class PbftComponent(Component):
         replicas: List,
         timing: PbftTiming,
         on_commit,
-        msg_cost: int = 0,
+        msg_cost: int,
         equivocator: bool = False,
     ):
         super().__init__()

@@ -157,12 +157,12 @@ class Node:
 class Simulator:
     def __init__(
         self,
-        latency: Optional[Callable[[], int]] = None,
+        latency: Callable[[], int],
         allow_byzantine: bool = False,
         trace: bool = False,
     ):
         self.now = 0
-        self._latency = latency or (lambda: 0)  # one draw per network send
+        self._latency = latency  # one draw per network send
         self.allow_byzantine = allow_byzantine
         self._queue: List[tuple] = []
         self._seq = 0

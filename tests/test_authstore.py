@@ -377,7 +377,7 @@ class TestMptProperties:
 class TestMbt:
     def test_default_depth_is_five(self):
         tree = MerkleBucketTree()
-        assert tree.bucket_count == 1000 and tree.fanout == 4
+        assert (mbt_mod.BUCKET_COUNT, mbt_mod.FANOUT) == (1000, 4)
         assert tree.depth == 5
 
     def test_root_is_insertion_order_independent(self):

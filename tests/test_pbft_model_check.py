@@ -73,7 +73,7 @@ class NodeOracle:
         self.cache = {}
 
     def replay(self, node_id, delivered, registry, order=None):
-        comp = PbftComponent(REPLICAS, timing=None, on_commit=lambda seq, payload: None)
+        comp = PbftComponent(REPLICAS, timing=None, on_commit=lambda seq, payload: None, msg_cost=0)
         comp.attach(FakeHost(node_id))
         keys = sorted(delivered) if order is None else order
         for key in keys:

@@ -600,7 +600,7 @@ class TestNoLeaderRetry:
 class TestBlockFormer:
     @staticmethod
     def _former(limit):
-        sim = Simulator()
+        sim = Simulator(lambda: 0)
         host = sim.add_node(ProtocolHost("former"))
         host.pipeline = SimpleNamespace(cm=CostModel(block_size_limit=limit))
         closed = []

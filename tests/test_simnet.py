@@ -37,6 +37,10 @@ class Recorder(Node):
         return self.cost
 
 
+def no_latency() -> int:
+    return 0
+
+
 def _sim(seed=1, **kwargs) -> Simulator:
     cm = CostModel()
     return Simulator(latency=cm.latency_drawer(seeded_rng(seed, "net")), **kwargs)
@@ -44,7 +48,7 @@ def _sim(seed=1, **kwargs) -> Simulator:
 
 class TestScheduling:
     def test_delay_five_fires_at_five(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         node = sim.add_node(Recorder("a"))
         sim.schedule("a", Ping(0), delay=5)
         ev = sim.step()
@@ -52,7 +56,7 @@ class TestScheduling:
         assert node.seen == [(5, Ping(0))]
 
     def test_same_time_events_fire_in_scheduling_order(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         node = sim.add_node(Recorder("a"))
         first = Ping(1)
         second = Ping(2)
@@ -62,13 +66,13 @@ class TestScheduling:
         assert [m for _, m in node.seen] == [first, second]
 
     def test_negative_delay_rejected(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         sim.add_node(Recorder("a"))
         with pytest.raises(SimError):
             sim.schedule("a", Ping(0), delay=-1)
 
     def test_queue_pops_in_time_order(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         node = sim.add_node(Recorder("a"))
         sim.schedule("a", Ping(3), delay=3)
         sim.schedule("a", Ping(1), delay=1)
@@ -77,11 +81,11 @@ class TestScheduling:
         assert ev.payload.hop == 1
 
     def test_step_on_empty_queue_returns_none(self):
-        assert Simulator().step() is None
+        assert Simulator(no_latency).step() is None
 
     def test_clock_is_monotone_over_random_schedules(self):
         rng = seeded_rng(3, "test")
-        sim = Simulator()
+        sim = Simulator(no_latency)
         sim.add_node(Recorder("a"))
         for _ in range(200):
             sim.schedule("a", Ping(0), delay=rng.randint(0, 1000))
@@ -93,7 +97,7 @@ class TestScheduling:
 
 class TestCrashSemantics:
     def test_event_to_crashed_target_dropped_clock_advances(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         node = sim.add_node(Recorder("a"))
         sim.inject_fault("a", FaultKind.CRASHED, at_time=0)
         sim.schedule("a", Ping(0), delay=2)
@@ -111,7 +115,7 @@ class TestCrashSemantics:
         assert b.seen == []
 
     def test_crashed_node_sends_nothing(self):
-        sim = Simulator(trace=True)
+        sim = Simulator(no_latency, trace=True)
         a = sim.add_node(Recorder("a", forward_to="b", max_hops=5))
         b = sim.add_node(Recorder("b"))
         sim.inject_fault("a", FaultKind.CRASHED, at_time=0)
@@ -120,7 +124,7 @@ class TestCrashSemantics:
         assert b.seen == [] and a.seen == []
 
     def test_heal_restores_delivery(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         node = sim.add_node(Recorder("a"))
         sim.inject_fault("a", FaultKind.CRASHED, at_time=0)
         sim.heal("a", at_time=10)
@@ -134,7 +138,7 @@ class TestCrashSemantics:
             def on_heal(self):
                 self.seen.append((self.now, "healed"))
 
-        sim = Simulator(allow_byzantine=True)
+        sim = Simulator(no_latency, allow_byzantine=True)
         node = sim.add_node(Healing("a"))
         sim.heal("a", at_time=5)  # healthy already
         sim.inject_fault("a", FaultKind.BYZANTINE_SILENT, at_time=10)
@@ -146,16 +150,16 @@ class TestCrashSemantics:
         assert node.seen == [(40, "healed")]
 
     def test_byzantine_rejected_unless_enabled(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         sim.add_node(Recorder("a"))
         with pytest.raises(SimError, match="BFT"):
             sim.inject_fault("a", FaultKind.BYZANTINE_SILENT)
-        bft_sim = Simulator(allow_byzantine=True)
+        bft_sim = Simulator(no_latency, allow_byzantine=True)
         bft_sim.add_node(Recorder("a"))
         bft_sim.inject_fault("a", FaultKind.BYZANTINE_SILENT)
 
     def test_silent_node_receives_but_never_sends(self):
-        sim = Simulator(allow_byzantine=True)
+        sim = Simulator(no_latency, allow_byzantine=True)
         a = sim.add_node(Recorder("a", forward_to="b", max_hops=5))
         b = sim.add_node(Recorder("b"))
         sim.inject_fault("a", FaultKind.BYZANTINE_SILENT, at_time=0)
@@ -166,7 +170,7 @@ class TestCrashSemantics:
 
 class TestPartitions:
     def test_cross_group_messages_dropped(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         a = sim.add_node(Recorder("a"))
         b = sim.add_node(Recorder("b"))
         sim.set_partition([{"a"}, {"b"}])
@@ -176,7 +180,7 @@ class TestPartitions:
         assert a.seen == [] and b.seen == []
 
     def test_same_group_messages_delivered(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         sim.add_node(Recorder("a"))
         b = sim.add_node(Recorder("b"))
         sim.set_partition([{"a", "b"}, {"c"}])
@@ -186,7 +190,7 @@ class TestPartitions:
         assert len(b.seen) == 1
 
     def test_clear_partition_restores_delivery(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         b = sim.add_node(Recorder("b"))
         sim.add_node(Recorder("a"))
         sim.set_partition([{"a"}, {"b"}])
@@ -299,7 +303,7 @@ class TestFaultFlag:
 
 class TestBusyNodes:
     def test_messages_queue_behind_processing(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         node = sim.add_node(Recorder("a", cost=10))
         sim.schedule("a", Ping(1), delay=0)
         sim.schedule("a", Ping(2), delay=1)
@@ -308,7 +312,7 @@ class TestBusyNodes:
         assert [(t, m.hop) for t, m in node.seen] == [(0, 1), (10, 2), (20, 3)]
 
     def test_sends_depart_after_processing(self):
-        sim = Simulator()  # zero latency
+        sim = Simulator(no_latency)
         sim.add_node(Recorder("a", forward_to="b", cost=7, max_hops=1))
         b = sim.add_node(Recorder("b"))
         sim.schedule("a", Ping(0), delay=0)
@@ -316,7 +320,7 @@ class TestBusyNodes:
         assert b.seen == [(7, Ping(1))]
 
     def test_pending_counts_events_waiting_behind_a_busy_node(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         sim.add_node(Recorder("a", cost=10))
         for delay in (0, 1, 1, 2, 5):
             sim.schedule("a", Ping(0), delay=delay)
@@ -334,7 +338,7 @@ class TestBusyNodes:
 
     def test_entry_queued_at_the_groups_fire_time_starts_a_second_group(self):
         def play(sim_cls):
-            sim = sim_cls(trace=True)
+            sim = sim_cls(no_latency, trace=True)
             sim.add_node(Recorder("a", cost=10))
             for delay in (0, 1, 1, 2):
                 sim.schedule("a", Ping(0), delay=delay)
@@ -386,7 +390,7 @@ class Arming(Recorder):
 
 class TestCancelledTimers:
     def test_cancelled_timer_is_never_delivered_counted_or_traced(self):
-        sim = Simulator(trace=True)
+        sim = Simulator(no_latency, trace=True)
         node = sim.add_node(Recorder("a"))
         keep = node.set_timer(4, Ping(1))
         gone = node.set_timer(2, Ping(2))
@@ -400,7 +404,7 @@ class TestCancelledTimers:
         assert sim.pending() == 0
 
     def test_cancel_after_delivery_is_a_no_op(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         node = sim.add_node(Recorder("a"))
         timer = node.set_timer(1, Ping(1))
         sim.run()
@@ -411,7 +415,7 @@ class TestCancelledTimers:
         assert sim.pending() == 1
 
     def test_cancel_after_a_drop_is_a_no_op(self):
-        sim = Simulator()
+        sim = Simulator(no_latency)
         node = sim.add_node(Recorder("a"))
         timer = node.set_timer(2, Ping(1))
         sim.inject_fault("a", FaultKind.CRASHED, at_time=1)
@@ -421,7 +425,7 @@ class TestCancelledTimers:
         assert sim.pending() == 0
 
     def test_timer_cancelled_inside_the_handler_that_armed_it_takes_only_its_seq(self):
-        sim = Simulator(trace=True)
+        sim = Simulator(no_latency, trace=True)
         node = sim.add_node(Arming("a", cancel_own=True))
         sim.schedule("a", Ping(0), delay=0)
         sim.schedule("a", Ping(5), delay=4)
@@ -431,7 +435,7 @@ class TestCancelledTimers:
         assert sim.dump_trace() == "0\t1\tNone\ta\tping\n4\t2\tNone\ta\tping\n"
 
     def test_cancelled_timer_waiting_behind_a_busy_node_is_not_rekeyed(self):
-        sim = Simulator(trace=True)
+        sim = Simulator(no_latency, trace=True)
         node = sim.add_node(Arming("a", cost=10))
         sim.schedule("a", Ping(0), delay=0)  # delivered at 0, busy until 10, arms a timer at 3
         sim.schedule("a", Ping(7), delay=1)
@@ -445,7 +449,7 @@ class TestCancelledTimers:
 
     def test_run_left_with_only_cancelled_events_ends_with_nothing_pending(self):
         def drive(cancel):
-            sim = Simulator()
+            sim = Simulator(no_latency)
             node = sim.add_node(Recorder("a"))
             timers = [node.set_timer(delay, Ping(1)) for delay in (5, 5, 9)]
             if cancel:
@@ -476,7 +480,7 @@ def _ping_ring_trace(seed: int) -> str:
 def _contended_trace() -> str:
     # zero latency: arrivals tie with busy_until; "z" handles at no cost and
     # bounces every ping straight back into the busy "w"
-    sim = Simulator(trace=True)
+    sim = Simulator(no_latency, trace=True)
     sim.add_node(Recorder("w", forward_to="z", cost=10, max_hops=3))
     sim.add_node(Recorder("z", forward_to="w", cost=0, max_hops=3))
     for delay in (0, 0, 4, 10, 10, 20):
