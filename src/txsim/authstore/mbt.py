@@ -9,6 +9,7 @@ bucket-to-root path: depth + 1 digest recomputations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import List, Optional, Tuple
 
 from ..core.encoding import Writer, digest
@@ -25,7 +26,9 @@ def _bucket_digest_bytes(entries) -> bytes:
     return w.getvalue()
 
 
-def _build_empty_levels() -> List[List[bytes]]:
+@cache
+def _empty_levels() -> List[List[bytes]]:
+    """The digest levels of a tree with every bucket empty, built on first use."""
     levels = [[digest(b"")] * BUCKET_COUNT]
     while len(levels[-1]) > 1:
         below = levels[-1]
@@ -34,9 +37,6 @@ def _build_empty_levels() -> List[List[bytes]]:
             parents.append(digest(b"".join(below[i : i + FANOUT])))
         levels.append(parents)
     return levels
-
-
-_EMPTY_LEVELS = _build_empty_levels()
 
 
 @dataclass
@@ -59,7 +59,7 @@ class MerkleBucketTree:
     def __init__(self):
         self.meter = HashMeter()
         self.buckets: List[List[Tuple[bytes, bytes]]] = [[] for _ in range(BUCKET_COUNT)]
-        self.levels = [list(level) for level in _EMPTY_LEVELS]
+        self.levels = [list(level) for level in _empty_levels()]
 
     @property
     def depth(self) -> int:
