@@ -1,6 +1,8 @@
 """Merkle Patricia Trie: nibble-keyed authenticated index.
 
-Three node kinds (branch, extension, leaf) over 4-bit key steps.  A stored
+Three node kinds (branch, extension, leaf) over 4-bit key steps.  A nibble
+path is ``bytes`` (``key_nibbles``), one byte per nibble, held as-is by
+leaves, extensions and encodings; a leaf holds the value it was given.  A stored
 node (``LeafNode``, ``ExtensionNode``, ``BranchNode``) is immutable, holds
 its child nodes and carries the digest of its canonical encoding, computed
 and metered once when the node is created; so the root digest is determined
@@ -49,8 +51,8 @@ _LEAF, _EXTENSION, _BRANCH = 0, 1, 2
 _HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
-def key_nibbles(key: bytes) -> Tuple[int, ...]:
-    return tuple(key.hex().encode().translate(_HEX_TO_NIBBLE))
+def key_nibbles(key: bytes) -> bytes:
+    return key.hex().encode().translate(_HEX_TO_NIBBLE)
 
 
 # The canonical encoding, one routine per node kind: a tag byte, then the
@@ -62,14 +64,12 @@ _SLOT_BITS = tuple(1 << i for i in range(16))  # presence-bitmap bit of each bra
 _digest_of = attrgetter("digest")
 
 
-def _encode_leaf(suffix: Tuple[int, ...], value: bytes) -> bytes:
-    return b"".join(
-        (_pack(">BI", _LEAF, len(suffix)), bytes(suffix), _pack(">I", len(value)), value)
-    )
+def _encode_leaf(suffix: bytes, value: bytes) -> bytes:
+    return b"".join((_pack(">BI", _LEAF, len(suffix)), suffix, _pack(">I", len(value)), value))
 
 
-def _encode_extension(path: Tuple[int, ...], child: bytes) -> bytes:
-    return b"".join((_pack(">BI", _EXTENSION, len(path)), bytes(path), child))
+def _encode_extension(path: bytes, child: bytes) -> bytes:
+    return b"".join((_pack(">BI", _EXTENSION, len(path)), path, child))
 
 
 def _encode_branch(slots: tuple, child_digests, value: Optional[bytes]) -> bytes:
@@ -80,12 +80,12 @@ def _encode_branch(slots: tuple, child_digests, value: Optional[bytes]) -> bytes
 
 
 class Leaf(NamedTuple):
-    suffix: Tuple[int, ...]
+    suffix: bytes
     value: bytes
 
 
 class Extension(NamedTuple):
-    path: Tuple[int, ...]  # at least one nibble
+    path: bytes  # at least one nibble
     child: bytes
 
 
@@ -97,25 +97,13 @@ class Branch(NamedTuple):
 Node = Union[Leaf, Extension, Branch]
 
 
-def encode_node(node: Node) -> bytes:
-    """Canonical encoding of a digest-valued node: the bytes of its stored node's ``encode``."""
-    if isinstance(node, Leaf):
-        return _encode_leaf(*node)
-    if isinstance(node, Extension):
-        return _encode_extension(*node)
-    children = node.children  # child digests are non-empty, so only None is falsy
-    return _encode_branch(children, filter(None, children), node.value)
-
-
 def decode_node(data: bytes) -> Node:
     r = Reader(data)
     tag = r.u8()
     if tag == _LEAF:
-        suffix = tuple(r.raw(r.u32()))
-        return Leaf(suffix, r.bytes())
+        return Leaf(r.raw(r.u32()), r.bytes())
     if tag == _EXTENSION:
-        path = tuple(r.raw(r.u32()))
-        return Extension(path, r.raw(DIGEST_SIZE))
+        return Extension(r.raw(r.u32()), r.raw(DIGEST_SIZE))
     if tag == _BRANCH:
         mask = r.u32()
         children: List[Optional[bytes]] = [None] * 16
@@ -131,7 +119,7 @@ def decode_node(data: bytes) -> Node:
 class LeafNode:
     __slots__ = ("suffix", "value", "digest")
 
-    def __init__(self, suffix: Tuple[int, ...], value: bytes):
+    def __init__(self, suffix: bytes, value: bytes):
         self.suffix, self.value = suffix, value
 
     def encode(self) -> bytes:
@@ -141,7 +129,7 @@ class LeafNode:
 class ExtensionNode:
     __slots__ = ("path", "child", "digest")
 
-    def __init__(self, path: Tuple[int, ...], child: "StoredNode"):
+    def __init__(self, path: bytes, child: "StoredNode"):
         self.path, self.child = path, child
 
     def encode(self) -> bytes:
@@ -169,7 +157,7 @@ class MptProof:
     nodes: Tuple[bytes, ...]
 
 
-def _step(node, nibbles: Tuple[int, ...]) -> tuple:
+def _step(node, nibbles: bytes) -> tuple:
     """Follow ``nibbles`` one node down, through a stored or a digest-valued node.
 
     Returns (None, child, the nibbles left), the child being a node or a
@@ -327,7 +315,7 @@ class MerklePatriciaTrie:
 
     # -- insertion ---------------------------------------------------------------
 
-    def _insert(self, node: Optional[StoredNode], nibbles: Tuple[int, ...], value: bytes):
+    def _insert(self, node: Optional[StoredNode], nibbles: bytes, value: bytes):
         if node is None:
             return self._store(LeafNode(nibbles, value))
         if type(node) is LeafNode:
@@ -399,21 +387,6 @@ class MerklePatriciaTrie:
             elif type(node) is BranchNode:
                 stack.extend(filter(None, node.children))
         return total
-
-    def max_path_nibbles(self) -> int:
-        """Deepest root-to-leaf path measured in nibble steps."""
-        best = 0
-        stack = [] if self._root is None else [(self._root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            if type(node) is LeafNode:
-                best = max(best, depth + len(node.suffix))
-            elif type(node) is ExtensionNode:
-                stack.append((node.child, depth + len(node.path)))
-            else:
-                best = max(best, depth)
-                stack.extend((child, depth + 1) for child in filter(None, node.children))
-        return best
 
 
 def verify(root: bytes, key: bytes, value: bytes, proof: MptProof) -> bool:

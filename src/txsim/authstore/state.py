@@ -19,7 +19,7 @@ from .mpt import MerklePatriciaTrie, TransitionMemo
 
 
 class StateStore:
-    def __init__(self, index: IndexKind = IndexKind.PLAIN, ledger_enabled: bool = False):
+    def __init__(self, index: IndexKind, ledger_enabled: bool):
         self.kv = VersionedKV()
         self.index_kind = index
         if index is IndexKind.MPT:
@@ -72,11 +72,11 @@ class StateStore:
         """A replica of this store: equal contents, independent from here on.
 
         The fork is a fresh store of this one's index kind and ledger
-        setting.  It owns its KV dict, its MBT containers (every store's MBT
-        has the same geometry, so copied bucket and level lists make it
-        equal), a zeroed meter and an empty ledger.  It shares only immutable
-        objects with this store (trie nodes, value bytes, bucket entries), so
-        no record is hashed again.
+        setting.  It owns its MBT containers (every store's MBT has the same
+        geometry, so copied bucket and level lists make it equal), a zeroed
+        meter and an empty ledger.  It shares only immutable objects with
+        this store (KV records, trie nodes, value bytes, bucket entries), so
+        no record is hashed or copied: the KV is a ``VersionedKV.fork``.
         An MPT fork copies nothing: trie nodes hold their children, so the
         fork takes this store's root node and a put copies only the path it
         rewrites; a replaced node is freed once no root or memo entry reaches
@@ -93,7 +93,7 @@ class StateStore:
             twin.index.levels = [list(level) for level in index.levels]
         elif index is not None:
             index.share(twin.index, memo)
-        twin.kv._data = dict(self.kv._data)
+        twin.kv = self.kv.fork()
         return twin
 
     def index_root(self) -> bytes:

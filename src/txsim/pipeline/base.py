@@ -295,8 +295,9 @@ class PipelineBase:
         work is metered; an MPT is built bottom-up, each node created once),
         which is kept for later cells that preload the same records into the
         same kind of store.  Every peer, replica 0 included, gets a ``fork``
-        of it, which owns its mutable containers and shares only immutable
-        nodes and values, so nothing ever writes to the pristine store.  The
+        of it, which owns its mutable containers and shares the immutable
+        KV records, trie nodes and values, so the initial records are held
+        once per process and nothing ever writes to the pristine store.  The
         forks of one cell share one fresh transition memo.
         """
         key = (self.cfg.index, self.cfg.ledger_enabled, initial_state_key(self.spec))

@@ -13,11 +13,15 @@ waiting with its block in flight, hears ``OeApplied`` and closes the next.
 
 Execution runs on each replica's worker lane, so heavy block applies delay
 later blocks (they queue) without freezing consensus heartbeats.
+
+A payload is decoded once for all replicas into a block of the workload's
+own transactions (``OrderExecutePipeline.block_of``), as in EOV: ledgers
+keep that ``Block``, and KV and trie leaves the generated value bytes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..consensus.sharedlog import SharedLogService
 from ..core.encoding import decode_block, encode_block
@@ -123,7 +127,7 @@ class OeWorker(WorkerNode):
         self.local(self.peer.node_id, OeProposeReady(encode_block(block)))
 
     def apply_block(self, payload: bytes) -> None:
-        block = self.pipeline.decoded(payload, decode_block)
+        block = self.pipeline.decoded(payload, self.pipeline.block_of)
         observer = self.peer.node_id == self.pipeline.observer_id
         cumulative = 0
         if self.state.ledger is not None:
@@ -158,6 +162,12 @@ class OrderExecutePipeline(PipelineBase):
         )
         self.preload()
         self.schedule_arrivals()
+
+    def block_of(self, payload: bytes) -> Block:
+        """The block ``payload`` encodes, holding each record's transaction where equal."""
+        block = decode_block(payload)
+        txns = tuple(txn if (txn := self.records[t.id].txn) == t else t for t in block.txn_list)
+        return replace(block, txn_list=txns)
 
     def begin_txn(self, txn_id: int) -> None:
         leader = self.leader_or_retry(txn_id)

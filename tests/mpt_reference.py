@@ -1,4 +1,4 @@
-"""Reference MPT node encoder, node-graph walk and round-trip check for the MPT tests."""
+"""Reference MPT node encoders, node-graph walks and round-trip check for the MPT tests."""
 
 from __future__ import annotations
 
@@ -9,8 +9,10 @@ from txsim.authstore.mpt import (
     ExtensionNode,
     Leaf,
     LeafNode,
+    _encode_branch,
+    _encode_extension,
+    _encode_leaf,
     decode_node,
-    encode_node,
 )
 from txsim.core.encoding import Writer, digest
 
@@ -20,11 +22,22 @@ def _encode_nibbles(w: Writer, nibbles) -> None:
     w.raw(bytes(nibbles))
 
 
+def encode_node(node) -> bytes:
+    """Canonical encoding of a digest-valued node through the trie's own
+    encoders: the bytes of its stored node's ``encode``."""
+    if isinstance(node, Leaf):
+        return _encode_leaf(*node)
+    if isinstance(node, Extension):
+        return _encode_extension(*node)
+    children = node.children  # child digests are non-empty, so only None is falsy
+    return _encode_branch(children, filter(None, children), node.value)
+
+
 def reference_encode_node(node) -> bytes:
     """The node encoder as it was before it packed its bytes in one pass.
 
     One ``Writer`` call per field, kept verbatim as the model that
-    ``txsim.authstore.mpt.encode_node`` must match byte for byte.
+    ``encode_node`` must match byte for byte.
     """
     w = Writer()
     if isinstance(node, Leaf):
@@ -66,6 +79,22 @@ def reachable_nodes(trie) -> list:
             elif isinstance(node, BranchNode):
                 stack.extend(c for c in node.children if c is not None)
     return nodes
+
+
+def max_path_nibbles(trie) -> int:
+    """Deepest root-to-leaf path of the trie, measured in nibble steps."""
+    best = 0
+    stack = [] if trie._root is None else [(trie._root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, LeafNode):
+            best = max(best, depth + len(node.suffix))
+        elif isinstance(node, ExtensionNode):
+            stack.append((node.child, depth + len(node.path)))
+        else:
+            best = max(best, depth)
+            stack.extend((child, depth + 1) for child in node.children if child is not None)
+    return best
 
 
 def reachable_digests(trie) -> set:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from mpt_reference import (
     assert_stored_round_trip,
+    encode_node,
+    max_path_nibbles,
     reachable_digests,
     reachable_nodes,
     reference_encode_node,
@@ -72,6 +74,23 @@ class TestVersionedKV:
             w.bytes(key).bytes(value).u64(version)
         assert kv.state_fingerprint() == hashlib.sha256(w.getvalue()).digest()
 
+    def test_a_fork_of_a_written_fork_reads_its_writes_over_the_base(self):
+        kv = VersionedKV()
+        kv.put_batch([(b"a", b"1"), (b"b", b"2")])
+        first = kv.fork()
+        first.put_batch([(b"b", b"3"), (b"c", b"4")])
+        second = first.fork()
+        kv.put_batch([(b"a", b"5")])
+        first.put_batch([(b"c", b"6")])
+        assert dict(second.items()) == {b"a": (b"1", 1), b"b": (b"3", 2), b"c": (b"4", 1)}
+        assert dict(first.items()) == {b"a": (b"1", 1), b"b": (b"3", 2), b"c": (b"6", 2)}
+        assert dict(kv.items()) == {b"a": (b"5", 2), b"b": (b"2", 1)}
+        assert (len(kv), len(first), len(second)) == (2, 3, 3)
+        assert (second.raw_bytes(), second.version(b"b"), second.get(b"d")) == (6, 2, None)
+        assert state_fingerprints([first, second]) == [
+            first.state_fingerprint(), second.state_fingerprint()
+        ]
+
     def test_equal_stores_share_one_fingerprint_and_a_different_one_gets_its_own(self, monkeypatch):
         stores = [VersionedKV() for _ in range(4)]
         for kv in stores:
@@ -105,6 +124,11 @@ class TestMpt:
         trie = MerklePatriciaTrie()
         trie.put(b"a", b"1")
         assert trie.root == expected
+
+    def test_a_nibble_path_is_bytes_one_per_nibble(self):
+        nibbles = mpt_mod.key_nibbles(b"\x1a\xf0")
+        assert type(nibbles) is bytes and nibbles == bytes([1, 10, 15, 0])
+        assert mpt_mod.key_nibbles(b"") == b""
 
     def test_agrees_with_dict_oracle(self):
         rng = random.Random(21)
@@ -175,7 +199,7 @@ class TestMpt:
         for _ in range(3000):
             trie.put(rng.getrandbits(128).to_bytes(16, "big"), b"v")
         # 16-byte keys are 32 nibbles; every internal node consumes >= 1
-        assert trie.max_path_nibbles() <= 32
+        assert max_path_nibbles(trie) <= 32
 
     def test_overwrite_changes_root_back_and_forth(self):
         trie = MerklePatriciaTrie()
@@ -213,7 +237,7 @@ class TestMpt:
         assert trie.root.hex() == "d5b4d41b5e86dc79486c11b63db60f47ec8cc936e83807a76dacca1336631975"
         assert (trie.meter.ops, trie.meter.bytes) == (173, 10356)
         assert trie.reachable_bytes() == 1542
-        assert trie.max_path_nibbles() == 10
+        assert max_path_nibbles(trie) == 10
         root_node = (
             "0200000482091e7e3a125154c4a4f47df836c711bbec3629894f702d76f5bfcc29df60a4"
             "7a224448abe20b8c04dd0717b431e0f1294ebc02dace95d9050096f9f17f64f18c6137"
@@ -256,7 +280,7 @@ _mpt_writes = st.tuples(_mpt_keys, st.binary(max_size=8))
 # a tuple is one put, a list one put_batch
 _mpt_ops = st.lists(st.one_of(_mpt_writes, st.lists(_mpt_writes, max_size=6)), max_size=20)
 _digests = st.binary(min_size=32, max_size=32)
-_nibble_paths = st.lists(st.integers(0, 15), max_size=40).map(tuple)
+_nibble_paths = st.lists(st.integers(0, 15), max_size=40).map(bytes)
 _mpt_nodes = st.one_of(
     st.builds(mpt_mod.Leaf, _nibble_paths, st.binary(max_size=64)),
     st.builds(mpt_mod.Extension, _nibble_paths.filter(len), _digests),
@@ -269,7 +293,7 @@ _mpt_nodes = st.one_of(
 
 
 def _assert_round_trip(node):
-    enc = mpt_mod.encode_node(node)
+    enc = encode_node(node)
     assert enc == reference_encode_node(node)
     decoded = mpt_mod.decode_node(enc)
     assert type(decoded) is type(node) and decoded == node
@@ -350,7 +374,7 @@ class TestMptProperties:
         loaded, sequential = MerklePatriciaTrie(), MerklePatriciaTrie()
         assert loaded.load(writes) == sequential.put_batch(writes)
         assert loaded.reachable_bytes() == sequential.reachable_bytes()
-        assert loaded.max_path_nibbles() == sequential.max_path_nibbles()
+        assert max_path_nibbles(loaded) == max_path_nibbles(sequential)
         # each node the load creates is reachable: it replaces none
         nodes = reachable_nodes(loaded)
         assert loaded.meter.ops == len(nodes)
@@ -538,7 +562,7 @@ class TestLedger:
 
 class TestStateStore:
     def test_apply_batch_updates_kv_and_root(self):
-        store = StateStore(index=IndexKind.MPT)
+        store = StateStore(index=IndexKind.MPT, ledger_enabled=False)
         versions, ops, nbytes = store.apply_batch([(b"a", b"1"), (b"b", b"2")])
         assert versions == {b"a": 1, b"b": 1}
         assert ops > 0 and nbytes > 0
@@ -547,7 +571,7 @@ class TestStateStore:
         assert store.index_root() != root_before
 
     def test_index_root_requires_authenticated_index(self):
-        store = StateStore(index=IndexKind.PLAIN)
+        store = StateStore(index=IndexKind.PLAIN, ledger_enabled=False)
         with pytest.raises(ValueError, match="authenticated index"):
             store.index_root()
 
@@ -565,8 +589,8 @@ class TestStateStore:
             (f"rec{i:06d}".encode()[:16].ljust(16, b"0"), rng.getrandbits(64).to_bytes(8, "big"))
             for i in range(2000)
         ]
-        mpt_store = StateStore(index=IndexKind.MPT)
-        mbt_store = StateStore(index=IndexKind.MBT)
+        mpt_store = StateStore(index=IndexKind.MPT, ledger_enabled=False)
+        mbt_store = StateStore(index=IndexKind.MBT, ledger_enabled=False)
         mpt_store.apply_batch(writes)
         mbt_store.apply_batch(writes)
         mpt_overhead = mpt_store.storage_breakdown()["index_overhead_per_record"]
@@ -619,7 +643,7 @@ class TestStateStoreLoad:
                 assert_stored_round_trip(node)
 
     def test_load_needs_an_empty_store(self):
-        store = StateStore()
+        store = StateStore(index=IndexKind.PLAIN, ledger_enabled=False)
         store.load([(b"a", b"1")])
         with pytest.raises(ValueError, match="empty store"):
             store.load([(b"b", b"2")])
@@ -659,6 +683,30 @@ class TestStateStoreFork:
         assert _contents(fork, keys) == fork_before
 
 
+    @pytest.mark.parametrize("index", [IndexKind.PLAIN, IndexKind.MPT])
+    def test_a_fork_allocates_the_same_whatever_the_record_count(self, index):
+        # the forks share the source's records and trie nodes, so none is copied
+        def allocated_by_forks(record_count):
+            source = StateStore(index=index, ledger_enabled=True)
+            source.load((struct.pack(">Q", i), bytes(100)) for i in range(record_count))
+            memo = TransitionMemo()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                forks = [source.fork(memo) for _ in range(5)]
+                allocated = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert all(len(fork.kv) == record_count for fork in forks)
+            return allocated
+
+        # interpreter free lists make the count drift by a few hundred bytes
+        # between calls; a copy of 1,000 records would be about 36 KiB per fork
+        allocated_by_forks(10)
+        small, large = allocated_by_forks(10), allocated_by_forks(1000)
+        assert small < 8 * 1024 and abs(large - small) < 1024
+
+
 # few keys and values, so batches repeat and tries meet at the same roots
 _shared_writes = st.lists(
     st.tuples(st.sampled_from([b"\x01", b"\x01\x10", b"\x01\x11", b"\x10", b"\xf0\xff"]),
@@ -671,7 +719,7 @@ _DIVERGED = [(b"\xff\xfe", b"only one replica writes this")]
 class TestMptTransitionSharing:
     def test_a_lone_sharer_holds_no_transitions(self):
         # a one-replica cell: no other trie would ever take the entry
-        store = StateStore(index=IndexKind.MPT)
+        store = StateStore(index=IndexKind.MPT, ledger_enabled=False)
         store.load([(b"\x01", b"a")])
         lone = store.fork(TransitionMemo())
         for i in range(5):
@@ -688,7 +736,7 @@ class TestMptTransitionSharing:
     )
     def test_shared_forks_match_unshared_tries(self, initial, batches, replicas, order, diverge):
         def preloaded():
-            store = StateStore(index=IndexKind.MPT)
+            store = StateStore(index=IndexKind.MPT, ledger_enabled=False)
             store.load(initial)
             return store
 
