@@ -49,11 +49,6 @@ class MbtProof:
     bucket_count: int
     fanout: int
 
-    @property
-    def path_length(self) -> int:
-        """Tree depth plus the record's position inside its bucket."""
-        return len(self.path) + self.position
-
 
 class MerkleBucketTree:
     def __init__(self):

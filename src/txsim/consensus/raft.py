@@ -5,6 +5,10 @@ reject candidates with stale logs, the leader only advances the commit index
 on entries from its own term, and followers truncate conflicting suffixes
 (never the committed prefix).  Elections use randomized timeouts; a fresh
 leader appends a no-op so earlier-term entries commit promptly.
+
+Each replica drops the payload of every applied entry up to ``held_by_all``,
+the leader's lowest follower match index, and keeps its term and digest.
+Every replica holds those entries for good, so none needs the payload again.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ class AppendEntries:
     leader: object
     prev_index: int
     prev_term: int
-    entries: list  # [(term, payload | None)]
+    entries: list  # [(term, digest, payload | None)]
     leader_commit: int
+    held_by_all: int
     kind: str = field(default="raft:append", init=False)
 
 
@@ -96,9 +101,11 @@ class RaftComponent(Component):
         self.term = 0
         self.voted_for = None
         self.role = "follower"
-        self.log: List[Tuple[int, Optional[bytes]]] = []
+        self.log: List[Tuple[int, bytes, Optional[bytes]]] = []
         self.commit_index = 0
         self._applied = 0
+        self.held_by_all = 0
+        self.released = 0  # entries up to here hold no payload
         self._votes = set()
         self._next = {}
         self._match = {}
@@ -137,16 +144,13 @@ class RaftComponent(Component):
         """Append an entry at the leader; False tells the caller to re-route."""
         if not self.is_leader():
             return False
-        self.log.append((self.term, payload))
+        self.log.append((self.term, digest(payload), payload))
         self._replicate_all()
         self._maybe_advance_commit()
         return True
 
     def replica_state(self) -> ReplicaState:
-        entries = tuple(
-            (i + 1, t, digest(p) if p is not None else NOOP_DIGEST)
-            for i, (t, p) in enumerate(self.log)
-        )
+        entries = tuple((i + 1, t, d) for i, (t, d, _) in enumerate(self.log))
         return ReplicaState(self.node_id, self.term, self.role, entries, self.commit_index)
 
     # -- message handling ------------------------------------------------------
@@ -232,7 +236,7 @@ class RaftComponent(Component):
             self._next = {p: len(self.log) + 1 for p in self.peers()}
             self._match = {p: 0 for p in self.peers()}
             # a no-op from this term lets earlier-term entries commit
-            self.log.append((self.term, None))
+            self.log.append((self.term, NOOP_DIGEST, None))
             self._replicate_all()
             self._arm_heartbeat()
 
@@ -257,10 +261,9 @@ class RaftComponent(Component):
         prev_index = next_idx - 1
         prev_term = self.log[prev_index - 1][0] if prev_index >= 1 else 0
         entries = self.log[next_idx - 1 :]
-        self.send(
-            peer,
-            AppendEntries(self.term, self.node_id, prev_index, prev_term, entries, self.commit_index),
-        )
+        commit, held = self.commit_index, self.held_by_all
+        msg = AppendEntries(self.term, self.node_id, prev_index, prev_term, entries, commit, held)
+        self.send(peer, msg)
 
     def _on_append(self, msg: AppendEntries) -> None:
         if msg.term < self.term:
@@ -278,16 +281,17 @@ class RaftComponent(Component):
         for offset, entry in enumerate(msg.entries):
             pos = msg.prev_index + offset + 1
             if pos <= len(self.log):
-                if self.log[pos - 1][0] != entry[0]:
-                    assert pos > self.commit_index, "conflict below the committed prefix"
-                    del self.log[pos - 1 :]
-                    self.log.append(entry)
-            else:
-                self.log.append(entry)
+                if self.log[pos - 1][0] == entry[0]:
+                    continue
+                assert pos > self.commit_index, "conflict below the committed prefix"
+                del self.log[pos - 1 :]
+            assert entry[2] is not None or entry[1] == NOOP_DIGEST, "a released entry was sent"
+            self.log.append(entry)
         match = msg.prev_index + len(msg.entries)
         if msg.leader_commit > self.commit_index:
             self.commit_index = min(msg.leader_commit, match)
             self._apply_committed()
+        self._release(msg.held_by_all)
         self.send(msg.leader, AppendReply(self.term, self.node_id, True, match))
 
     def _on_append_reply(self, msg: AppendReply) -> None:
@@ -299,10 +303,11 @@ class RaftComponent(Component):
             return
         follower = msg.follower
         self._next[follower] = max(self._next[follower], msg.match_index + 1)
-        # the commit index moves only when some follower's match index grows
+        # the commit index and the watermark move only when a follower's match index grows
         if msg.match_index > self._match[follower]:
             self._match[follower] = msg.match_index
             self._maybe_advance_commit()
+            self._release(min(self._match.values()))
 
     def _maybe_advance_commit(self) -> None:
         if self.role != "leader":
@@ -316,6 +321,15 @@ class RaftComponent(Component):
     def _apply_committed(self) -> None:
         while self._applied < self.commit_index:
             self._applied += 1
-            _, payload = self.log[self._applied - 1]
+            payload = self.log[self._applied - 1][2]
             if payload is not None:
                 self.on_commit(self._applied, payload)
+
+    def _release(self, held_by_all: int) -> None:
+        """Keep the watermark and drop the payloads of applied entries up to it."""
+        self.held_by_all = held_by_all
+        log, upto = self.log, min(held_by_all, self._applied)
+        while self.released < upto:
+            term, entry_digest, _ = log[self.released]
+            log[self.released] = (term, entry_digest, None)
+            self.released += 1

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from ..authstore.kv import state_fingerprints
@@ -66,19 +67,20 @@ class RunResult:
     def submitted(self) -> int:
         return len(self.records)
 
+    @cached_property
     def outcome_counts(self) -> Counter:
-        """How many records hold each outcome; every count below reads these."""
+        """How many records hold each outcome, counted once; every count below reads these."""
         return Counter(r.outcome for r in self.records.values())
 
     @property
     def committed(self) -> int:
-        return self.outcome_counts()[TxnOutcome.COMMITTED]
+        return self.outcome_counts[TxnOutcome.COMMITTED]
 
     def abort_counts(self) -> Dict[str, int]:
         """``aborted_*`` name -> count, for the ``ABORTED_*`` outcomes that occurred."""
         return {
             o.name.lower(): n
-            for o, n in self.outcome_counts().items()
+            for o, n in self.outcome_counts.items()
             if o.name.startswith("ABORTED_")
         }
 
@@ -88,17 +90,12 @@ class RunResult:
 
     @property
     def pending(self) -> int:
-        return self.outcome_counts()[TxnOutcome.PENDING]
+        return self.outcome_counts[TxnOutcome.PENDING]
 
     @property
     def dropped(self) -> int:
         """A count: the records settled ``DROPPED`` at the endorsement timeout."""
-        return self.outcome_counts()[TxnOutcome.DROPPED]
-
-    @property
-    def abort_rate(self) -> float:
-        settled = self.committed + self.aborted
-        return self.aborted / settled if settled else 0.0
+        return self.outcome_counts[TxnOutcome.DROPPED]
 
     def latencies(self) -> List[int]:
         return sorted(

@@ -41,10 +41,6 @@ def encode_balance(cents: int) -> bytes:
     return cents.to_bytes(8, "big", signed=True)
 
 
-def decode_balance(value: bytes) -> int:
-    return int.from_bytes(value, "big", signed=True)
-
-
 def smallbank_initial_state(customers: int) -> List[tuple]:
     out = []
     for c in range(customers):

@@ -85,8 +85,3 @@ class ZipfianSampler:
                     return k
 
         return draw
-
-    def pmf(self, i: int) -> float:
-        """Analytic probability of rank i, for distribution tests."""
-        norm = sum(1.0 / j**self.theta for j in range(1, self.n + 1))
-        return (1.0 / i**self.theta) / norm

@@ -112,6 +112,12 @@ def committed_digests(state):
     return tuple(d for (_, _, d) in state.log[: state.commit_index])
 
 
+def abort_rate(res) -> float:
+    """A ``RunResult``'s aborts over its settled (committed or aborted) transactions."""
+    settled = res.committed + res.aborted
+    return res.aborted / settled if settled else 0.0
+
+
 def messages_per_commit(sim, prefix: str, committed: int) -> float:
     """Mean delivered ``prefix:`` protocol messages per committed entry."""
     if committed <= 0:

@@ -13,6 +13,7 @@ import time
 from cluster_utils import (
     PbftHarness,
     RaftHarness,
+    abort_rate,
     assert_agreement,
     messages_per_commit,
     observer_kv,
@@ -343,7 +344,7 @@ class TestCriterion7ConcurrencyTrends:
                 ops_per_txn=ops, constant_total_bytes=1000, txn_count=600, seed=9
             )
             res = run_pipeline(eov_config(), spec, Arrival.open_loop(1200), seed=42)
-            ops_rates[ops] = res.abort_rate
+            ops_rates[ops] = abort_rate(res)
         assert ops_rates[10] > ops_rates[1]
 
         cfg = db_config(concurrency_mode=ConcurrencyMode.CONCURRENT_LOCKING)
@@ -359,7 +360,7 @@ class TestCriterion7ConcurrencyTrends:
                 )
             )
         drop = 1 - lock_res[1.0].throughput_tps / lock_res[0.0].throughput_tps
-        abort_ratio = lock_res[1.0].abort_rate
+        abort_ratio = abort_rate(lock_res[1.0])
         assert lock_res[1.0].abort_counts().get("aborted_blocked", 0) > 0
         assert drop > abort_ratio
         report(

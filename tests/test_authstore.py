@@ -435,7 +435,7 @@ class TestMbt:
         for key in keys[:50]:
             proof = tree.prove(key)
             position = [k for k, _ in tree.buckets[proof.bucket_index]].index(key)
-            assert proof.path_length == 5 + position
+            assert (len(proof.path), proof.position) == (5, position)
 
     def test_proof_round_trip_and_tampering(self):
         tree = MerkleBucketTree()

@@ -19,13 +19,14 @@ from txsim.core import (
     ReplicationModel,
     seeded_rng,
 )
+from txsim.core.encoding import digest
 from txsim.consensus import (
     ProtocolHost,
     QuorumError,
     quorum_size,
 )
 from txsim.consensus.pbft import Request
-from txsim.consensus.raft import RaftComponent, RaftTiming
+from txsim.consensus.raft import NOOP_DIGEST, RaftComponent, RaftTiming
 from txsim.consensus.sharedlog import (
     LogAppend,
     LogDeliver,
@@ -218,12 +219,51 @@ class TestRaft:
             for victim in rng.sample(range(5), rng.randint(0, 2)):
                 h.sim.inject_fault(victim, FaultKind.CRASHED, at_time=rng.randint(0, 150_000))
             h.drive([f"p{i}".encode() for i in range(4)], duration=350_000)
-            healthy = [
-                c.replica_state()
-                for i, c in h.comps.items()
-                if h.sim.fault_of(i) is FaultKind.HEALTHY
-            ]
-            assert_agreement(healthy)
+            healthy = [c for i, c in h.comps.items() if h.sim.fault_of(i) is FaultKind.HEALTHY]
+            assert_agreement([c.replica_state() for c in healthy])
+            # a released payload sits on every log, so no healthy replica needs it
+            assert max(c.released for c in h.comps.values()) <= min(len(c.log) for c in healthy)
+
+    def test_payloads_every_replica_holds_and_applied_are_released(self, monkeypatch):
+        handle = RaftComponent.handle
+
+        def checked(comp, msg):
+            out = handle(comp, msg)
+            upto = min(comp.held_by_all, comp.commit_index)
+            assert all(p is None for _, _, p in comp.log[:upto])
+            return out
+
+        monkeypatch.setattr(RaftComponent, "handle", checked)
+        h = RaftHarness(5, seed=108)
+        payloads = [b"p%d" % i for i in range(12)]
+        assert h.drive(payloads, duration=400_000) == []
+        for i, c in h.comps.items():
+            assert [p for _, p in h.commits[i]] == payloads
+            # heartbeats carried the last watermark, so nothing is left to hold
+            assert c.released == len(c.log) == c.commit_index
+            proposed = [d for d in committed_digests(c.replica_state()) if d != NOOP_DIGEST]
+            assert proposed == [digest(p) for p in payloads]
+
+    def test_a_crashed_follower_holds_the_watermark_and_catches_up(self):
+        h = RaftHarness(5, seed=109)
+        assert h.drive([b"a", b"b"], duration=200_000) == []
+        leader = h.healthy_leader()
+        crashed = next(c for c in h.comps.values() if c is not leader)
+        h.sim.inject_fault(crashed.node_id, FaultKind.CRASHED)
+        later = [b"p%d" % i for i in range(8)]
+        assert h.drive(later, duration=300_000) == []
+        held = len(crashed.log)
+        assert leader.held_by_all == held == leader.released
+        for c in (c for c in h.comps.values() if c is not crashed):
+            assert c.commit_index > held
+            assert c.released <= held
+            # every entry above the crashed follower's log keeps its payload
+            assert all(p is not None for _, _, p in c.log[held:])
+        h.sim.heal(crashed.node_id)
+        h.drive([], duration=300_000)
+        assert [p for _, p in h.commits[crashed.node_id]] == [b"a", b"b"] + later
+        assert_agreement([c.replica_state() for c in h.comps.values()])
+        assert all(c.released == len(c.log) for c in h.comps.values())
 
 
 class _TimerHost:
